@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .numthy import two_adic_valuation
+from .numthy import MAX_N, two_adic_valuation
 
 
 class SpecError(ValueError):
@@ -111,6 +111,11 @@ class DivisorPartition:
         return layer
 
 
+def _scaled(s: frozenset[int], k: int) -> frozenset[int]:
+    """The divisor set k*s, for comparing layers in the scaled-set chains."""
+    return frozenset(k * d for d in s)
+
+
 def gcd_class(n: int, d: int) -> frozenset[int]:
     """G_n(d): residues 1 <= k < n with gcd(k, n) = d.
 
@@ -142,6 +147,10 @@ def gcd_class_mod4(n: int, d: int, r: int) -> frozenset[int]:
     return frozenset(k for k in gcd_class(n, d) if (k // d) % 4 == r)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate_spec(
     n: int,
     B: Iterable[int] = (),
@@ -150,32 +159,36 @@ def validate_spec(
 ) -> GraphSpec:
     """Check the validity rules and freeze the description.
 
-    Rules: every b in B is a proper divisor of n; D nonempty forces 4 | n and
-    every d in D divides n/4; B and D are disjoint; sigma maps exactly D into
-    {+1, -1}.
+    Rules: n is a positive integer no larger than MAX_N; every b in B is a
+    proper divisor of n; D nonempty forces 4 | n and every d in D divides
+    n/4; B and D are disjoint; sigma maps exactly D into {+1, -1}.  A bool
+    is not an integer here, although Python treats True as 1.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise BadModulus(f"order must be a positive integer, got {n!r}")
-    b_set = frozenset(B)
-    d_set = frozenset(D)
+    if n > MAX_N:
+        raise BadModulus(f"modulus {n} exceeds supported cap {MAX_N}")
+    B, D = list(B), list(D)  # check members before a set merges True into 1
     sigma = dict(sigma or {})
-    for b in sorted(b_set):
-        if not isinstance(b, int) or b < 1 or b >= n or n % b != 0:
+    for b in B:
+        if not _is_int(b) or b < 1 or b >= n or n % b != 0:
             raise BadDivisor(f"B member {b!r} is not a proper divisor of {n}")
-    if d_set:
+    if D:
         if n % 4:
             raise BadModulus(f"D nonempty requires 4 | n, got n = {n}")
-        for d in sorted(d_set):
-            if not isinstance(d, int) or d < 1 or (n // 4) % d != 0:
+        for d in D:
+            if not _is_int(d) or d < 1 or (n // 4) % d != 0:
                 raise BadDivisor(f"D member {d!r} does not divide n/4 = {n // 4}")
+    b_set = frozenset(B)
+    d_set = frozenset(D)
     both = b_set & d_set
     if both:
         raise Overlap(f"B and D share divisors {sorted(both)}")
-    if set(sigma) != set(d_set):
+    if not all(_is_int(d) for d in sigma) or set(sigma) != d_set:
         raise SigmaDomainMismatch(
             f"sigma domain {sorted(sigma)} != D {sorted(d_set)}"
         )
-    bad_signs = {d: s for d, s in sigma.items() if s not in (1, -1)}
+    bad_signs = {d: s for d, s in sigma.items() if not _is_int(s) or s not in (1, -1)}
     if bad_signs:
         raise SigmaDomainMismatch(f"sigma values must be +1 or -1, got {bad_signs}")
     return GraphSpec(n=n, B=b_set, D=d_set, sigma=sigma)

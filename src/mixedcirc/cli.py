@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .circulant import SpecError, UnknownFormat, export_graph, parse_spec, spec_to_json
 from .harness import BudgetExceeded, crosscheck, search_specs, DEFAULT_BUDGET
+from .numthy import MAX_N
 from .spectrum import eigenvalues_closed_form
 from .transfer import (
     NUMERIC_TOL,
@@ -40,7 +41,7 @@ def _load_spec(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read {path}: {exc}") from None
     return parse_spec(text)
 
@@ -99,6 +100,10 @@ def _cmd_check_mst(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.n < 2:
+        raise SpecError(f"enumeration needs n >= 2, got {args.n}")
+    if args.n > MAX_N:
+        raise SpecError(f"modulus {args.n} exceeds supported cap {MAX_N}")
     hits = search_specs(args.n, args.mode)
     _emit(
         {
@@ -192,9 +197,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage already; normalize other codes
         return int(exc.code or 0)
+    # only input errors become exit 2; any other exception is a fault and
+    # propagates with its traceback
     try:
         return args.func(args)
-    except (SpecError, UnknownFormat, BudgetExceeded, ValueError) as exc:
+    except (SpecError, UnknownFormat, BudgetExceeded) as exc:
         return _fail(str(exc))
 
 

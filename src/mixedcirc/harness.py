@@ -15,14 +15,7 @@ from typing import Iterator
 from .circulant import GraphSpec, build_connection_set, spec_to_json, validate_spec
 from .numthy import divisors
 from .spectrum import eigenvalues_oracle
-from .transfer import (
-    classify_mst,
-    classify_pst,
-    mst_by_valuation,
-    antipodal_pst_by_valuation,
-    pst_feasible_pair,
-    verify_numeric,
-)
+from .transfer import classify_mst, classify_pst, difference_profile, verify_numeric
 
 DEFAULT_BUDGET = 10**6
 
@@ -99,7 +92,8 @@ def crosscheck(
 
     Legs per spec: the divisor-set classifier on the spec, the gap-valuation
     test on the floating-point DFT spectrum, and exact witness feasibility
-    verified numerically at tolerance tol.  Any disagreement is recorded.
+    verified numerically at tolerance tol.  The two spectral legs read one
+    gap profile per spec.  Any disagreement is recorded.
     """
     moduli = _moduli(n_max, mode)
     total = sum(count_specs(n) for n in moduli)
@@ -111,14 +105,16 @@ def crosscheck(
         for spec in enumerate_specs(n):
             report.specs_checked += 1
             spectrum = eigenvalues_oracle(build_connection_set(spec), n)
+            prof = difference_profile(spectrum)
             if mode == "pst":
                 by_class = classify_pst(spec) is not None
-                by_vals = antipodal_pst_by_valuation(spectrum) is not None
-                by_num = _numeric_pst(spectrum, n, tol)
+                by_vals = prof.common_valuation() is not None
+                by_num = _numeric_transfer(spectrum, prof, (n // 2,), tol)
             else:
                 by_class = classify_mst(spec)
-                by_vals = mst_by_valuation(spectrum)
-                by_num = _numeric_mst(spectrum, n, tol)
+                by_vals = prof.quarter_orbit()
+                quarters = (n // 4, n // 2, 3 * n // 4)
+                by_num = _numeric_transfer(spectrum, prof, quarters, tol)
             if by_class:
                 if mode == "pst":
                     report.pst_positive += 1
@@ -137,16 +133,11 @@ def crosscheck(
     return report
 
 
-def _numeric_pst(spectrum, n: int, tol: float) -> bool:
-    t = pst_feasible_pair(spectrum, 0, n // 2)
-    if t is None:
-        return False
-    return verify_numeric(spectrum, 0, n // 2, t, tol)[0]
-
-
-def _numeric_mst(spectrum, n: int, tol: float) -> bool:
-    for b in (n // 4, n // 2, 3 * n // 4):
-        t = pst_feasible_pair(spectrum, 0, b)
+def _numeric_transfer(spectrum, prof, targets, tol: float) -> bool:
+    """Transfer 0 -> b has an exact witness that verifies numerically, for
+    every b in targets."""
+    for b in targets:
+        t = prof.witness(b)
         if t is None or not verify_numeric(spectrum, 0, b, t, tol)[0]:
             return False
     return True

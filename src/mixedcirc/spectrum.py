@@ -16,6 +16,7 @@ from .circulant import (
     ConnectionSet,
     DivisorPartition,
     GraphSpec,
+    _scaled,
     build_connection_set,
     partition_divisors,
 )
@@ -271,10 +272,6 @@ def eigenvalues_oracle(cs: ConnectionSet, n: int, tol: float = 1e-6) -> Spectrum
 def spectrum_of(spec: GraphSpec) -> Spectrum:
     """Convenience: exact spectrum of a validated spec."""
     return eigenvalues_closed_form(spec)
-
-
-def _scaled(s: frozenset[int], k: int) -> frozenset[int]:
-    return frozenset(k * d for d in s)
 
 
 def reduced_eigenvalues(spec: GraphSpec) -> Spectrum:

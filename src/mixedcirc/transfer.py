@@ -16,9 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circulant import DivisorPartition, GraphSpec, partition_divisors
-from .numthy import divisors as all_divisors
-from .numthy import two_adic_valuation
+from .circulant import DivisorPartition, GraphSpec, _scaled, partition_divisors
 from .spectrum import Spectrum, eigenvalues_closed_form
 
 NUMERIC_TOL = 1e-9
@@ -39,11 +37,63 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class DifferenceProfile:
-    """Cyclic first and second differences of a spectrum, with 2-adic data."""
+    """Cyclic first and second differences of a spectrum, with 2-adic data.
+
+    gap_gcd is g = gcd of delta_j - delta_0 over all j (0 when every gap is
+    equal).  A time t' = s/q in lowest terms of transfer across the vertex
+    difference w must have q | g, since delta_j * t' - w/n is integral for
+    every j only if each (delta_j - delta_0) * s/q is.  So every witness is
+    k/g for some k, the gap congruences collapse to the one at delta_0, and
+    witness() solves that one with a modular inverse.  Build a profile once
+    per spectrum with difference_profile and read it as often as needed.
+    """
 
     deltas: tuple[int, ...]
     step2: tuple[int, ...]
     valuations: tuple[Optional[int], ...]  # None marks a zero gap
+    gap_gcd: int
+
+    def common_valuation(self) -> Optional[int]:
+        """The 2-adic valuation shared by every gap, or None (zero gap or
+        disagreement)."""
+        vals = set(self.valuations)
+        if None in vals or len(vals) != 1:
+            return None
+        return vals.pop()
+
+    def quarter_orbit(self) -> bool:
+        """Every gap has valuation 1 and every double gap valuation 2.
+
+        d & 7 == 4 holds exactly when v2(d) = 2, for either sign of d, and
+        fails for d = 0.
+        """
+        return all(v == 1 for v in self.valuations) and all(
+            d & 7 == 4 for d in self.step2
+        )
+
+    def witness(self, w: int) -> Optional[Fraction]:
+        """Least time t' in (0, 1] of transfer a -> b, where w = (b - a) mod n
+        is nonzero: every delta_j * t' - w/n must be an integer.
+
+        Writing t' = k/g with g = gap_gcd, the condition is the congruence
+        n*delta_0*k = w*g (mod n*g).  It is solvable iff c = n*gcd(delta_0, g)
+        divides w*g, and then k is fixed modulo m = g/gcd(delta_0, g), so the
+        least positive k is (w*g/c) * (n*delta_0/c)^-1 mod m.  Returns None
+        when g = 0 (every gap equal, hence zero) or the congruence has no
+        solution.
+        """
+        g = self.gap_gcd
+        if g == 0:
+            return None
+        n = len(self.deltas)
+        d0 = self.deltas[0]
+        c = n * math.gcd(d0, g)
+        if (w * g) % c:
+            return None
+        m = n * g // c
+        # w/n is not an integer, so the residue is never 0 and k lies in 1..m-1
+        k = (w * g // c) * pow(n * d0 // c, -1, m) % m
+        return Fraction(k, g)
 
 
 @dataclass(frozen=True)
@@ -68,13 +118,28 @@ def transition_amplitude(spectrum: Spectrum, a: int, b: int, t_prime) -> complex
 
 
 def difference_profile(spectrum: Spectrum) -> DifferenceProfile:
-    """Cyclic gaps gamma[j+1]-gamma[j], double gaps, and their valuations."""
-    n = spectrum.n
-    g = spectrum.gamma
-    deltas = tuple(g[(j + 1) % n] - g[j] for j in range(n))
-    step2 = tuple(g[(j + 2) % n] - g[j] for j in range(n))
-    vals = tuple(None if d == 0 else two_adic_valuation(d) for d in deltas)
-    return DifferenceProfile(deltas=deltas, step2=step2, valuations=vals)
+    """Gap data of a spectrum in one pass: cyclic gaps gamma[j+1]-gamma[j],
+    double gaps gamma[j+2]-gamma[j], the gap valuations and the gap gcd."""
+    ext = spectrum.gamma + spectrum.gamma[:2]
+    d0 = ext[1] - ext[0]
+    deltas, step2, vals = [], [], []
+    g = 0
+    for x, y, z in zip(ext, ext[1:], ext[2:]):
+        d = y - x
+        deltas.append(d)
+        step2.append(z - x)
+        vals.append((d & -d).bit_length() - 1 if d else None)
+        g = math.gcd(g, d - d0)
+    return DifferenceProfile(
+        deltas=tuple(deltas), step2=tuple(step2), valuations=tuple(vals), gap_gcd=g
+    )
+
+
+def _difference(n: int, a: int, b: int) -> int:
+    """(b - a) mod n for a transfer question; SamePair when a = b mod n."""
+    if a % n == b % n:
+        raise SamePair(f"a = b = {a % n} asks about periodicity, not transfer")
+    return (b - a) % n
 
 
 def antipodal_pst_by_valuation(spectrum: Spectrum) -> Optional[int]:
@@ -85,25 +150,14 @@ def antipodal_pst_by_valuation(spectrum: Spectrum) -> Optional[int]:
     """
     if spectrum.n % 2:
         raise ValueError(f"antipodal pair needs even n, got {spectrum.n}")
-    prof = difference_profile(spectrum)
-    vals = set(prof.valuations)
-    if None in vals or len(vals) != 1:
-        return None
-    return vals.pop()
+    return difference_profile(spectrum).common_valuation()
 
 
 def mst_by_valuation(spectrum: Spectrum) -> bool:
     """Gap valuations all 1 and double-gap valuations all 2 (cyclically)."""
     if spectrum.n % 4:
         raise ValueError(f"quarter orbit needs 4 | n, got {spectrum.n}")
-    prof = difference_profile(spectrum)
-    if set(prof.valuations) != {1}:
-        return False
-    return all(d != 0 and two_adic_valuation(d) == 2 for d in prof.step2)
-
-
-def _scaled(s: frozenset[int], k: int) -> frozenset[int]:
-    return frozenset(k * d for d in s)
+    return difference_profile(spectrum).quarter_orbit()
 
 
 def classify_pst(spec: GraphSpec) -> Optional[str]:
@@ -226,40 +280,12 @@ def pst_feasible_pair(spectrum: Spectrum, a: int, b: int) -> Optional[Fraction]:
     """Minimal t' in (0, 1] with gamma_j * t' + (a-b)/n integral across gaps.
 
     Transfer a -> b happens at some time iff a single rational t' clears
-    every cyclic gap congruence delta_j * t' + (a-b)/n in Z.  Any reduced
-    witness s/q must have q dividing g = gcd of pairwise gap differences,
-    and since all gaps agree mod q one congruence decides all of them.
+    every cyclic gap congruence delta_j * t' + (a-b)/n in Z.  Every witness
+    is k/g with g the gap gcd, so the congruences reduce to one linear
+    congruence in k, solved with a modular inverse (DifferenceProfile.witness).
     Returns the minimal witness, or None.
     """
-    n = spectrum.n
-    if a % n == b % n:
-        raise SamePair(f"a = b = {a % n} asks about periodicity, not transfer")
-    w = (a - b) % n
-    prof = difference_profile(spectrum)
-    d0 = prof.deltas[0]
-    g = 0
-    for d in prof.deltas[1:]:
-        g = math.gcd(g, d - d0)
-    if g == 0:
-        # All gaps equal; cyclic gaps telescope to zero, so they are all
-        # zero and the condition collapses to (a-b)/n in Z: never for a != b.
-        return None
-    best: Optional[Fraction] = None
-    for q in all_divisors(g):
-        if q == 1:
-            continue  # integer times give the identity evolution
-        # solvability of n*s*d0 = -w*q (mod n*q) in s
-        if (w * q) % (n * math.gcd(d0, q)):
-            continue
-        for s in range(1, q + 1):
-            if math.gcd(s, q) != 1:
-                continue
-            if (n * s * d0 + w * q) % (n * q) == 0:
-                cand = Fraction(s, q)
-                if best is None or cand < best:
-                    best = cand
-                break  # s ascending: first hit is minimal for this q
-    return best
+    return difference_profile(spectrum).witness(_difference(spectrum.n, a, b))
 
 
 def minimal_pst_time(spectrum: Spectrum, a: int, b: int) -> Fraction:
@@ -283,22 +309,21 @@ def verify_numeric(
 
 def pair_restriction_check(spectrum: Spectrum) -> frozenset[int]:
     """Differences w with transfer 0 -> w feasible; theory confines these
-    to {n/4, n/2, 3n/4}."""
+    to {n/4, n/2, 3n/4}.  One gap profile serves every w, so this is linear
+    in n."""
     n = spectrum.n
     if n % 4:
         raise ValueError(f"quarter-point differences need 4 | n, got {n}")
-    out = set()
-    for w in range(1, n):
-        if pst_feasible_pair(spectrum, 0, w) is not None:
-            out.add(w)
-    return frozenset(out)
+    prof = difference_profile(spectrum)
+    return frozenset(w for w in range(1, n) if prof.witness(w) is not None)
 
 
 def _decide_pair(
     spectrum: Spectrum, a: int, b: int, tol: float = NUMERIC_TOL
 ) -> TransferVerdict:
     n = spectrum.n
-    t = pst_feasible_pair(spectrum, a, b)
+    prof = difference_profile(spectrum)
+    t = prof.witness(_difference(n, a, b))
     if t is None:
         return TransferVerdict(kind="none", pair=(a % n, b % n))
     ok, phase, residual = verify_numeric(spectrum, a, b, t, tol)
@@ -313,9 +338,7 @@ def _decide_pair(
         kind = "quarter_pst"
     else:
         raise ConsistencyError(f"feasible difference {w} outside quarter points")
-    m = None
-    if n % 2 == 0:
-        m = antipodal_pst_by_valuation(spectrum)
+    m = prof.common_valuation() if n % 2 == 0 else None
     return TransferVerdict(
         kind=kind, pair=(a % n, b % n), m=m, t_prime=t, phase=phase, residual=residual
     )
@@ -345,13 +368,14 @@ def mst_verdict(spec: GraphSpec, tol: float = NUMERIC_TOL) -> TransferVerdict:
     if n % 4:
         return TransferVerdict(kind="none", pair=())
     spectrum = eigenvalues_closed_form(spec)
+    prof = difference_profile(spectrum)
     orbit = (0, n // 4, n // 2, 3 * n // 4)
-    if not mst_by_valuation(spectrum):
+    if not prof.quarter_orbit():
         return TransferVerdict(kind="none", pair=orbit)
     times = []
     worst = 0.0
     for b in orbit[1:]:
-        t = pst_feasible_pair(spectrum, 0, b)
+        t = prof.witness(b)
         if t is None:
             return TransferVerdict(kind="none", pair=orbit)
         ok, phase, residual = verify_numeric(spectrum, 0, b, t, tol)
@@ -359,11 +383,10 @@ def mst_verdict(spec: GraphSpec, tol: float = NUMERIC_TOL) -> TransferVerdict:
             raise ConsistencyError(f"orbit witness ({0},{b}) residual {residual}")
         times.append((t, phase))
         worst = max(worst, residual)
-    m = antipodal_pst_by_valuation(spectrum)
     return TransferVerdict(
         kind="mst",
         pair=orbit,
-        m=m,
+        m=prof.common_valuation(),
         t_prime=times[0][0],
         phase=times[0][1],
         residual=worst,

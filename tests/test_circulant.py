@@ -31,7 +31,7 @@ from mixedcirc import (
     spec_to_json,
     validate_spec,
 )
-from mixedcirc.numthy import divisors
+from mixedcirc.numthy import MAX_N, divisors
 
 
 # ------------------------------------------------------------- gcd classes
@@ -126,6 +126,37 @@ def test_validate_rejects_sigma_mismatches():
 def test_validate_rejects_bad_order():
     with pytest.raises(BadModulus):
         validate_spec(0, [], [], {})
+    with pytest.raises(BadModulus):
+        validate_spec(MAX_N + 1, [], [], {})
+
+
+def test_validate_rejects_booleans():
+    # True == 1 in Python, but a JSON boolean is not an order or a divisor
+    with pytest.raises(BadModulus):
+        parse_spec('{"n": true}')
+    with pytest.raises(BadModulus):
+        validate_spec(True, [], [], {})
+    with pytest.raises(BadDivisor):
+        parse_spec('{"n":8,"B":[true,4]}')
+    with pytest.raises(BadDivisor):
+        validate_spec(8, [1, True], [], {})  # a set would merge True into 1
+    with pytest.raises(BadDivisor):
+        validate_spec(8, [], [True], {True: 1})
+    with pytest.raises(SigmaDomainMismatch):
+        parse_spec('{"n":8,"D":[2],"sigma":{"2":true}}')
+    with pytest.raises(SigmaDomainMismatch):
+        validate_spec(8, [], [1], {True: 1})
+
+
+def test_validate_rejects_non_integer_members_without_crashing():
+    # mixed or unhashable members are input errors, not TypeErrors
+    for text in (
+        '{"n":8,"B":["a",2]}',
+        '{"n":8,"B":[[1]]}',
+        '{"n":8,"D":[2],"sigma":{"2":1.0}}',
+    ):
+        with pytest.raises(SpecError):
+            parse_spec(text)
 
 
 # --------------------------------------------------------- connection sets

@@ -10,6 +10,7 @@ from conftest import (
     pst_case_ii_graph,
     two_arc_layer_graph,
 )
+import mixedcirc.cli
 import mixedcirc.harness
 from mixedcirc import mst_sufficient_condition, spec_to_json
 from mixedcirc.cli import main
@@ -192,6 +193,45 @@ def test_invalid_spec_contents(tmp_path, capsys):
     code, out, _ = run(capsys, ["check-pst", "--spec", str(path)])
     assert code == 2
     assert "error" in json.loads(out)
+
+
+def test_boolean_spec_fields_are_input_errors(tmp_path, capsys):
+    for text in (
+        '{"n": true}',
+        '{"n":8,"B":[true,4]}',
+        '{"n":8,"D":[2],"sigma":{"2":true}}',
+    ):
+        path = tmp_path / "bool.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, ["spectrum", "--spec", str(path)])
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "input"
+
+
+def test_undecodable_spec_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 8\xff}')
+    code, out, _ = run(capsys, ["spectrum", "--spec", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "input"
+
+
+def test_search_order_below_two_is_an_input_error(capsys):
+    code, out, _ = run(capsys, ["search", "--n", "1"])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "input"
+
+
+def test_internal_value_error_is_not_an_input_error(tmp_path, capsys, monkeypatch):
+    # a fault inside a decider must surface, not be reported as exit 2
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(mixedcirc.cli, "antipodal_verdict", broken)
+    path = write_spec(tmp_path, pst_case_i_graph())
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["check-pst", "--spec", path])
+    assert capsys.readouterr().out == ""
 
 
 def test_missing_file(capsys):

@@ -21,6 +21,7 @@ from mixedcirc import (
     antipodal_verdict,
     classify_mst,
     classify_pst,
+    crosscheck,
     difference_profile,
     eigenvalues_closed_form,
     enumerate_specs,
@@ -37,6 +38,7 @@ from mixedcirc import (
     validate_spec,
     verify_numeric,
 )
+from mixedcirc.numthy import divisors
 
 
 def grid_feasible(spectrum: Spectrum, a: int, b: int):
@@ -60,6 +62,34 @@ def grid_feasible(spectrum: Spectrum, a: int, b: int):
         if all((d * t + shift).denominator == 1 for d in deltas):
             return t
     return None
+
+
+def divisor_loop_feasible(spectrum: Spectrum, a: int, b: int):
+    """Independent route: the search the closed-form solve replaced.
+
+    For each divisor q > 1 of the gap gcd g, test solvability of
+    n*s*d0 = -w*q (mod n*q), then scan s = 1..q coprime to q; the least
+    s/q over all q is the minimal witness.
+    """
+    n = spectrum.n
+    w = (a - b) % n
+    deltas = [spectrum.gamma[(j + 1) % n] - spectrum.gamma[j] for j in range(n)]
+    d0 = deltas[0]
+    g = 0
+    for d in deltas[1:]:
+        g = math.gcd(g, d - d0)
+    if g == 0:
+        return None
+    best = None
+    for q in divisors(g):
+        if q == 1 or (w * q) % (n * math.gcd(d0, q)):
+            continue
+        for s in range(1, q + 1):
+            if math.gcd(s, q) == 1 and (n * s * d0 + w * q) % (n * q) == 0:
+                if best is None or Fraction(s, q) < best:
+                    best = Fraction(s, q)
+                break
+    return best
 
 
 # ---------------------------------------------------------------- amplitudes
@@ -105,6 +135,22 @@ def test_profile_frozen_values():
     prof = difference_profile(Spectrum(n=4, gamma=(0, 1, 0, 1)))
     assert set(prof.deltas) == {1, -1}
     assert set(prof.valuations) == {0}
+
+
+def test_profile_gap_gcd_frozen_values():
+    # g = gcd of delta_j - delta_0; every witness time is k/g
+    cases = [
+        (validate_spec(8, [4], [], {}), 4),  # gaps -2, 2
+        (pst_case_i_graph(), 8),  # gaps -2 and 6
+        (pst_case_ii_graph(), 4),  # gaps -6, -2, 2, 6
+        (pst_case_iii_graph(), 8),  # gaps -4, 4
+        (mst_example_graph(), 8),  # gaps -6, 2, 10
+        (validate_spec(8, [2, 4], [], {}), 4),  # gaps -4, 0, 4
+    ]
+    for spec, g in cases:
+        assert difference_profile(eigenvalues_closed_form(spec)).gap_gcd == g, spec
+    assert difference_profile(Spectrum(n=2, gamma=(0, 2))).gap_gcd == 4
+    assert difference_profile(Spectrum(n=4, gamma=(5, 5, 5, 5))).gap_gcd == 0
 
 
 def test_profile_gaps_telescope_to_zero():
@@ -244,6 +290,17 @@ def test_feasible_pair_agrees_with_grid_scan():
             assert pst_feasible_pair(sp, 0, b) == grid_feasible(sp, 0, b)
 
 
+def test_feasible_pair_agrees_with_divisor_loop():
+    feasible = 0
+    for spec in all_specs(range(2, 33)):
+        sp = eigenvalues_closed_form(spec)
+        for b in range(1, spec.n):
+            t = pst_feasible_pair(sp, 0, b)
+            assert t == divisor_loop_feasible(sp, 0, b), (spec, b)
+            feasible += t is not None
+    assert feasible > 0
+
+
 def test_feasible_pair_depends_only_on_difference():
     sp = eigenvalues_closed_form(mst_example_graph())
     base = pst_feasible_pair(sp, 0, 4)
@@ -370,3 +427,48 @@ def test_mst_verdict_fields():
 
     assert mst_verdict(pst_case_ii_graph()).kind == "none"
     assert mst_verdict(validate_spec(6, [3], [], {})).kind == "none"
+
+
+# ------------------------------------------------- one gap profile per spectrum
+
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """Count difference_profile calls made through transfer and harness."""
+    import mixedcirc.harness
+    import mixedcirc.transfer
+
+    real = mixedcirc.transfer.difference_profile
+    calls = []
+
+    def counting(spectrum):
+        calls.append(spectrum.n)
+        return real(spectrum)
+
+    monkeypatch.setattr(mixedcirc.transfer, "difference_profile", counting)
+    monkeypatch.setattr(mixedcirc.harness, "difference_profile", counting)
+    return calls
+
+
+def test_pair_restriction_builds_one_profile(profile_calls):
+    sp = eigenvalues_closed_form(mst_example_graph())
+    assert pair_restriction_check(sp) == {4, 8, 12}
+    assert len(profile_calls) == 1
+
+
+def test_verdicts_build_one_profile(profile_calls):
+    for decide, spec, kind in (
+        (mst_verdict, mst_example_graph(), "mst"),
+        (mst_verdict, pst_case_ii_graph(), "none"),
+        (antipodal_verdict, pst_case_ii_graph(), "antipodal_pst"),
+        (antipodal_verdict, validate_spec(8, [1], [], {}), "none"),
+    ):
+        profile_calls.clear()
+        assert decide(spec).kind == kind
+        assert len(profile_calls) == 1, (decide.__name__, spec)
+
+
+@pytest.mark.parametrize("mode", ["pst", "mst"])
+def test_crosscheck_builds_one_profile_per_spec(profile_calls, mode):
+    report = crosscheck(16, mode)
+    assert report.specs_checked > 0
+    assert len(profile_calls) == report.specs_checked
