@@ -40,17 +40,56 @@ class UnknownFormat(ValueError):
     """Unsupported export format name."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True, eq=True)
 class GraphSpec:
-    """Validated description (n, B, D, sigma) of a mixed circulant graph."""
+    """Validated description (n, B, D, sigma) of a mixed circulant graph.
+
+    Construction checks the validity rules: n is a positive integer no
+    larger than MAX_N; every b in B is a proper divisor of n; D nonempty
+    forces 4 | n and every d in D divides n/4; B and D are disjoint; sigma
+    maps exactly D into {+1, -1}.  A bool is not an integer here, although
+    Python treats True as 1.  B and D may be any iterables: their members
+    are checked before they are frozen, so a set cannot merge True into 1.
+    """
 
     n: int
     B: frozenset[int]
     D: frozenset[int]
     sigma: Mapping[int, int] = field(default_factory=dict)
 
-    def __post_init__(self):  # hashing unused; dict field is fine
-        object.__setattr__(self, "sigma", dict(self.sigma))
+    def __post_init__(self):
+        n, B, D, sigma = self.n, tuple(self.B), tuple(self.D), dict(self.sigma)
+        if not _is_int(n) or n < 1:
+            raise BadModulus(f"order must be a positive integer, got {n!r}")
+        if n > MAX_N:
+            raise BadModulus(f"modulus {n} exceeds supported cap {MAX_N}")
+        for b in B:
+            if not _is_int(b) or b < 1 or b >= n or n % b != 0:
+                raise BadDivisor(f"B member {b!r} is not a proper divisor of {n}")
+        if D:
+            if n % 4:
+                raise BadModulus(f"D nonempty requires 4 | n, got n = {n}")
+            for d in D:
+                if not _is_int(d) or d < 1 or (n // 4) % d != 0:
+                    raise BadDivisor(f"D member {d!r} does not divide n/4 = {n // 4}")
+        b_set, d_set = frozenset(B), frozenset(D)
+        both = b_set & d_set
+        if both:
+            raise Overlap(f"B and D share divisors {sorted(both)}")
+        if not all(_is_int(d) for d in sigma) or set(sigma) != d_set:
+            raise SigmaDomainMismatch(
+                f"sigma domain {sorted(sigma)} != D {sorted(d_set)}"
+            )
+        bad_signs = {d: s for d, s in sigma.items() if not _is_int(s) or s not in (1, -1)}
+        if bad_signs:
+            raise SigmaDomainMismatch(f"sigma values must be +1 or -1, got {bad_signs}")
+        object.__setattr__(self, "B", b_set)
+        object.__setattr__(self, "D", d_set)
+        object.__setattr__(self, "sigma", sigma)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -147,51 +186,15 @@ def gcd_class_mod4(n: int, d: int, r: int) -> frozenset[int]:
     return frozenset(k for k in gcd_class(n, d) if (k // d) % 4 == r)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def validate_spec(
     n: int,
     B: Iterable[int] = (),
     D: Iterable[int] = (),
     sigma: Mapping[int, int] | None = None,
 ) -> GraphSpec:
-    """Check the validity rules and freeze the description.
-
-    Rules: n is a positive integer no larger than MAX_N; every b in B is a
-    proper divisor of n; D nonempty forces 4 | n and every d in D divides
-    n/4; B and D are disjoint; sigma maps exactly D into {+1, -1}.  A bool
-    is not an integer here, although Python treats True as 1.
-    """
-    if not _is_int(n) or n < 1:
-        raise BadModulus(f"order must be a positive integer, got {n!r}")
-    if n > MAX_N:
-        raise BadModulus(f"modulus {n} exceeds supported cap {MAX_N}")
-    B, D = list(B), list(D)  # check members before a set merges True into 1
-    sigma = dict(sigma or {})
-    for b in B:
-        if not _is_int(b) or b < 1 or b >= n or n % b != 0:
-            raise BadDivisor(f"B member {b!r} is not a proper divisor of {n}")
-    if D:
-        if n % 4:
-            raise BadModulus(f"D nonempty requires 4 | n, got n = {n}")
-        for d in D:
-            if not _is_int(d) or d < 1 or (n // 4) % d != 0:
-                raise BadDivisor(f"D member {d!r} does not divide n/4 = {n // 4}")
-    b_set = frozenset(B)
-    d_set = frozenset(D)
-    both = b_set & d_set
-    if both:
-        raise Overlap(f"B and D share divisors {sorted(both)}")
-    if not all(_is_int(d) for d in sigma) or set(sigma) != d_set:
-        raise SigmaDomainMismatch(
-            f"sigma domain {sorted(sigma)} != D {sorted(d_set)}"
-        )
-    bad_signs = {d: s for d, s in sigma.items() if not _is_int(s) or s not in (1, -1)}
-    if bad_signs:
-        raise SigmaDomainMismatch(f"sigma values must be +1 or -1, got {bad_signs}")
-    return GraphSpec(n=n, B=b_set, D=d_set, sigma=sigma)
+    """Build a GraphSpec, which checks the validity rules, with empty
+    defaults for B, D and sigma."""
+    return GraphSpec(n=n, B=B, D=D, sigma=sigma or {})
 
 
 def build_connection_set(spec: GraphSpec) -> ConnectionSet:
@@ -247,7 +250,7 @@ def parse_spec(text: str) -> GraphSpec:
     """Parse the JSON spec format and validate it."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a number past the digit limit
         raise SpecError(f"malformed JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise SpecError("spec must be a JSON object")

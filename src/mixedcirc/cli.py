@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -200,6 +201,9 @@ def main(argv: list[str] | None = None) -> int:
     # only input errors become exit 2; any other exception is a fault and
     # propagates with its traceback
     try:
+        # subcommands without --tol pass; nan fails both comparisons
+        if not 0 < getattr(args, "tol", 1.0) < math.inf:
+            raise SpecError(f"--tol must be finite and positive, got {args.tol}")
         return args.func(args)
     except (SpecError, UnknownFormat, BudgetExceeded) as exc:
         return _fail(str(exc))

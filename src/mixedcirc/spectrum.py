@@ -1,14 +1,15 @@
 """Integer spectra of mixed circulant graphs, three ways.
 
-Routes: a layered closed form over the divisor partition, a by-residue-class
-closed form (even n), and a floating-point character-sum evaluation that
-rounds to integers.  All three must agree; tests sweep them against each other.
+Routes: a closed form summing the numthy Ramanujan kernels over the divisor
+data, a by-residue-class closed form (even n), and a floating-point inverse
+DFT of the Hermitian difference row that rounds to integers.  All three must
+agree; tests sweep them against each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -17,12 +18,13 @@ from .circulant import (
     DivisorPartition,
     GraphSpec,
     _scaled,
-    build_connection_set,
+    hermitian_adjacency,
     partition_divisors,
 )
 from .numthy import (
     NonIntegerResidual,
     euler_phi,
+    ramanujan_sine_sum,
     ramanujan_sum,
     two_adic_valuation,
 )
@@ -69,109 +71,69 @@ class AuxTerms:
     delta: Optional[int] = None
 
 
-def _csum(m: int, q: int) -> int:
-    # Ramanujan sum extended to q = 0, where it degenerates to phi(m).
-    return euler_phi(m) if q == 0 else ramanujan_sum(m, q)
-
-
-def _odd_part(j: int) -> int:
-    return 0 if j == 0 else j >> two_adic_valuation(j)
-
-
 def undirected_degree(spec: GraphSpec) -> int:
     """|C \\ C_bar| = sum of phi(n/d) over d in B; equals gamma[0]."""
     return sum(euler_phi(spec.n // d) for d in spec.B)
 
 
-def _layered_eigenvalue(spec: GraphSpec, dp: DivisorPartition, j: int) -> int:
-    """One eigenvalue by the layered closed form (j >= 1)."""
-    n = spec.n
-    t = two_adic_valuation(n)
-    jp = _odd_part(j)
-    total = sum(ramanujan_sum(n // d, jp) for d in dp.b_layer(0))
-    for i in range(1, t + 1):
-        half_step = 1 << (i - 1)
-        for d in dp.b_layer(i):
-            if j % half_step:
-                continue
-            e = j // half_step
-            total += (-1) ** (e & 1) * half_step * ramanujan_sum(n // ((1 << i) * d), jp)
-        quarter_step = 1 << (i - 2) if i >= 2 else 0
-        if i < 2:
-            continue
-        for d in dp.d_layer(i):
-            if j % quarter_step:
-                continue
-            e = j // quarter_step
-            if e % 2 == 0:
-                continue
-            m = n // ((1 << i) * d)
-            sign = (-1) ** (((m - 1) // 2) & 1) * (-1) ** (((e + 1) // 2) & 1)
-            total += spec.sigma[d] * sign * half_step * ramanujan_sum(m, e)
-    return total
-
-
 def eigenvalues_closed_form(spec: GraphSpec) -> Spectrum:
-    """Exact spectrum from the layered divisor formula."""
-    dp = partition_divisors(spec)
-    gamma = [undirected_degree(spec)]
-    gamma += [_layered_eigenvalue(spec, dp, j) for j in range(1, spec.n)]
-    return Spectrum(n=spec.n, gamma=tuple(gamma))
+    """Exact spectrum as a sum of Ramanujan kernels over the divisor data.
 
+    gamma_j = sum over d in B of c_{n/d}(j) plus sum over d in D of
+    sigma(d) * s_{n/d}(j), and gamma_0 is the degree.  Each term is visited
+    only where it can be nonzero: c_{n/d}(j) needs 2**max(v2(n/d)-1, 0) | j,
+    and s_{n/d}(j) needs j = q * (odd) with q = 2**(v2(n/d)-2).
+    """
+    n = spec.n
+    gamma = [0] * n
+    for d in spec.B:
+        m = n // d
+        step = 1 << max(two_adic_valuation(m) - 1, 0)
+        for j in range(step, n, step):
+            gamma[j] += ramanujan_sum(m, j)
+    for d in spec.D:
+        m = n // d
+        q = 1 << (two_adic_valuation(m) - 2)
+        for j in range(q, n, 2 * q):
+            gamma[j] += spec.sigma[d] * ramanujan_sine_sum(m, j)
+    gamma[0] = undirected_degree(spec)
+    return Spectrum(n=n, gamma=tuple(gamma))
+
+
+def _kernel_sum(
+    spec: GraphSpec, classes: Iterable[int], arcs: Iterable[int], j: int
+) -> int:
+    """The closed form's sum restricted to some divisors: c_{n/d}(j) for each
+    d in classes plus sigma(d) * s_{n/d}(j) for each d in arcs.  At j = 0,
+    c_{n/d} degenerates to phi(n/d) and s_{n/d} vanishes."""
+    n = spec.n
+    if j == 0:
+        return sum(euler_phi(n // d) for d in classes)
+    return sum(ramanujan_sum(n // d, j) for d in classes) + sum(
+        spec.sigma[d] * ramanujan_sine_sum(n // d, j) for d in arcs
+    )
+
+
+# A kernel on layer i carries the factor 2**(i-1), so the scaled-down sums
+# below are exact.
 
 def _lambda1(spec: GraphSpec, dp: DivisorPartition, j: int) -> int:
-    n = spec.n
-    total = 0
-    for d in dp.d_layer(2):
-        m = n // (4 * d)
-        sign = (-1) ** (((m - 1) // 2) & 1) * (-1) ** (((j + 1) // 2) & 1)
-        total += spec.sigma[d] * sign * ramanujan_sum(m, j)
-    return total
+    return _kernel_sum(spec, (), dp.d_layer(2), j) // 2
 
 
 def _lambda2(spec: GraphSpec, dp: DivisorPartition, j: int) -> int:
-    n = spec.n
-    h = j // 2  # odd since j = 2 (mod 4)
-    total = 0
-    for d in dp.d_layer(3):
-        m = n // (8 * d)
-        sign = (-1) ** (((m - 1) // 2) & 1) * (-1) ** (((h + 1) // 2) & 1)
-        total += spec.sigma[d] * sign * ramanujan_sum(m, h)
-    return total
+    return _kernel_sum(spec, (), dp.d_layer(3), j) // 4
 
 
 def _lambda3(spec: GraphSpec, dp: DivisorPartition, j: int) -> int:
-    # Tail of the layered formula over layers >= 4, scaled down by 8.
-    n = spec.n
-    t = two_adic_valuation(n)
-    jp = _odd_part(j)
-    total = 0
-    for i in range(4, t + 1):
-        half_step = 1 << (i - 1)
-        quarter_step = 1 << (i - 2)
-        for d in dp.b_layer(i):
-            if j % half_step:
-                continue
-            e = j // half_step
-            total += (-1) ** (e & 1) * (1 << (i - 4)) * _csum(n // ((1 << i) * d), jp)
-        for d in dp.d_layer(i):
-            if j % quarter_step:
-                continue
-            e = j // quarter_step
-            if e % 2 == 0:  # covers j = 0 as well: the indicator wants e odd
-                continue
-            m = n // ((1 << i) * d)
-            sign = (-1) ** (((m - 1) // 2) & 1) * (-1) ** (((e + 1) // 2) & 1)
-            total += spec.sigma[d] * sign * (1 << (i - 4)) * ramanujan_sum(m, e)
-    return total
+    # Tail of the kernel sum over layers >= 4, scaled down by 8.
+    layers = range(4, two_adic_valuation(spec.n) + 1)
+    return sum(_kernel_sum(spec, dp.b_layer(i), dp.d_layer(i), j) for i in layers) // 8
 
 
 def _delta(spec: GraphSpec, dp: DivisorPartition, j: int) -> int:
-    n = spec.n
-    jp = _odd_part(j)
-    total = sum(_csum(n // (4 * d), jp) for d in dp.b_star(2))
-    q_sign = (-1) ** ((j // 4) & 1)
-    total += sum(q_sign * _csum(n // (8 * d), jp) for d in dp.b_layer(3))
+    total = _kernel_sum(spec, dp.b_star(2), (), j) // 2
+    total += _kernel_sum(spec, dp.b_layer(3), (), j) // 4
     return total + 2 * _lambda3(spec, dp, j)
 
 
@@ -232,7 +194,7 @@ def eigenvalues_by_class(spec: GraphSpec) -> Spectrum:
             val -= 2 * sum(ramanujan_sum(n // (4 * d), h) for d in dp.b_layer(2))
             val += 4 * _lambda2(spec, dp, j)
         else:
-            jp = _odd_part(j)
+            jp = j >> two_adic_valuation(j)
             q_sign = (-1) ** ((j // 4) & 1)
             val = sum(ramanujan_sum(n // d, jp) for d in dp.b_layer(0))
             val += sum(ramanujan_sum(n // (2 * d), jp) for d in dp.b_layer(1))
@@ -244,21 +206,13 @@ def eigenvalues_by_class(spec: GraphSpec) -> Spectrum:
 
 
 def eigenvalues_oracle(cs: ConnectionSet, n: int, tol: float = 1e-6) -> Spectrum:
-    """Floating-point character sums over the connection set, rounded.
+    """Floating-point spectrum n * ifft(row) of the Hermitian adjacency, rounded.
 
-    gamma[j] = sum over undirected c of w^(jc) plus i * sum over directed c of
-    (w^(jc) - w^(-jc)), w = exp(2*pi*i/n).  Raises NonIntegerResidual if any
-    value strays from an integer by tol or more.
+    gamma[j] = sum over c of row[c] * w^(jc), w = exp(2*pi*i/n), which is n
+    times the inverse DFT of the difference row.  Raises NonIntegerResidual
+    if any value strays from an integer by tol or more.
     """
-    j = np.arange(n).reshape(-1, 1)
-    vals = np.zeros(n, dtype=complex)
-    if cs.undirected:
-        c = np.array(sorted(cs.undirected)).reshape(1, -1)
-        vals += np.exp(2j * np.pi * j * c / n).sum(axis=1)
-    if cs.directed:
-        c = np.array(sorted(cs.directed)).reshape(1, -1)
-        w = np.exp(2j * np.pi * j * c / n)
-        vals += (1j * (w - w.conj())).sum(axis=1)
+    vals = n * np.fft.ifft(hermitian_adjacency(cs, n).row)
     rounded = np.rint(vals.real)
     resid = np.abs(vals - rounded)
     if resid.max() >= tol:

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     all_specs,
@@ -17,11 +18,14 @@ from mixedcirc import (
     BadDivisor,
     BadModulus,
     ConnectionSet,
+    GraphSpec,
     Overlap,
     SigmaDomainMismatch,
     SpecError,
     UnknownFormat,
     build_connection_set,
+    eigenvalues_closed_form,
+    eigenvalues_oracle,
     export_graph,
     gcd_class,
     gcd_class_mod4,
@@ -157,6 +161,29 @@ def test_validate_rejects_non_integer_members_without_crashing():
     ):
         with pytest.raises(SpecError):
             parse_spec(text)
+
+
+def test_raw_construction_is_validated():
+    # GraphSpec runs the rules itself, so no unchecked spec can exist
+    with pytest.raises(BadDivisor):
+        GraphSpec(8, frozenset({3}), frozenset())
+    cases = [
+        ((8, [3], [], {}), BadDivisor),
+        ((8, [2], [2], {2: 1}), Overlap),
+        ((8, [], [1], {1: 1, 2: -1}), SigmaDomainMismatch),
+        ((True, [], [], {}), BadModulus),
+    ]
+    for (n, B, D, sigma), error in cases:
+        with pytest.raises(error):
+            validate_spec(n, B, D, sigma)
+        with pytest.raises(error):
+            GraphSpec(n, frozenset(B), frozenset(D), sigma)
+
+
+def test_raw_construction_freezes_its_fields():
+    spec = GraphSpec(8, [1], (2,), {2: -1})
+    assert spec == pst_case_i_graph()
+    assert isinstance(spec.B, frozenset) and isinstance(spec.D, frozenset)
 
 
 # --------------------------------------------------------- connection sets
@@ -295,6 +322,66 @@ def test_parse_rejects_malformed_input():
     ):
         with pytest.raises(SpecError):
             parse_spec(bad)
+
+
+def test_parse_rejects_numbers_json_cannot_convert():
+    # json raises a plain ValueError past Python's integer digit limit
+    with pytest.raises(SpecError):
+        parse_spec('{"n": ' + "9" * 5000 + "}")
+
+
+_JUNK = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(-3, 0),
+    st.integers(129, 10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.integers(1, 8), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-1, 1), max_size=2),
+)
+
+
+def _sometimes_junk(draw, value, rarity=5):
+    # the well-formed value, or now and then a malformed one
+    return draw(_JUNK) if draw(st.integers(1, rarity)) == rarity else value
+
+
+@st.composite
+def spec_texts(draw):
+    n = draw(st.one_of(st.integers(1, 128), st.integers(1, 32).map(lambda k: 4 * k)))
+    proper = [d for d in range(1, n) if n % d == 0]
+    arcs = [d for d in proper if n % (4 * d) == 0]
+    B = draw(st.lists(st.sampled_from(proper), max_size=3)) if proper else []
+    D = draw(st.lists(st.sampled_from(arcs), max_size=3)) if arcs else []
+    B = [_sometimes_junk(draw, b, 10) for b in B]
+    D = [_sometimes_junk(draw, d, 10) for d in D]
+    sigma = {str(d): _sometimes_junk(draw, draw(st.sampled_from((1, -1))), 10) for d in D}
+    if draw(st.integers(1, 20)) == 20:
+        sigma[draw(st.text(max_size=3))] = 1
+    obj = {"n": _sometimes_junk(draw, n, 20)}
+    for key, value in (("B", B), ("D", D), ("sigma", sigma)):
+        if value or draw(st.booleans()):
+            obj[key] = _sometimes_junk(draw, value, 20)
+    if draw(st.integers(1, 40)) == 40:
+        obj["extra"] = 1
+    text = json.dumps(obj)
+    if draw(st.integers(1, 20)) == 20:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(spec_texts())
+def test_parse_spec_fuzz(text):
+    # any JSON text is either an input error or a spec whose exact
+    # spectrum the FFT oracle confirms
+    try:
+        spec = parse_spec(text)
+    except SpecError:
+        return
+    oracle = eigenvalues_oracle(build_connection_set(spec), spec.n)
+    assert eigenvalues_closed_form(spec).gamma == oracle.gamma
 
 
 def test_parse_applies_validation():

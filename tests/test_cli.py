@@ -222,6 +222,18 @@ def test_search_order_below_two_is_an_input_error(capsys):
     assert json.loads(out)["error"]["type"] == "input"
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["check-pst", "check-mst", "crosscheck"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, command, tol):
+    # --tol 0 used to end a transfer-positive check in a ConsistencyError,
+    # and crosscheck --n-max 8 --tol 0 in false mismatches
+    path = write_spec(tmp_path, pst_case_i_graph())
+    args = ["--n-max", "8"] if command == "crosscheck" else ["--spec", path]
+    code, out, _ = run(capsys, [command, *args, "--tol", tol])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "input"
+
+
 def test_internal_value_error_is_not_an_input_error(tmp_path, capsys, monkeypatch):
     # a fault inside a decider must surface, not be reported as exit 2
     def broken(*args, **kwargs):

@@ -127,6 +127,24 @@ def test_routes_agree_on_random_large_specs():
             assert closed == eigenvalues_by_class(spec).gamma
 
 
+def test_all_routes_agree_at_orders_32_and_64():
+    # every spec of order 32, and every order-64 spec with all signs +1
+    specs = list(enumerate_specs(32)) + [
+        s for s in enumerate_specs(64) if all(v == 1 for v in s.sigma.values())
+    ]
+    reduced = 0
+    for spec in specs:
+        closed = eigenvalues_closed_form(spec).gamma
+        assert eigenvalues_by_class(spec).gamma == closed
+        assert eigenvalues_oracle(build_connection_set(spec), spec.n).gamma == closed
+        try:
+            assert reduced_eigenvalues(spec).gamma == closed
+            reduced += 1
+        except HypothesesNotMet:
+            pass
+    assert len(specs) == 512 + 486 and reduced > 0
+
+
 def test_oracle_rejects_non_integral_graph():
     # a single unpaired arc on a triangle has non-integer character sums
     with pytest.raises(NonIntegerResidual):
@@ -154,6 +172,53 @@ def test_delta_vanishes_without_deep_layers():
 def test_lambda3_zero_below_depth_four():
     assert lambda3(pst_case_i_graph(), 4) == 0
     assert lambda3(mst_example_graph(), 4) == 0
+
+
+# nonzero auxiliary terms over a whole period, frozen before the terms were
+# rewritten with the numthy kernels: lambda1 on odd j, lambda2 on
+# j = 2 (mod 4), lambda3 and delta on j = 0 (mod 4), each from the least j
+AUX_FROZEN = [
+    (
+        (64, [1, 2], [8], {8: -1}),
+        (0,) * 32,
+        (1, -1) * 8,
+        (6, 0, 0, 0) + (-2, 0, 0, 0) * 3,
+        (12, 0, 0, 0) + (-4, 0, 0, 0) * 3,
+    ),
+    (
+        (48, [], [4, 12], {4: 1, 12: -1}),
+        (0, -3, 0, 0, 3, 0) * 4,
+        (0,) * 12,
+        (0,) * 12,
+        (0,) * 12,
+    ),
+    (
+        (96, [1, 3, 6], [2, 8, 12], {2: -1, 8: 1, 12: 1}),
+        (-1, -2, -1, 1, 2, 1) * 8,
+        (-1, 1) * 12,
+        (7, 1, -1, 2, 1, 1, -1, -1, 1, -2, -1, -1,
+         -5, 1, -1, 2, 1, 1, -1, -1, 1, -2, -1, -1),
+        (14, 2, -2, 4, 2, 2, -2, -2, 2, -4, -2, -2,
+         -10, 2, -2, 4, 2, 2, -2, -2, 2, -4, -2, -2),
+    ),
+    (
+        (64, [], [1, 2, 4, 16], {1: 1, 2: -1, 4: 1, 16: -1}),
+        (1, -1) * 16,
+        (0,) * 16,
+        (0, -1, 2, 1, -4, -1, -2, 1, 0, -1, 2, 1, 4, -1, -2, 1),
+        (0, -2, 4, 2, -8, -2, -4, 2, 0, -2, 4, 2, 8, -2, -4, 2),
+    ),
+]
+
+
+@pytest.mark.parametrize("args, l1, l2, l3, dl", AUX_FROZEN)
+def test_aux_terms_frozen_values(args, l1, l2, l3, dl):
+    spec = validate_spec(*args)
+    n = spec.n
+    assert tuple(lambda1(spec, j) for j in range(1, n, 2)) == l1
+    assert tuple(lambda2(spec, j) for j in range(2, n, 4)) == l2
+    assert tuple(lambda3(spec, j) for j in range(0, n, 4)) == l3
+    assert tuple(delta(spec, j) for j in range(0, n, 4)) == dl
 
 
 def test_aux_terms_respect_residue_classes():
