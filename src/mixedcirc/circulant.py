@@ -224,15 +224,16 @@ def hermitian_adjacency(cs: ConnectionSet, n: int) -> HermitianMatrix:
 def partition_divisors(spec: GraphSpec) -> DivisorPartition:
     """Split B into layers 0..v2(n) and D into layers 2..v2(n) by v2(n/d)."""
     t = two_adic_valuation(spec.n)
-    b_layers = {
-        i: frozenset(d for d in spec.B if two_adic_valuation(spec.n // d) == i)
-        for i in range(t + 1)
-    }
-    d_layers = {
-        i: frozenset(d for d in spec.D if two_adic_valuation(spec.n // d) == i)
-        for i in range(2, t + 1)
-    }
-    return DivisorPartition(n=spec.n, b_layers=b_layers, d_layers=d_layers)
+    b_layers: dict[int, set[int]] = {i: set() for i in range(t + 1)}
+    d_layers: dict[int, set[int]] = {i: set() for i in range(2, t + 1)}
+    for layers, members in ((b_layers, spec.B), (d_layers, spec.D)):
+        for d in members:
+            layers[two_adic_valuation(spec.n // d)].add(d)
+    return DivisorPartition(
+        n=spec.n,
+        b_layers={i: frozenset(s) for i, s in b_layers.items()},
+        d_layers={i: frozenset(s) for i, s in d_layers.items()},
+    )
 
 
 def spec_to_json(spec: GraphSpec) -> str:

@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from typing import Iterator
 
+import numpy as np
+
 from .circulant import GraphSpec, build_connection_set, spec_to_json, validate_spec
 from .numthy import divisors
-from .spectrum import eigenvalues_oracle
+from .spectrum import Spectrum, eigenvalues_oracle
 from .transfer import classify_mst, classify_pst, difference_profile, verify_numeric
 
 DEFAULT_BUDGET = 10**6
@@ -74,6 +76,43 @@ def count_specs(n: int) -> int:
     return 2 ** (len(proper) - directed_choices) * 4**directed_choices
 
 
+_ClassRows = dict[tuple[int, int], np.ndarray]
+
+
+def _class_rows(n: int) -> _ClassRows:
+    """Oracle spectrum of every single-class spec of order n, as int64 rows.
+
+    Key (d, 0) is the undirected class G_n(d) of a proper divisor d; keys
+    (d, +1) and (d, -1) are the two half classes of d | n/4.  Each row goes
+    through the connection-set builder and eigenvalues_oracle, with its
+    integer-rounding check, exactly as a whole spec would.
+    """
+    specs = {(d, 0): validate_spec(n, [d]) for d in divisors(n) if d < n}
+    if n % 4 == 0:
+        for d in divisors(n // 4):
+            for s in (1, -1):
+                specs[d, s] = validate_spec(n, [], [d], {d: s})
+    rows = {}
+    for key, spec in specs.items():
+        gamma = eigenvalues_oracle(build_connection_set(spec), n).gamma
+        rows[key] = np.array(gamma, dtype=np.int64)
+    return rows
+
+
+def _summed_spectrum(spec: GraphSpec, rows: _ClassRows) -> Spectrum:
+    """Oracle spectrum of spec as the sum of its class rows from _class_rows.
+
+    The DFT is linear and the classes of a valid spec are disjoint, so the
+    sum equals the oracle spectrum of the whole connection set.
+    """
+    gamma = np.zeros(spec.n, dtype=np.int64)
+    for d in spec.B:
+        gamma += rows[d, 0]
+    for d in spec.D:
+        gamma += rows[d, spec.sigma[d]]
+    return Spectrum(spec.n, tuple(gamma.tolist()))
+
+
 def _moduli(n_max: int, mode: str) -> list[int]:
     if mode == "pst":
         return [n for n in range(4, n_max + 1, 4)]
@@ -91,9 +130,13 @@ def crosscheck(
     """Run all three deciders over every valid spec with order up to n_max.
 
     Legs per spec: the divisor-set classifier on the spec, the gap-valuation
-    test on the floating-point DFT spectrum, and exact witness feasibility
+    test on the oracle (FFT) spectrum, and exact witness feasibility
     verified numerically at tolerance tol.  The two spectral legs read one
     gap profile per spec.  Any disagreement is recorded.
+
+    The oracle spectrum is linear in the divisor data, so it is taken once
+    per divisor class per order (see _class_rows) and each spec's spectrum
+    is the sum of its classes' rows.
     """
     moduli = _moduli(n_max, mode)
     total = sum(count_specs(n) for n in moduli)
@@ -102,9 +145,10 @@ def crosscheck(
     report = SweepReport(mode=mode, n_range=moduli)
     start = time.perf_counter()
     for n in moduli:
+        rows = _class_rows(n)
         for spec in enumerate_specs(n):
             report.specs_checked += 1
-            spectrum = eigenvalues_oracle(build_connection_set(spec), n)
+            spectrum = _summed_spectrum(spec, rows)
             prof = difference_profile(spectrum)
             if mode == "pst":
                 by_class = classify_pst(spec) is not None

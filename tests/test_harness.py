@@ -8,15 +8,18 @@ import mixedcirc.harness
 from conftest import mst_example_graph, pst_case_i_graph
 from mixedcirc import (
     BudgetExceeded,
+    build_connection_set,
     classify_pst,
     count_specs,
     crosscheck,
+    eigenvalues_oracle,
     enumerate_specs,
     mst_sufficient_condition,
     search_specs,
     spec_to_json,
     validate_spec,
 )
+from mixedcirc.harness import _class_rows, _summed_spectrum
 from mixedcirc.numthy import divisors
 
 
@@ -119,6 +122,58 @@ def test_crosscheck_budget_guard():
 def test_crosscheck_rejects_unknown_mode():
     with pytest.raises(ValueError):
         crosscheck(8, "ust")
+
+
+@pytest.mark.parametrize(
+    "mode, specs, positive", [("pst", 40104, 2806), ("mst", 37536, 342)]
+)
+def test_bench_size_sweep_frozen(mode, specs, positive):
+    # the sweep the benchmark runs: counts recorded before the oracle was
+    # taken by divisor class, and every leg agrees on every spec
+    report = crosscheck(48, mode)
+    assert report.specs_checked == specs
+    assert report.mismatches == []
+    if mode == "pst":
+        assert (report.pst_positive, report.mst_positive) == (positive, 0)
+    else:
+        assert (report.pst_positive, report.mst_positive) == (0, positive)
+
+
+# ------------------------------------------------- oracle by divisor class
+
+def test_summed_class_rows_equal_per_spec_oracle():
+    reversed_arcs = 0
+    for n in range(4, 33, 4):
+        rows = _class_rows(n)
+        for spec in enumerate_specs(n):
+            whole = eigenvalues_oracle(build_connection_set(spec), n)
+            assert _summed_spectrum(spec, rows).gamma == whole.gamma, spec_to_json(spec)
+            reversed_arcs += -1 in spec.sigma.values()
+    assert reversed_arcs > 0
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Count eigenvalues_oracle calls made through harness."""
+    real = mixedcirc.harness.eigenvalues_oracle
+    calls = []
+
+    def counting(cs, n, *args, **kwargs):
+        calls.append(n)
+        return real(cs, n, *args, **kwargs)
+
+    monkeypatch.setattr(mixedcirc.harness, "eigenvalues_oracle", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode, expected", [("pst", 30), ("mst", 17)])
+def test_crosscheck_takes_oracle_once_per_class(oracle_calls, mode, expected):
+    # tau(n) - 1 undirected classes plus two half classes per d | n/4
+    report = crosscheck(16, mode)
+    per_order = {n: len(divisors(n)) - 1 + 2 * len(divisors(n // 4)) for n in report.n_range}
+    assert len(oracle_calls) == sum(per_order.values()) == expected
+    assert oracle_calls == [n for n, k in per_order.items() for _ in range(k)]
+    assert report.specs_checked > expected
 
 
 # -------------------------------------------------------------------- search
