@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .numthy import MAX_N, two_adic_valuation
+from .numthy import MAX_N
 
 
 class SpecError(ValueError):
@@ -222,13 +222,19 @@ def hermitian_adjacency(cs: ConnectionSet, n: int) -> HermitianMatrix:
 
 
 def partition_divisors(spec: GraphSpec) -> DivisorPartition:
-    """Split B into layers 0..v2(n) and D into layers 2..v2(n) by v2(n/d)."""
-    t = two_adic_valuation(spec.n)
+    """Split B into layers 0..v2(n) and D into layers 2..v2(n) by v2(n/d).
+
+    A GraphSpec is validated, so n and every n // d are positive ints and
+    each valuation is read off the lowest set bit without further checks.
+    """
+    n = spec.n
+    t = (n & -n).bit_length() - 1
     b_layers: dict[int, set[int]] = {i: set() for i in range(t + 1)}
     d_layers: dict[int, set[int]] = {i: set() for i in range(2, t + 1)}
     for layers, members in ((b_layers, spec.B), (d_layers, spec.D)):
         for d in members:
-            layers[two_adic_valuation(spec.n // d)].add(d)
+            m = n // d
+            layers[(m & -m).bit_length() - 1].add(d)
     return DivisorPartition(
         n=spec.n,
         b_layers={i: frozenset(s) for i, s in b_layers.items()},

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from typing import Iterator
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .circulant import GraphSpec, build_connection_set, spec_to_json, validate_spec
 from .numthy import divisors
 from .spectrum import Spectrum, eigenvalues_oracle
-from .transfer import classify_mst, classify_pst, difference_profile, verify_numeric
+from .transfer import classify_mst, classify_pst, gap_profiles, verify_numeric
 
 DEFAULT_BUDGET = 10**6
 
@@ -76,41 +76,52 @@ def count_specs(n: int) -> int:
     return 2 ** (len(proper) - directed_choices) * 4**directed_choices
 
 
-_ClassRows = dict[tuple[int, int], np.ndarray]
+CHUNK_SPECS = 64  # specs per spectrum matrix: keeps crosscheck memory flat in the order
 
 
-def _class_rows(n: int) -> _ClassRows:
-    """Oracle spectrum of every single-class spec of order n, as int64 rows.
+def _class_rows(n: int) -> tuple[dict[tuple[int, int], int], np.ndarray]:
+    """Oracle spectrum of every single-class spec of order n, stacked.
 
-    Key (d, 0) is the undirected class G_n(d) of a proper divisor d; keys
-    (d, +1) and (d, -1) are the two half classes of d | n/4.  Each row goes
-    through the connection-set builder and eigenvalues_oracle, with its
-    integer-rounding check, exactly as a whole spec would.
+    Returns the int64 table with one row per class and the row index of
+    each class key: (d, 0) is the undirected class G_n(d) of a proper
+    divisor d; (d, +1) and (d, -1) are the two half classes of d | n/4.
+    Each row goes through the connection-set builder and eigenvalues_oracle,
+    with its integer-rounding check, exactly as a whole spec would.
     """
     specs = {(d, 0): validate_spec(n, [d]) for d in divisors(n) if d < n}
     if n % 4 == 0:
         for d in divisors(n // 4):
             for s in (1, -1):
                 specs[d, s] = validate_spec(n, [], [d], {d: s})
-    rows = {}
-    for key, spec in specs.items():
-        gamma = eigenvalues_oracle(build_connection_set(spec), n).gamma
-        rows[key] = np.array(gamma, dtype=np.int64)
-    return rows
+    table = np.array(
+        [eigenvalues_oracle(build_connection_set(s), n).gamma for s in specs.values()],
+        dtype=np.int64,
+    )
+    return {key: i for i, key in enumerate(specs)}, table
 
 
-def _summed_spectrum(spec: GraphSpec, rows: _ClassRows) -> Spectrum:
-    """Oracle spectrum of spec as the sum of its class rows from _class_rows.
+def _spectrum_chunks(n: int) -> Iterator[tuple[list[GraphSpec], np.ndarray]]:
+    """Every spec of order n in enumeration order, CHUNK_SPECS at a time,
+    each chunk with the int64 matrix of its oracle spectra, one row per spec.
 
-    The DFT is linear and the classes of a valid spec are disjoint, so the
-    sum equals the oracle spectrum of the whole connection set.
+    The DFT is linear and the classes of a valid spec are disjoint, so a
+    spec's oracle spectrum is the sum of its classes' rows: the 0/1
+    incidence matrix of the chunk (specs x classes) times the class table.
     """
-    gamma = np.zeros(spec.n, dtype=np.int64)
-    for d in spec.B:
-        gamma += rows[d, 0]
-    for d in spec.D:
-        gamma += rows[d, spec.sigma[d]]
-    return Spectrum(spec.n, tuple(gamma.tolist()))
+    index, table = _class_rows(n)
+    specs = enumerate_specs(n)
+    while chunk := list(islice(specs, CHUNK_SPECS)):
+        rows, cols = [], []
+        for i, spec in enumerate(chunk):
+            for d in spec.B:
+                rows.append(i)
+                cols.append(index[d, 0])
+            for d in spec.D:
+                rows.append(i)
+                cols.append(index[d, spec.sigma[d]])
+        incidence = np.zeros((len(chunk), len(table)), dtype=np.int64)
+        incidence[rows, cols] = 1
+        yield chunk, incidence @ table
 
 
 def _moduli(n_max: int, mode: str) -> list[int]:
@@ -135,8 +146,11 @@ def crosscheck(
     gap profile per spec.  Any disagreement is recorded.
 
     The oracle spectrum is linear in the divisor data, so it is taken once
-    per divisor class per order (see _class_rows) and each spec's spectrum
-    is the sum of its classes' rows.
+    per divisor class per order (see _class_rows).  Each order's specs are
+    then read CHUNK_SPECS at a time as an int64 matrix of spectra (see
+    _spectrum_chunks), and one gap_profiles call profiles the whole chunk.
+    A Spectrum is built only for a spec whose witness exists, for the
+    numeric check.
     """
     moduli = _moduli(n_max, mode)
     total = sum(count_specs(n) for n in moduli)
@@ -145,46 +159,43 @@ def crosscheck(
     report = SweepReport(mode=mode, n_range=moduli)
     start = time.perf_counter()
     for n in moduli:
-        rows = _class_rows(n)
-        for spec in enumerate_specs(n):
-            report.specs_checked += 1
-            spectrum = _summed_spectrum(spec, rows)
-            prof = difference_profile(spectrum)
-            if mode == "pst":
-                by_class = classify_pst(spec) is not None
-                by_vals = prof.common_valuation() is not None
-                by_num = _numeric_transfer(spectrum, prof, (n // 2,), tol)
-            else:
-                by_class = classify_mst(spec)
-                by_vals = prof.quarter_orbit()
-                quarters = (n // 4, n // 2, 3 * n // 4)
-                by_num = _numeric_transfer(spectrum, prof, quarters, tol)
-            if by_class:
+        if mode == "pst":
+            targets = (n // 2,)
+        else:
+            targets = (n // 4, n // 2, 3 * n // 4)
+        for chunk, gammas in _spectrum_chunks(n):
+            for spec, prof in zip(chunk, gap_profiles(gammas)):
+                report.specs_checked += 1
                 if mode == "pst":
-                    report.pst_positive += 1
+                    by_class = classify_pst(spec) is not None
+                    by_vals = prof.common_valuation() is not None
+                    report.pst_positive += by_class
                 else:
-                    report.mst_positive += 1
-            if not (by_class == by_vals == by_num):
-                report.mismatches.append(
-                    {
-                        "spec": spec_to_json(spec),
-                        "classifier": by_class,
-                        "valuation": by_vals,
-                        "numeric": by_num,
-                    }
-                )
+                    by_class = classify_mst(spec)
+                    by_vals = prof.quarter_orbit()
+                    report.mst_positive += by_class
+                by_num = _numeric_transfer(prof, targets, tol)
+                if not (by_class == by_vals == by_num):
+                    report.mismatches.append(
+                        {
+                            "spec": spec_to_json(spec),
+                            "classifier": by_class,
+                            "valuation": by_vals,
+                            "numeric": by_num,
+                        }
+                    )
     report.wall_time = time.perf_counter() - start
     return report
 
 
-def _numeric_transfer(spectrum, prof, targets, tol: float) -> bool:
+def _numeric_transfer(prof, targets, tol: float) -> bool:
     """Transfer 0 -> b has an exact witness that verifies numerically, for
     every b in targets."""
-    for b in targets:
-        t = prof.witness(b)
-        if t is None or not verify_numeric(spectrum, 0, b, t, tol)[0]:
-            return False
-    return True
+    times = [prof.witness(b) for b in targets]
+    if None in times:
+        return False
+    spectrum = Spectrum(len(prof.gamma), tuple(prof.gamma.tolist()))
+    return all(verify_numeric(spectrum, 0, b, t, tol)[0] for b, t in zip(targets, times))
 
 
 def search_specs(n: int, mode: str = "pst") -> list[GraphSpec]:

@@ -21,6 +21,7 @@ from .spectrum import Spectrum, eigenvalues_closed_form
 
 NUMERIC_TOL = 1e-9
 PHASE_TOL = 1e-12
+GAMMA_BOUND = 2**60  # |gamma| bound under which the gap kernel is exact in int64
 
 
 class SamePair(ValueError):
@@ -35,41 +36,54 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DifferenceProfile:
-    """Cyclic first and second differences of a spectrum, with 2-adic data.
+    """Gap data of one spectrum, as gap_profiles reads it from a matrix row.
 
-    gap_gcd is g = gcd of delta_j - delta_0 over all j (0 when every gap is
-    equal).  A time t' = s/q in lowest terms of transfer across the vertex
-    difference w must have q | g, since delta_j * t' - w/n is integral for
-    every j only if each (delta_j - delta_0) * s/q is.  So every witness is
-    k/g for some k, the gap congruences collapse to the one at delta_0, and
-    witness() solves that one with a modular inverse.  Build a profile once
-    per spectrum with difference_profile and read it as often as needed.
+    gamma is the spectrum as an int64 row; d0 = gamma[1] - gamma[0] is the
+    first cyclic gap; gap_gcd is g = gcd of delta_j - delta_0 over all j (0
+    when every gap is equal); m is the 2-adic valuation shared by every gap
+    (None on a zero gap or a disagreement); quarter says every gap has
+    valuation 1 and every double gap valuation 2.  The per-index tuples
+    deltas, step2 and valuations are computed from gamma on access.
+
+    A time t' = s/q in lowest terms of transfer across the vertex difference
+    w must have q | g, since delta_j * t' - w/n is integral for every j only
+    if each (delta_j - delta_0) * s/q is.  So every witness is k/g for some
+    k, the gap congruences collapse to the one at delta_0, and witness()
+    solves that one with a modular inverse.  Build a profile once per
+    spectrum and read it as often as needed.
     """
 
-    deltas: tuple[int, ...]
-    step2: tuple[int, ...]
-    valuations: tuple[Optional[int], ...]  # None marks a zero gap
+    gamma: np.ndarray
+    d0: int
     gap_gcd: int
+    m: Optional[int]
+    quarter: bool
+
+    @property
+    def deltas(self) -> tuple[int, ...]:
+        """Cyclic gaps gamma[j+1] - gamma[j]."""
+        return tuple(_gaps(self.gamma, 1).tolist())
+
+    @property
+    def step2(self) -> tuple[int, ...]:
+        """Cyclic double gaps gamma[j+2] - gamma[j]."""
+        return tuple(_gaps(self.gamma, 2).tolist())
+
+    @property
+    def valuations(self) -> tuple[Optional[int], ...]:
+        """2-adic valuation of each gap; None marks a zero gap."""
+        return tuple((d & -d).bit_length() - 1 if d else None for d in self.deltas)
 
     def common_valuation(self) -> Optional[int]:
         """The 2-adic valuation shared by every gap, or None (zero gap or
         disagreement)."""
-        vals = set(self.valuations)
-        if None in vals or len(vals) != 1:
-            return None
-        return vals.pop()
+        return self.m
 
     def quarter_orbit(self) -> bool:
-        """Every gap has valuation 1 and every double gap valuation 2.
-
-        d & 7 == 4 holds exactly when v2(d) = 2, for either sign of d, and
-        fails for d = 0.
-        """
-        return all(v == 1 for v in self.valuations) and all(
-            d & 7 == 4 for d in self.step2
-        )
+        """Every gap has valuation 1 and every double gap valuation 2."""
+        return self.quarter
 
     def witness(self, w: int) -> Optional[Fraction]:
         """Least time t' in (0, 1] of transfer a -> b, where w = (b - a) mod n
@@ -85,8 +99,8 @@ class DifferenceProfile:
         g = self.gap_gcd
         if g == 0:
             return None
-        n = len(self.deltas)
-        d0 = self.deltas[0]
+        n = len(self.gamma)
+        d0 = self.d0
         c = n * math.gcd(d0, g)
         if (w * g) % c:
             return None
@@ -117,22 +131,63 @@ def transition_amplitude(spectrum: Spectrum, a: int, b: int, t_prime) -> complex
     return complex(np.exp(2j * np.pi * phases).sum() / n)
 
 
+def _gaps(gammas: np.ndarray, step: int) -> np.ndarray:
+    """Cyclic differences gamma[j+step] - gamma[j] along the last axis."""
+    return np.concatenate((gammas[..., step:], gammas[..., :step]), axis=-1) - gammas
+
+
+def gap_profiles(gammas: np.ndarray) -> list[DifferenceProfile]:
+    """Gap profile of every row of a (k, n) integer matrix of spectra.
+
+    The whole matrix goes through a handful of array operations: the cyclic
+    gaps and double gaps by rotation and subtraction, the gap gcd by
+    np.gcd.reduce of delta_j - delta_0, and the lowest set bit d & -d of
+    each gap.  A row has a common valuation when its lowest bits are all
+    equal and nonzero; it lies on the quarter orbit when every gap is 2
+    (mod 4) and every double gap 4 (mod 8), which is v2 = 1 and v2 = 2 for
+    either sign and fails on zero.
+
+    Entries must be integers with |gamma| < 2**60, so that gaps, double
+    gaps and delta_j - delta_0 stay exact in int64; anything else raises
+    ValueError rather than being truncated or wrapped.
+    """
+    gammas = np.asarray(gammas)
+    if not (
+        gammas.dtype.kind in "iu"
+        and gammas.ndim == 2
+        and gammas.shape[1] > 0
+        and (
+            gammas.size == 0
+            or -GAMMA_BOUND < int(gammas.min()) <= int(gammas.max()) < GAMMA_BOUND
+        )
+    ):
+        raise ValueError(
+            "spectra must form a (k, n) integer matrix with n >= 1 and every "
+            f"|gamma| < 2**60, got dtype {gammas.dtype} and shape {gammas.shape}"
+        )
+    gammas = gammas.astype(np.int64)  # a copy: each profile keeps a view of its row
+    deltas = _gaps(gammas, 1)
+    d0 = deltas[:, 0]
+    gcds = np.gcd.reduce(deltas - d0[:, None], axis=1)
+    low = deltas & -deltas
+    common = (low[:, 0] != 0) & (low == low[:, :1]).all(axis=1)
+    quarter = ((deltas & 3) == 2).all(axis=1) & ((_gaps(gammas, 2) & 7) == 4).all(axis=1)
+    return [
+        DifferenceProfile(row, d, g, bit.bit_length() - 1 if c else None, q)
+        for row, d, g, bit, c, q in zip(
+            gammas,
+            d0.tolist(),
+            gcds.tolist(),
+            low[:, 0].tolist(),
+            common.tolist(),
+            quarter.tolist(),
+        )
+    ]
+
+
 def difference_profile(spectrum: Spectrum) -> DifferenceProfile:
-    """Gap data of a spectrum in one pass: cyclic gaps gamma[j+1]-gamma[j],
-    double gaps gamma[j+2]-gamma[j], the gap valuations and the gap gcd."""
-    ext = spectrum.gamma + spectrum.gamma[:2]
-    d0 = ext[1] - ext[0]
-    deltas, step2, vals = [], [], []
-    g = 0
-    for x, y, z in zip(ext, ext[1:], ext[2:]):
-        d = y - x
-        deltas.append(d)
-        step2.append(z - x)
-        vals.append((d & -d).bit_length() - 1 if d else None)
-        g = math.gcd(g, d - d0)
-    return DifferenceProfile(
-        deltas=tuple(deltas), step2=tuple(step2), valuations=tuple(vals), gap_gcd=g
-    )
+    """Gap profile of one spectrum: gap_profiles on a one-row matrix."""
+    return gap_profiles(np.array([spectrum.gamma]))[0]
 
 
 def _difference(n: int, a: int, b: int) -> int:

@@ -1,7 +1,9 @@
 """Enumeration, counting, crosscheck sweeps, and search."""
 
+import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import mixedcirc.harness
@@ -19,7 +21,7 @@ from mixedcirc import (
     spec_to_json,
     validate_spec,
 )
-from mixedcirc.harness import _class_rows, _summed_spectrum
+from mixedcirc.harness import CHUNK_SPECS, _spectrum_chunks
 from mixedcirc.numthy import divisors
 
 
@@ -139,16 +141,38 @@ def test_bench_size_sweep_frozen(mode, specs, positive):
         assert (report.pst_positive, report.mst_positive) == (0, positive)
 
 
+def test_crosscheck_memory_stays_flat():
+    # spectra are held one chunk at a time, never a whole order at once
+    tracemalloc.start()
+    try:
+        report = crosscheck(40, "pst")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.mismatches == []
+    assert peak < 1_000_000, peak
+
+
 # ------------------------------------------------- oracle by divisor class
 
 def test_summed_class_rows_equal_per_spec_oracle():
+    # each chunk matrix row is the spec's whole oracle spectrum, and the
+    # chunks cover the enumeration in order, CHUNK_SPECS at a time
     reversed_arcs = 0
     for n in range(4, 33, 4):
-        rows = _class_rows(n)
-        for spec in enumerate_specs(n):
-            whole = eigenvalues_oracle(build_connection_set(spec), n)
-            assert _summed_spectrum(spec, rows).gamma == whole.gamma, spec_to_json(spec)
-            reversed_arcs += -1 in spec.sigma.values()
+        seen = []
+        for chunk, gammas in _spectrum_chunks(n):
+            assert gammas.dtype == np.int64
+            assert gammas.shape == (len(chunk), n)
+            for spec, row in zip(chunk, gammas):
+                whole = eigenvalues_oracle(build_connection_set(spec), n)
+                assert tuple(row.tolist()) == whole.gamma, spec_to_json(spec)
+                reversed_arcs += -1 in spec.sigma.values()
+            seen.append(chunk)
+        assert all(len(c) == CHUNK_SPECS for c in seen[:-1])
+        assert 0 < len(seen[-1]) <= CHUNK_SPECS
+        flat = [spec_to_json(s) for c in seen for s in c]
+        assert flat == [spec_to_json(s) for s in enumerate_specs(n)]
     assert reversed_arcs > 0
 
 

@@ -1,8 +1,10 @@
 """Transfer deciders: amplitudes, valuations, classifiers, feasibility."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -21,10 +23,12 @@ from mixedcirc import (
     antipodal_verdict,
     classify_mst,
     classify_pst,
+    count_specs,
     crosscheck,
     difference_profile,
     eigenvalues_closed_form,
     enumerate_specs,
+    gap_profiles,
     minimal_pst_time,
     mst_by_valuation,
     mst_sufficient_condition,
@@ -90,6 +94,71 @@ def divisor_loop_feasible(spectrum: Spectrum, a: int, b: int):
                     best = Fraction(s, q)
                 break
     return best
+
+
+@dataclass(frozen=True)
+class LoopProfile:
+    """Independent route: the one-pass profile the gap kernel replaced.
+
+    Its per-index tuples are built eagerly and its readers scan them; the
+    witness solve is the same congruence, read off its own gaps.
+    """
+
+    deltas: tuple
+    step2: tuple
+    valuations: tuple
+    gap_gcd: int
+
+    def common_valuation(self):
+        vals = set(self.valuations)
+        if None in vals or len(vals) != 1:
+            return None
+        return vals.pop()
+
+    def quarter_orbit(self):
+        return all(v == 1 for v in self.valuations) and all(
+            d & 7 == 4 for d in self.step2
+        )
+
+    def witness(self, w):
+        g = self.gap_gcd
+        if g == 0:
+            return None
+        n = len(self.deltas)
+        d0 = self.deltas[0]
+        c = n * math.gcd(d0, g)
+        if (w * g) % c:
+            return None
+        m = n * g // c
+        k = (w * g // c) * pow(n * d0 // c, -1, m) % m
+        return Fraction(k, g)
+
+
+def loop_difference_profile(gamma) -> LoopProfile:
+    ext = tuple(gamma) + tuple(gamma[:2])
+    d0 = ext[1] - ext[0]
+    deltas, step2, vals = [], [], []
+    g = 0
+    for x, y, z in zip(ext, ext[1:], ext[2:]):
+        d = y - x
+        deltas.append(d)
+        step2.append(z - x)
+        vals.append((d & -d).bit_length() - 1 if d else None)
+        g = math.gcd(g, d - d0)
+    return LoopProfile(tuple(deltas), tuple(step2), tuple(vals), g)
+
+
+def assert_profiles_agree(prof, ref, label):
+    n = len(ref.deltas)
+    assert prof.gap_gcd == ref.gap_gcd, label
+    assert prof.d0 == ref.deltas[0], label
+    assert prof.common_valuation() == ref.common_valuation(), label
+    assert prof.quarter_orbit() is ref.quarter_orbit(), label
+    assert prof.deltas == ref.deltas, label
+    assert prof.step2 == ref.step2, label
+    assert prof.valuations == ref.valuations, label
+    for w in range(1, n):
+        assert prof.witness(w) == ref.witness(w), (label, w)
 
 
 # ---------------------------------------------------------------- amplitudes
@@ -158,6 +227,82 @@ def test_profile_gaps_telescope_to_zero():
         prof = difference_profile(eigenvalues_closed_form(spec))
         assert sum(prof.deltas) == 0
         assert sum(prof.step2) == 0
+
+
+def test_kernel_equals_loop_reference():
+    # every spec with n <= 40, one stacked matrix per order through the
+    # kernel, every field and every witness against the one-pass loop
+    checked = quarter = common = 0
+    for n in range(2, 41):
+        spectra = [eigenvalues_closed_form(spec).gamma for spec in enumerate_specs(n)]
+        profiles = gap_profiles(np.array(spectra, dtype=np.int64))
+        assert len(profiles) == len(spectra)
+        for gamma, prof in zip(spectra, profiles):
+            assert_profiles_agree(prof, loop_difference_profile(gamma), gamma)
+            checked += 1
+            quarter += prof.quarter_orbit()
+            common += prof.common_valuation() is not None
+    assert checked == sum(count_specs(n) for n in range(2, 41))
+    assert quarter > 0 and common > 0
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        (0, 2),  # n = 2: double gaps are all zero
+        (0, 0),
+        (3, -1),
+        (1, 4, -2),  # n = 3
+        (5, 5, 5),
+        (5, 5, 5, 5),  # every gap zero
+        (0, 0, 4, 4),  # some gaps zero
+        (-7, -3, 1, -3),  # negative entries
+        (-6, 2, 10, 2, -6, -14, -22, -14),
+        (2**59, -(2**59), 2**59 - 4, 0),  # near the bound
+        (-(2**60) + 1, 2**60 - 1),
+    ],
+)
+def test_kernel_equals_loop_reference_on_hand_picked_rows(gamma):
+    ref = loop_difference_profile(gamma)
+    assert_profiles_agree(difference_profile(Spectrum(len(gamma), gamma)), ref, gamma)
+    (prof,) = gap_profiles(np.array([gamma]))
+    assert_profiles_agree(prof, ref, gamma)
+
+
+def test_kernel_profiles_keep_their_own_rows():
+    # a later write to the caller's matrix must not change a profile
+    gammas = np.array([[0, 2, 0, 2]], dtype=np.int64)
+    (prof,) = gap_profiles(gammas)
+    gammas[0, 1] = 5
+    assert prof.deltas == (2, -2, 2, -2)
+    assert prof.gap_gcd == 4
+
+
+def test_kernel_refuses_what_int64_cannot_hold():
+    # a float spectrum would be truncated by an int64 cast
+    with pytest.raises(ValueError):
+        difference_profile(Spectrum(2, (0.5, 1)))
+    with pytest.raises(ValueError):
+        gap_profiles(np.array([[0.0, 2.0]]))
+    with pytest.raises(ValueError):
+        gap_profiles(np.array([[True, False]]))
+    # gaps of 2**62 would wrap: the exact gap gcd here is 2**63
+    with pytest.raises(ValueError):
+        difference_profile(Spectrum(4, (0, 2**62, 0, -(2**62))))
+    with pytest.raises(ValueError):
+        difference_profile(Spectrum(2, (0, 2**60)))
+    with pytest.raises(ValueError):
+        difference_profile(Spectrum(2, (-(2**60), 0)))
+    with pytest.raises(ValueError):
+        difference_profile(Spectrum(2, (0, 2**64)))
+    with pytest.raises(ValueError):
+        gap_profiles(np.array([[0, 2**63]], dtype=np.uint64))
+    # only a (k, n) matrix with n >= 1 has cyclic gaps
+    with pytest.raises(ValueError):
+        gap_profiles(np.array([0, 2]))
+    with pytest.raises(ValueError):
+        gap_profiles(np.zeros((1, 0), dtype=np.int64))
+    assert gap_profiles(np.zeros((0, 4), dtype=np.int64)) == []
 
 
 # -------------------------------------------------------- valuation criteria
@@ -433,19 +578,20 @@ def test_mst_verdict_fields():
 
 @pytest.fixture
 def profile_calls(monkeypatch):
-    """Count difference_profile calls made through transfer and harness."""
+    """Count the rows profiled by gap_profiles through transfer and harness:
+    one per spectrum, whether it comes alone or in a chunk matrix."""
     import mixedcirc.harness
     import mixedcirc.transfer
 
-    real = mixedcirc.transfer.difference_profile
+    real = mixedcirc.transfer.gap_profiles
     calls = []
 
-    def counting(spectrum):
-        calls.append(spectrum.n)
-        return real(spectrum)
+    def counting(gammas):
+        calls.extend(len(row) for row in gammas)
+        return real(gammas)
 
-    monkeypatch.setattr(mixedcirc.transfer, "difference_profile", counting)
-    monkeypatch.setattr(mixedcirc.harness, "difference_profile", counting)
+    monkeypatch.setattr(mixedcirc.transfer, "gap_profiles", counting)
+    monkeypatch.setattr(mixedcirc.harness, "gap_profiles", counting)
     return calls
 
 
