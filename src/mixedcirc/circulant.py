@@ -149,6 +149,11 @@ class DivisorPartition:
             layer = layer - {self.n >> i}
         return layer
 
+    def scaled_chain(self, depth: int) -> bool:
+        """The scaled-set chain B0 = 2*B1star = ... = 2**depth * B_depth star."""
+        b0 = self.b_layer(0)
+        return all(_scaled(self.b_star(i), 1 << i) == b0 for i in range(1, depth + 1))
+
 
 def _scaled(s: frozenset[int], k: int) -> frozenset[int]:
     """The divisor set k*s, for comparing layers in the scaled-set chains."""

@@ -53,11 +53,11 @@ def _fraction_json(t: Fraction | None):
     return {"p": t.numerator, "q": t.denominator}
 
 
-def _verdict_json(v: TransferVerdict) -> dict:
+def _report_verdict(v: TransferVerdict) -> int:
     phase = None
     if v.phase is not None:
         phase = {"re": round(v.phase.real, 12), "im": round(v.phase.imag, 12)}
-    return {
+    out = {
         "schema": SCHEMA,
         "kind": v.kind,
         "pair": list(v.pair),
@@ -66,6 +66,9 @@ def _verdict_json(v: TransferVerdict) -> dict:
         "phase": phase,
         "residual": v.residual,
     }
+    _emit(out)
+    print(f"verdict: {v.kind}", file=sys.stderr)
+    return 0
 
 
 def _cmd_spectrum(args) -> int:
@@ -87,17 +90,12 @@ def _cmd_check_pst(args) -> int:
         verdict = pair_verdict(spec, a, b, tol=args.tol)
     else:
         verdict = antipodal_verdict(spec, tol=args.tol)
-    _emit(_verdict_json(verdict))
-    print(f"verdict: {verdict.kind}", file=sys.stderr)
-    return 0
+    return _report_verdict(verdict)
 
 
 def _cmd_check_mst(args) -> int:
     spec = _load_spec(args.spec)
-    verdict = mst_verdict(spec, tol=args.tol)
-    _emit(_verdict_json(verdict))
-    print(f"verdict: {verdict.kind}", file=sys.stderr)
-    return 0
+    return _report_verdict(mst_verdict(spec, tol=args.tol))
 
 
 def _cmd_search(args) -> int:

@@ -149,8 +149,8 @@ def crosscheck(
     per divisor class per order (see _class_rows).  Each order's specs are
     then read CHUNK_SPECS at a time as an int64 matrix of spectra (see
     _spectrum_chunks), and one gap_profiles call profiles the whole chunk.
-    A Spectrum is built only for a spec whose witness exists, for the
-    numeric check.
+    A Spectrum is built from its chunk row only for a spec whose witness
+    exists; a witness failing the numeric check is a mismatch, not a fault.
     """
     moduli = _moduli(n_max, mode)
     total = sum(count_specs(n) for n in moduli)
@@ -164,17 +164,17 @@ def crosscheck(
         else:
             targets = (n // 4, n // 2, 3 * n // 4)
         for chunk, gammas in _spectrum_chunks(n):
-            for spec, prof in zip(chunk, gap_profiles(gammas)):
+            for spec, prof, row in zip(chunk, gap_profiles(gammas), gammas):
                 report.specs_checked += 1
                 if mode == "pst":
                     by_class = classify_pst(spec) is not None
-                    by_vals = prof.common_valuation() is not None
+                    by_vals = prof.m is not None
                     report.pst_positive += by_class
                 else:
                     by_class = classify_mst(spec)
-                    by_vals = prof.quarter_orbit()
+                    by_vals = prof.quarter
                     report.mst_positive += by_class
-                by_num = _numeric_transfer(prof, targets, tol)
+                by_num = _numeric_transfer(prof, row, targets, tol)
                 if not (by_class == by_vals == by_num):
                     report.mismatches.append(
                         {
@@ -188,13 +188,13 @@ def crosscheck(
     return report
 
 
-def _numeric_transfer(prof, targets, tol: float) -> bool:
-    """Transfer 0 -> b has an exact witness that verifies numerically, for
-    every b in targets."""
+def _numeric_transfer(prof, row: np.ndarray, targets, tol: float) -> bool:
+    """Transfer 0 -> b has an exact witness that verifies numerically on
+    row, the spectrum prof was read from, for every b in targets."""
     times = [prof.witness(b) for b in targets]
     if None in times:
         return False
-    spectrum = Spectrum(len(prof.gamma), tuple(prof.gamma.tolist()))
+    spectrum = Spectrum(prof.n, tuple(row.tolist()))
     return all(verify_numeric(spectrum, 0, b, t, tol)[0] for b, t in zip(targets, times))
 
 

@@ -35,7 +35,7 @@ def two_adic_valuation(n: int) -> int:
     """Largest e with 2**e dividing n (0 for odd n).  Undefined for n = 0."""
     if not isinstance(n, int) or n == 0:
         raise ValueError(f"2-adic valuation needs a nonzero integer, got {n!r}")
-    return ((n if n > 0 else -n) & -(n if n > 0 else -n)).bit_length() - 1
+    return (n & -n).bit_length() - 1  # n & -n is the lowest set bit for either sign
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -17,7 +17,6 @@ from .circulant import (
     ConnectionSet,
     DivisorPartition,
     GraphSpec,
-    _scaled,
     hermitian_adjacency,
     partition_divisors,
 )
@@ -240,8 +239,7 @@ def reduced_eigenvalues(spec: GraphSpec) -> Spectrum:
     dp = partition_divisors(spec)
     if dp.d_layer(2) - {n // 4}:
         raise HypothesesNotMet("directed layer 2 must be contained in {n/4}")
-    b0 = dp.b_layer(0)
-    if not (b0 == _scaled(dp.b_star(1), 2) == _scaled(dp.b_star(2), 4)):
+    if not dp.scaled_chain(2):
         raise HypothesesNotMet("scaled-set chain B0 = 2*B1star = 4*B2star fails")
     half = 1 if n // 2 in spec.B else 0
     quarter = 1 if n // 4 in spec.B else 0

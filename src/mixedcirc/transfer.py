@@ -20,7 +20,6 @@ from .circulant import DivisorPartition, GraphSpec, _scaled, partition_divisors
 from .spectrum import Spectrum, eigenvalues_closed_form
 
 NUMERIC_TOL = 1e-9
-PHASE_TOL = 1e-12
 GAMMA_BOUND = 2**60  # |gamma| bound under which the gap kernel is exact in int64
 
 
@@ -36,16 +35,16 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DifferenceProfile:
     """Gap data of one spectrum, as gap_profiles reads it from a matrix row.
 
-    gamma is the spectrum as an int64 row; d0 = gamma[1] - gamma[0] is the
-    first cyclic gap; gap_gcd is g = gcd of delta_j - delta_0 over all j (0
-    when every gap is equal); m is the 2-adic valuation shared by every gap
-    (None on a zero gap or a disagreement); quarter says every gap has
-    valuation 1 and every double gap valuation 2.  The per-index tuples
-    deltas, step2 and valuations are computed from gamma on access.
+    n is the order; d0 = gamma[1] - gamma[0] is the first cyclic gap;
+    gap_gcd is g = gcd of delta_j - delta_0 over all j (0 when every gap is
+    equal); m is the 2-adic valuation shared by every gap (None on a zero
+    gap or a disagreement); quarter says every gap has valuation 1 and every
+    double gap valuation 2.  A profile is a plain value: two profiles with
+    the same fields are equal and hash alike.
 
     A time t' = s/q in lowest terms of transfer across the vertex difference
     w must have q | g, since delta_j * t' - w/n is integral for every j only
@@ -55,35 +54,11 @@ class DifferenceProfile:
     spectrum and read it as often as needed.
     """
 
-    gamma: np.ndarray
+    n: int
     d0: int
     gap_gcd: int
     m: Optional[int]
     quarter: bool
-
-    @property
-    def deltas(self) -> tuple[int, ...]:
-        """Cyclic gaps gamma[j+1] - gamma[j]."""
-        return tuple(_gaps(self.gamma, 1).tolist())
-
-    @property
-    def step2(self) -> tuple[int, ...]:
-        """Cyclic double gaps gamma[j+2] - gamma[j]."""
-        return tuple(_gaps(self.gamma, 2).tolist())
-
-    @property
-    def valuations(self) -> tuple[Optional[int], ...]:
-        """2-adic valuation of each gap; None marks a zero gap."""
-        return tuple((d & -d).bit_length() - 1 if d else None for d in self.deltas)
-
-    def common_valuation(self) -> Optional[int]:
-        """The 2-adic valuation shared by every gap, or None (zero gap or
-        disagreement)."""
-        return self.m
-
-    def quarter_orbit(self) -> bool:
-        """Every gap has valuation 1 and every double gap valuation 2."""
-        return self.quarter
 
     def witness(self, w: int) -> Optional[Fraction]:
         """Least time t' in (0, 1] of transfer a -> b, where w = (b - a) mod n
@@ -99,14 +74,13 @@ class DifferenceProfile:
         g = self.gap_gcd
         if g == 0:
             return None
-        n = len(self.gamma)
         d0 = self.d0
-        c = n * math.gcd(d0, g)
+        c = self.n * math.gcd(d0, g)
         if (w * g) % c:
             return None
-        m = n * g // c
+        m = self.n * g // c
         # w/n is not an integer, so the residue is never 0 and k lies in 1..m-1
-        k = (w * g // c) * pow(n * d0 // c, -1, m) % m
+        k = (w * g // c) * pow(self.n * d0 // c, -1, m) % m
         return Fraction(k, g)
 
 
@@ -149,7 +123,8 @@ def gap_profiles(gammas: np.ndarray) -> list[DifferenceProfile]:
 
     Entries must be integers with |gamma| < 2**60, so that gaps, double
     gaps and delta_j - delta_0 stay exact in int64; anything else raises
-    ValueError rather than being truncated or wrapped.
+    ValueError rather than being truncated or wrapped.  Profiles keep no
+    reference to the matrix, so an int64 one is read in place.
     """
     gammas = np.asarray(gammas)
     if not (
@@ -165,7 +140,7 @@ def gap_profiles(gammas: np.ndarray) -> list[DifferenceProfile]:
             "spectra must form a (k, n) integer matrix with n >= 1 and every "
             f"|gamma| < 2**60, got dtype {gammas.dtype} and shape {gammas.shape}"
         )
-    gammas = gammas.astype(np.int64)  # a copy: each profile keeps a view of its row
+    gammas = gammas.astype(np.int64, copy=False)
     deltas = _gaps(gammas, 1)
     d0 = deltas[:, 0]
     gcds = np.gcd.reduce(deltas - d0[:, None], axis=1)
@@ -173,9 +148,8 @@ def gap_profiles(gammas: np.ndarray) -> list[DifferenceProfile]:
     common = (low[:, 0] != 0) & (low == low[:, :1]).all(axis=1)
     quarter = ((deltas & 3) == 2).all(axis=1) & ((_gaps(gammas, 2) & 7) == 4).all(axis=1)
     return [
-        DifferenceProfile(row, d, g, bit.bit_length() - 1 if c else None, q)
-        for row, d, g, bit, c, q in zip(
-            gammas,
+        DifferenceProfile(gammas.shape[1], d, g, bit.bit_length() - 1 if c else None, q)
+        for d, g, bit, c, q in zip(
             d0.tolist(),
             gcds.tolist(),
             low[:, 0].tolist(),
@@ -205,14 +179,14 @@ def antipodal_pst_by_valuation(spectrum: Spectrum) -> Optional[int]:
     """
     if spectrum.n % 2:
         raise ValueError(f"antipodal pair needs even n, got {spectrum.n}")
-    return difference_profile(spectrum).common_valuation()
+    return difference_profile(spectrum).m
 
 
 def mst_by_valuation(spectrum: Spectrum) -> bool:
     """Gap valuations all 1 and double-gap valuations all 2 (cyclically)."""
     if spectrum.n % 4:
         raise ValueError(f"quarter orbit needs 4 | n, got {spectrum.n}")
-    return difference_profile(spectrum).quarter_orbit()
+    return difference_profile(spectrum).quarter
 
 
 def classify_pst(spec: GraphSpec) -> Optional[str]:
@@ -223,13 +197,13 @@ def classify_pst(spec: GraphSpec) -> Optional[str]:
       i:   directed layer 2 is exactly {n/4} and n/2 not in B,
       ii:  directed layer 2 empty and exactly one of n/4, n/2 in B,
       iii: directed layer 2 empty, both n/4 and n/2 in B, 8 | n, directed
-           layer 3 exactly {n/8}, and B2star = 2*B3star.
+           layer 3 exactly {n/8}, and the chain goes on to 8*B3star.
     """
     n = spec.n
     if n % 4:
         return None
     dp = partition_divisors(spec)
-    if not (dp.b_layer(0) == _scaled(dp.b_star(1), 2) == _scaled(dp.b_star(2), 4)):
+    if not dp.scaled_chain(2):
         return None
     half, quarter = n // 2, n // 4
     d2 = dp.d_layer(2)
@@ -243,7 +217,7 @@ def classify_pst(spec: GraphSpec) -> Optional[str]:
         if (
             n % 8 == 0
             and dp.d_layer(3) == frozenset({n // 8})
-            and dp.b_star(2) == _scaled(dp.b_star(3), 2)
+            and dp.scaled_chain(3)
         ):
             return "iii"
         return None
@@ -260,14 +234,7 @@ def _quarter_orbit_layers(spec: GraphSpec) -> Optional[DivisorPartition]:
     if n % 8 or n // 2 in spec.B:
         return None
     dp = partition_divisors(spec)
-    if not (
-        dp.b_layer(0)
-        == _scaled(dp.b_star(1), 2)
-        == _scaled(dp.b_star(2), 4)
-        == _scaled(dp.b_star(3), 8)
-    ):
-        return None
-    return dp if dp.d_layer(2) == frozenset({n // 4}) else None
+    return dp if dp.scaled_chain(3) and dp.d_layer(2) == frozenset({n // 4}) else None
 
 
 def classify_mst(spec: GraphSpec) -> bool:
@@ -373,29 +340,37 @@ def pair_restriction_check(spectrum: Spectrum) -> frozenset[int]:
     return frozenset(w for w in range(1, n) if prof.witness(w) is not None)
 
 
-def _decide_pair(
-    spectrum: Spectrum, a: int, b: int, tol: float = NUMERIC_TOL
-) -> TransferVerdict:
-    n = spectrum.n
-    prof = difference_profile(spectrum)
-    t = prof.witness(_difference(n, a, b))
+def _verified_witness(spectrum, prof, a, b, tol):
+    """(t', unit phase, residual) of the witness of a -> b read off prof, or
+    None without one; a witness failing verify_numeric is a ConsistencyError."""
+    t = prof.witness((b - a) % prof.n)
     if t is None:
-        return TransferVerdict(kind="none", pair=(a % n, b % n))
+        return None
     ok, phase, residual = verify_numeric(spectrum, a, b, t, tol)
     if not ok:
         raise ConsistencyError(
             f"witness t'={t} for ({a},{b}) failed numeric check: residual {residual}"
         )
-    w = (b - a) % n
+    return t, phase, residual
+
+
+def _decide_pair(spectrum: Spectrum, a: int, b: int, tol: float) -> TransferVerdict:
+    n = spectrum.n
+    w = _difference(n, a, b)
+    pair = (a % n, b % n)
+    prof = difference_profile(spectrum)
+    found = _verified_witness(spectrum, prof, a, b, tol)
+    if found is None:
+        return TransferVerdict(kind="none", pair=pair)
+    t, phase, residual = found
     if 2 * w % n == 0:
         kind = "antipodal_pst"
     elif n % 4 == 0 and w in (n // 4, 3 * n // 4):
         kind = "quarter_pst"
     else:
         raise ConsistencyError(f"feasible difference {w} outside quarter points")
-    m = prof.common_valuation() if n % 2 == 0 else None
     return TransferVerdict(
-        kind=kind, pair=(a % n, b % n), m=m, t_prime=t, phase=phase, residual=residual
+        kind=kind, pair=pair, m=prof.m, t_prime=t, phase=phase, residual=residual
     )
 
 
@@ -425,24 +400,15 @@ def mst_verdict(spec: GraphSpec, tol: float = NUMERIC_TOL) -> TransferVerdict:
     spectrum = eigenvalues_closed_form(spec)
     prof = difference_profile(spectrum)
     orbit = (0, n // 4, n // 2, 3 * n // 4)
-    if not prof.quarter_orbit():
+    if not prof.quarter:
         return TransferVerdict(kind="none", pair=orbit)
-    times = []
-    worst = 0.0
+    found = []
     for b in orbit[1:]:
-        t = prof.witness(b)
-        if t is None:
+        step = _verified_witness(spectrum, prof, 0, b, tol)
+        if step is None:
             return TransferVerdict(kind="none", pair=orbit)
-        ok, phase, residual = verify_numeric(spectrum, 0, b, t, tol)
-        if not ok:
-            raise ConsistencyError(f"orbit witness ({0},{b}) residual {residual}")
-        times.append((t, phase))
-        worst = max(worst, residual)
+        found.append(step)
+    (t, phase, _), worst = found[0], max(residual for _, _, residual in found)
     return TransferVerdict(
-        kind="mst",
-        pair=orbit,
-        m=prof.common_valuation(),
-        t_prime=times[0][0],
-        phase=times[0][1],
-        residual=worst,
+        kind="mst", pair=orbit, m=prof.m, t_prime=t, phase=phase, residual=worst
     )

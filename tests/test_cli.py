@@ -150,6 +150,19 @@ def test_crosscheck_disagreement_exits_one(capsys, monkeypatch):
         assert (row["classifier"], row["valuation"], row["numeric"]) == (False, True, True)
 
 
+def test_crosscheck_failed_numeric_check_exits_one(capsys, monkeypatch):
+    # a witness failing the numeric check is a mismatch row, not a traceback
+    monkeypatch.setattr(
+        mixedcirc.harness, "verify_numeric", lambda *args: (False, 1 + 0j, 0.5)
+    )
+    code, out, _ = run(capsys, ["crosscheck", "--n-max", "8", "--mode", "mst"])
+    assert code == 1
+    payload = json.loads(out)
+    assert len(payload["mismatches"]) == payload["mst_positive"] > 0
+    for row in payload["mismatches"]:
+        assert row["numeric"] is False
+
+
 def test_crosscheck_budget_error(capsys):
     code, out, _ = run(capsys, ["crosscheck", "--n-max", "16", "--budget", "3"])
     assert code == 2

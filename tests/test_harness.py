@@ -116,6 +116,20 @@ def test_crosscheck_surfaces_quarter_orbit_disagreements(monkeypatch):
     }
 
 
+def test_crosscheck_reports_failed_numeric_check_as_mismatch(monkeypatch):
+    # in a sweep a witness that fails the numeric check is a disagreement to
+    # report, not a fault: every transfer-positive spec becomes a mismatch
+    monkeypatch.setattr(
+        mixedcirc.harness, "verify_numeric", lambda *args: (False, 1 + 0j, 0.5)
+    )
+    report = crosscheck(8, "pst")
+    assert report.specs_checked == 40
+    assert report.pst_positive > 0
+    assert len(report.mismatches) == report.pst_positive
+    for row in report.mismatches:
+        assert (row["classifier"], row["valuation"], row["numeric"]) == (True, True, False)
+
+
 def test_crosscheck_budget_guard():
     with pytest.raises(BudgetExceeded):
         crosscheck(16, "pst", budget=10)

@@ -27,6 +27,8 @@ def test_valuation_frozen_values():
     assert two_adic_valuation(8) == 3
     assert two_adic_valuation(1) == 0
     assert two_adic_valuation(12) == 2
+    assert two_adic_valuation(-12) == 2
+    assert two_adic_valuation(-1) == 0
 
 
 def test_valuation_rejects_zero():
