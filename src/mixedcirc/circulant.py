@@ -227,24 +227,20 @@ def hermitian_adjacency(cs: ConnectionSet, n: int) -> HermitianMatrix:
 
 
 def partition_divisors(spec: GraphSpec) -> DivisorPartition:
-    """Split B into layers 0..v2(n) and D into layers 2..v2(n) by v2(n/d).
+    """Split B (layers 0..v2(n)) and D (2..v2(n)) by v2(n/d); empty layers are not stored.
 
     A GraphSpec is validated, so n and every n // d are positive ints and
     each valuation is read off the lowest set bit without further checks.
     """
     n = spec.n
-    t = (n & -n).bit_length() - 1
-    b_layers: dict[int, set[int]] = {i: set() for i in range(t + 1)}
-    d_layers: dict[int, set[int]] = {i: set() for i in range(2, t + 1)}
+    b_layers: dict[int, frozenset[int]] = {}
+    d_layers: dict[int, frozenset[int]] = {}
     for layers, members in ((b_layers, spec.B), (d_layers, spec.D)):
         for d in members:
             m = n // d
-            layers[(m & -m).bit_length() - 1].add(d)
-    return DivisorPartition(
-        n=spec.n,
-        b_layers={i: frozenset(s) for i, s in b_layers.items()},
-        d_layers={i: frozenset(s) for i, s in d_layers.items()},
-    )
+            i = (m & -m).bit_length() - 1
+            layers[i] = layers.get(i, frozenset()) | {d}
+    return DivisorPartition(n=n, b_layers=b_layers, d_layers=d_layers)
 
 
 def spec_to_json(spec: GraphSpec) -> str:

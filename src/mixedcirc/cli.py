@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .circulant import SpecError, UnknownFormat, export_graph, parse_spec, spec_to_json
 from .harness import BudgetExceeded, crosscheck, search_specs, DEFAULT_BUDGET
-from .numthy import MAX_N
 from .spectrum import eigenvalues_closed_form
 from .transfer import (
     NUMERIC_TOL,
@@ -99,11 +98,7 @@ def _cmd_check_mst(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.n < 2:
-        raise SpecError(f"enumeration needs n >= 2, got {args.n}")
-    if args.n > MAX_N:
-        raise SpecError(f"modulus {args.n} exceeds supported cap {MAX_N}")
-    hits = search_specs(args.n, args.mode)
+    hits = search_specs(args.n, args.mode, budget=args.budget)
     _emit(
         {
             "schema": SCHEMA,
@@ -172,6 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sr = sub.add_parser("search", help="list positive specs of one order")
     sr.add_argument("--n", type=int, required=True)
     sr.add_argument("--mode", choices=("pst", "mst"), default="pst")
+    sr.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sr.set_defaults(func=_cmd_search)
 
     cc = sub.add_parser("crosscheck", help="sweep the three deciders for agreement")

@@ -10,14 +10,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice, product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .circulant import GraphSpec, build_connection_set, spec_to_json, validate_spec
+from .circulant import GraphSpec, SpecError, build_connection_set, spec_to_json, validate_spec
 from .numthy import divisors
 from .spectrum import Spectrum, eigenvalues_oracle
-from .transfer import classify_mst, classify_pst, gap_profiles, verify_numeric
+from .transfer import NUMERIC_TOL, classify_mst, classify_pst, gap_profiles, verify_numeric
 
 DEFAULT_BUDGET = 10**6
 
@@ -39,6 +39,35 @@ class SweepReport:
     wall_time: float = 0.0
 
 
+def _mode(mode: str) -> tuple:
+    """Order step, vertex-0 targets in quarters of n, divisor-set leg and gap-valuation
+    leg of a sweep mode; read per call, so a classifier patched into this module counts."""
+    if mode == "pst":
+        return 4, (2,), lambda s: classify_pst(s) is not None, lambda p: p.m is not None
+    if mode == "mst":
+        return 8, (1, 2, 3), classify_mst, lambda p: p.quarter
+    raise ValueError(f"mode must be 'pst' or 'mst', got {mode!r}")
+
+
+def _pools(n: int) -> tuple[list[int], list[int]]:
+    """Divisors order n offers: its proper divisors for B, those of n/4 for D."""
+    if n < 2:
+        raise SpecError(f"enumeration needs n >= 2, got {n}")
+    validate_spec(n)  # refuses an order over MAX_N as an input error
+    return divisors(n)[:-1], divisors(n // 4) if n % 4 == 0 else []
+
+
+def _budgeted(orders: Sequence[int], budget: int) -> list[int]:
+    """List the orders, or raise BudgetExceeded at the first order whose running
+    spec count passes budget; orders after it are never counted."""
+    total = 0
+    for n in orders:
+        total += count_specs(n)
+        if total > budget:
+            raise BudgetExceeded(f"{total} specs through order {n} exceed budget {budget}")
+    return list(orders)
+
+
 def _subsets_lex(items: list[int]) -> list[tuple[int, ...]]:
     # all subsets as ascending tuples, in lexicographic tuple order
     subs = chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
@@ -53,13 +82,9 @@ def enumerate_specs(n: int) -> Iterator[GraphSpec]:
     assignment (+1 before -1 per divisor).  The order is frozen: golden
     outputs depend on it.
     """
-    if n < 2:
-        raise ValueError(f"enumeration needs n >= 2, got {n}")
-    proper = [d for d in divisors(n) if d < n]
-    d_pool = divisors(n // 4) if n % 4 == 0 else []
+    proper, d_pool = _pools(n)
     for b_tuple in _subsets_lex(proper):
-        b_set = set(b_tuple)
-        avail = [d for d in d_pool if d not in b_set]
+        avail = [d for d in d_pool if d not in b_tuple]
         for d_tuple in _subsets_lex(avail):
             for signs in product((1, -1), repeat=len(d_tuple)):
                 yield validate_spec(n, b_tuple, d_tuple, dict(zip(d_tuple, signs)))
@@ -67,13 +92,8 @@ def enumerate_specs(n: int) -> Iterator[GraphSpec]:
 
 def count_specs(n: int) -> int:
     """Closed-form spec count: 4 per divisor of n/4, 2 per other proper divisor."""
-    proper = [d for d in divisors(n) if d < n]
-    if n % 4 == 0:
-        d_pool = set(divisors(n // 4))
-    else:
-        d_pool = set()
-    directed_choices = sum(1 for d in proper if d in d_pool)
-    return 2 ** (len(proper) - directed_choices) * 4**directed_choices
+    proper, d_pool = _pools(n)  # every divisor of n/4 is a proper divisor of n
+    return 2 ** (len(proper) - len(d_pool)) * 4 ** len(d_pool)
 
 
 CHUNK_SPECS = 64  # specs per spectrum matrix: keeps crosscheck memory flat in the order
@@ -88,11 +108,9 @@ def _class_rows(n: int) -> tuple[dict[tuple[int, int], int], np.ndarray]:
     Each row goes through the connection-set builder and eigenvalues_oracle,
     with its integer-rounding check, exactly as a whole spec would.
     """
-    specs = {(d, 0): validate_spec(n, [d]) for d in divisors(n) if d < n}
-    if n % 4 == 0:
-        for d in divisors(n // 4):
-            for s in (1, -1):
-                specs[d, s] = validate_spec(n, [], [d], {d: s})
+    proper, d_pool = _pools(n)
+    specs = {(d, 0): validate_spec(n, [d]) for d in proper}
+    specs |= {(d, s): validate_spec(n, [], [d], {d: s}) for d in d_pool for s in (1, -1)}
     table = np.array(
         [eigenvalues_oracle(build_connection_set(s), n).gamma for s in specs.values()],
         dtype=np.int64,
@@ -124,21 +142,15 @@ def _spectrum_chunks(n: int) -> Iterator[tuple[list[GraphSpec], np.ndarray]]:
         yield chunk, incidence @ table
 
 
-def _moduli(n_max: int, mode: str) -> list[int]:
-    if mode == "pst":
-        return [n for n in range(4, n_max + 1, 4)]
-    if mode == "mst":
-        return [n for n in range(8, n_max + 1, 8)]
-    raise ValueError(f"mode must be 'pst' or 'mst', got {mode!r}")
-
-
 def crosscheck(
     n_max: int,
     mode: str = "pst",
     budget: int = DEFAULT_BUDGET,
-    tol: float = 1e-9,
+    tol: float = NUMERIC_TOL,
 ) -> SweepReport:
-    """Run all three deciders over every valid spec with order up to n_max.
+    """Run all three deciders over every valid spec with order up to n_max:
+    the multiples of 4 for transfer 0 -> n/2 ("pst"), or of 8 for 0 -> n/4,
+    n/2, 3n/4 ("mst").  Raises BudgetExceeded before building any spec.
 
     Legs per spec: the divisor-set classifier on the spec, the gap-valuation
     test on the oracle (FFT) spectrum, and exact witness feasibility
@@ -152,28 +164,18 @@ def crosscheck(
     A Spectrum is built from its chunk row only for a spec whose witness
     exists; a witness failing the numeric check is a mismatch, not a fault.
     """
-    moduli = _moduli(n_max, mode)
-    total = sum(count_specs(n) for n in moduli)
-    if total > budget:
-        raise BudgetExceeded(f"{total} specs exceed budget {budget}")
-    report = SweepReport(mode=mode, n_range=moduli)
+    step, quarters, classifier, valuation = _mode(mode)
+    report = SweepReport(mode=mode, n_range=_budgeted(range(step, n_max + 1, step), budget))
+    positive = 0
     start = time.perf_counter()
-    for n in moduli:
-        if mode == "pst":
-            targets = (n // 2,)
-        else:
-            targets = (n // 4, n // 2, 3 * n // 4)
+    for n in report.n_range:
+        targets = tuple(k * n // 4 for k in quarters)
         for chunk, gammas in _spectrum_chunks(n):
             for spec, prof, row in zip(chunk, gap_profiles(gammas), gammas):
                 report.specs_checked += 1
-                if mode == "pst":
-                    by_class = classify_pst(spec) is not None
-                    by_vals = prof.m is not None
-                    report.pst_positive += by_class
-                else:
-                    by_class = classify_mst(spec)
-                    by_vals = prof.quarter
-                    report.mst_positive += by_class
+                by_class = classifier(spec)
+                by_vals = valuation(prof)
+                positive += by_class
                 by_num = _numeric_transfer(prof, row, targets, tol)
                 if not (by_class == by_vals == by_num):
                     report.mismatches.append(
@@ -184,6 +186,7 @@ def crosscheck(
                             "numeric": by_num,
                         }
                     )
+    setattr(report, f"{mode}_positive", positive)
     report.wall_time = time.perf_counter() - start
     return report
 
@@ -198,10 +201,9 @@ def _numeric_transfer(prof, row: np.ndarray, targets, tol: float) -> bool:
     return all(verify_numeric(spectrum, 0, b, t, tol)[0] for b, t in zip(targets, times))
 
 
-def search_specs(n: int, mode: str = "pst") -> list[GraphSpec]:
-    """All specs of order n the classifier marks positive, enumeration order."""
-    if mode == "pst":
-        return [s for s in enumerate_specs(n) if classify_pst(s) is not None]
-    if mode == "mst":
-        return [s for s in enumerate_specs(n) if classify_mst(s)]
-    raise ValueError(f"mode must be 'pst' or 'mst', got {mode!r}")
+def search_specs(n: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> list[GraphSpec]:
+    """All specs of order n the mode's classifier marks positive, in enumeration
+    order; BudgetExceeded, before building any spec, if order n has over budget."""
+    _, _, classifier, _ = _mode(mode)
+    _budgeted([n], budget)
+    return [s for s in enumerate_specs(n) if classifier(s)]

@@ -21,6 +21,7 @@ from .circulant import (
     partition_divisors,
 )
 from .numthy import (
+    ORACLE_TOL,
     NonIntegerResidual,
     euler_phi,
     ramanujan_sine_sum,
@@ -204,7 +205,7 @@ def eigenvalues_by_class(spec: GraphSpec) -> Spectrum:
     return Spectrum(n=n, gamma=tuple(gamma))
 
 
-def eigenvalues_oracle(cs: ConnectionSet, n: int, tol: float = 1e-6) -> Spectrum:
+def eigenvalues_oracle(cs: ConnectionSet, n: int, tol: float = ORACLE_TOL) -> Spectrum:
     """Floating-point spectrum n * ifft(row) of the Hermitian adjacency, rounded.
 
     gamma[j] = sum over c of row[c] * w^(jc), w = exp(2*pi*i/n), which is n

@@ -274,6 +274,8 @@ def test_partition_reunites_to_inputs():
         assert d_all == spec.D
         # layers are disjoint by construction of the valuation key
         assert sum(len(v) for v in dp.b_layers.values()) == len(spec.B)
+        # only nonempty layers are stored
+        assert all(dp.b_layers.values()) and all(dp.d_layers.values())
 
 
 def test_starred_layers_drop_distinguished_divisor():
@@ -291,6 +293,7 @@ def test_empty_divisor_sets_make_empty_layers():
     dp = partition_divisors(validate_spec(12, [], [], {}))
     assert all(not v for v in dp.b_layers.values())
     assert all(not v for v in dp.d_layers.values())
+    assert dp.b_layer(0) == dp.b_layer(2) == dp.d_layer(2) == frozenset()
 
 
 # ------------------------------------------------------------ serialization

@@ -14,6 +14,7 @@ import mixedcirc.cli
 import mixedcirc.harness
 from mixedcirc import mst_sufficient_condition, spec_to_json
 from mixedcirc.cli import main
+from mixedcirc.numthy import MAX_N
 
 
 def write_spec(tmp_path, spec, name="graph.json"):
@@ -118,6 +119,28 @@ def test_search_output(capsys):
         ((), (1, 2)),
         ((1,), (2,)),
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "4096"],  # 8,388,608 specs
+        ["--n", "720720"],  # 2^239 subsets of its proper divisors alone
+        ["--n", "16", "--budget", "100"],  # 128 specs
+    ],
+)
+def test_search_over_budget_is_an_input_error(capsys, argv):
+    code, out, _ = run(capsys, ["search", *argv])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"]["type"] == "input"
+    assert "exceed budget" in payload["error"]["message"]
+
+
+def test_search_budget_flag_admits_a_larger_order(capsys):
+    code, out, _ = run(capsys, ["search", "--n", "16", "--mode", "mst", "--budget", "128"])
+    assert code == 0
+    assert json.loads(out)["count"] == 24
 
 
 def test_search_is_byte_identical_across_runs(capsys):
@@ -230,9 +253,14 @@ def test_undecodable_spec_file(tmp_path, capsys):
 
 
 def test_search_order_below_two_is_an_input_error(capsys):
-    code, out, _ = run(capsys, ["search", "--n", "1"])
-    assert code == 2
-    assert json.loads(out)["error"]["type"] == "input"
+    # and so is an order over the cap; both keep their messages
+    for n, message in (
+        (1, "enumeration needs n >= 2, got 1"),
+        (MAX_N + 1, f"modulus {MAX_N + 1} exceeds supported cap {MAX_N}"),
+    ):
+        code, out, _ = run(capsys, ["search", "--n", str(n)])
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "input", "message": message}
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

@@ -10,6 +10,7 @@ import mixedcirc.harness
 from conftest import mst_example_graph, pst_case_i_graph
 from mixedcirc import (
     BudgetExceeded,
+    SpecError,
     build_connection_set,
     classify_pst,
     count_specs,
@@ -22,7 +23,7 @@ from mixedcirc import (
     validate_spec,
 )
 from mixedcirc.harness import CHUNK_SPECS, _spectrum_chunks
-from mixedcirc.numthy import divisors
+from mixedcirc.numthy import MAX_N, divisors
 
 
 def naive_count(n: int) -> int:
@@ -133,6 +134,22 @@ def test_crosscheck_reports_failed_numeric_check_as_mismatch(monkeypatch):
 def test_crosscheck_budget_guard():
     with pytest.raises(BudgetExceeded):
         crosscheck(16, "pst", budget=10)
+
+
+def test_crosscheck_budget_guard_stops_at_first_order_over_budget(monkeypatch):
+    # orders past the one that breaks the budget are never counted, and the
+    # order range is never built: n_max = 4,000,000 fails at order 120
+    real = mixedcirc.harness.count_specs
+    counted = []
+
+    def counting(n):
+        counted.append(n)
+        return real(n)
+
+    monkeypatch.setattr(mixedcirc.harness, "count_specs", counting)
+    with pytest.raises(BudgetExceeded, match="exceed budget 1000000"):
+        crosscheck(4_000_000, "pst")
+    assert counted == list(range(4, 121, 4))
 
 
 def test_crosscheck_rejects_unknown_mode():
@@ -247,6 +264,26 @@ def test_search_agrees_with_classifier():
 def test_search_rejects_unknown_mode():
     with pytest.raises(ValueError):
         search_specs(8, "all")
+
+
+def test_search_budget_guard(monkeypatch):
+    # an order over budget is refused before enumeration builds any spec
+    def no_enumeration(n):
+        raise AssertionError(f"order {n} enumerated")
+
+    monkeypatch.setattr(mixedcirc.harness, "enumerate_specs", no_enumeration)
+    with pytest.raises(BudgetExceeded, match="128 specs through order 16 exceed budget 127"):
+        search_specs(16, "mst", budget=127)
+    with pytest.raises(BudgetExceeded):
+        search_specs(720720)
+
+
+def test_orders_outside_the_enumerable_range_are_input_errors():
+    for n in (0, 1, MAX_N + 1):
+        with pytest.raises(SpecError):
+            count_specs(n)
+        with pytest.raises(SpecError):
+            search_specs(n)
 
 
 def test_sign_choices_multiply_search_hits():
