@@ -243,15 +243,19 @@ def partition_divisors(spec: GraphSpec) -> DivisorPartition:
     return DivisorPartition(n=n, b_layers=b_layers, d_layers=d_layers)
 
 
-def spec_to_json(spec: GraphSpec) -> str:
-    """Canonical JSON: sorted keys, ascending arrays, compact separators."""
-    obj = {
+def spec_to_dict(spec: GraphSpec) -> dict:
+    """Canonical spec object: ascending arrays, sigma keyed by decimal strings."""
+    return {
         "n": spec.n,
         "B": sorted(spec.B),
         "D": sorted(spec.D),
         "sigma": {str(d): spec.sigma[d] for d in sorted(spec.D)},
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def spec_to_json(spec: GraphSpec) -> str:
+    """Canonical JSON of spec_to_dict: sorted keys, compact separators."""
+    return json.dumps(spec_to_dict(spec), sort_keys=True, separators=(",", ":"))
 
 
 def parse_spec(text: str) -> GraphSpec:

@@ -13,7 +13,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .circulant import SpecError, UnknownFormat, export_graph, parse_spec, spec_to_json
+from .circulant import SpecError, UnknownFormat, export_graph, parse_spec, spec_to_dict
 from .harness import BudgetExceeded, crosscheck, search_specs, DEFAULT_BUDGET
 from .spectrum import eigenvalues_closed_form
 from .transfer import (
@@ -99,15 +99,8 @@ def _cmd_check_mst(args) -> int:
 
 def _cmd_search(args) -> int:
     hits = search_specs(args.n, args.mode, budget=args.budget)
-    _emit(
-        {
-            "schema": SCHEMA,
-            "n": args.n,
-            "mode": args.mode,
-            "count": len(hits),
-            "specs": [json.loads(spec_to_json(s)) for s in hits],
-        }
-    )
+    specs = [spec_to_dict(s) for s in hits]
+    _emit({"schema": SCHEMA, "n": args.n, "mode": args.mode, "count": len(hits), "specs": specs})
     print(f"{len(hits)} spec(s) of order {args.n} pass the {args.mode} test", file=sys.stderr)
     return 0
 
@@ -115,17 +108,8 @@ def _cmd_search(args) -> int:
 def _cmd_crosscheck(args) -> int:
     report = crosscheck(args.n_max, args.mode, budget=args.budget, tol=args.tol)
     # wall_time stays off stdout so identical runs stay byte-identical
-    _emit(
-        {
-            "schema": SCHEMA,
-            "mode": report.mode,
-            "n_range": report.n_range,
-            "specs_checked": report.specs_checked,
-            "pst_positive": report.pst_positive,
-            "mst_positive": report.mst_positive,
-            "mismatches": report.mismatches,
-        }
-    )
+    fields = ("mode", "n_range", "specs_checked", "pst_positive", "mst_positive", "mismatches")
+    _emit({"schema": SCHEMA, **{f: getattr(report, f) for f in fields}})
     print(
         f"checked {report.specs_checked} specs in {report.wall_time:.2f}s, "
         f"{len(report.mismatches)} mismatch(es)",

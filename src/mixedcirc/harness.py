@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, product
-from typing import Iterator, Sequence
+from functools import cache
+from itertools import chain, combinations, product
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,8 +41,8 @@ class SweepReport:
 
 
 def _mode(mode: str) -> tuple:
-    """Order step, vertex-0 targets in quarters of n, divisor-set leg and gap-valuation
-    leg of a sweep mode; read per call, so a classifier patched into this module counts."""
+    """Order step, vertex-0 targets in quarters of n, divisor-set leg (reads B and D
+    only) and gap-valuation leg of a mode; read per call, so patched classifiers count."""
     if mode == "pst":
         return 4, (2,), lambda s: classify_pst(s) is not None, lambda p: p.m is not None
     if mode == "mst":
@@ -74,20 +75,38 @@ def _subsets_lex(items: list[int]) -> list[tuple[int, ...]]:
     return sorted(subs)
 
 
-def enumerate_specs(n: int) -> Iterator[GraphSpec]:
-    """Yield every valid spec of order n, ordered by (B, D, sigma).
+@cache
+def _flips(k: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The 2**k sign choices on k divisors in enumeration order, as tuples and as a
+    read-only flip matrix (True where the sign is -1); every caller shares them."""
+    signs = tuple(product((1, -1), repeat=k))
+    flips = np.array(signs) < 0  # k = 0 gives one row of width 0
+    flips.flags.writeable = False
+    return signs, flips
 
-    B runs over subsets of the proper divisors of n; when 4 | n, D runs over
-    subsets of the divisors of n/4 disjoint from B, each with every sign
-    assignment (+1 before -1 per divisor).  The order is frozen: golden
-    outputs depend on it.
-    """
+
+def _shapes(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every divisor shape (B, D) of order n as ascending tuples, in the frozen order:
+    B over subsets of the proper divisors, then D over those of n/4's divisors not in B."""
     proper, d_pool = _pools(n)
     for b_tuple in _subsets_lex(proper):
         avail = [d for d in d_pool if d not in b_tuple]
         for d_tuple in _subsets_lex(avail):
-            for signs in product((1, -1), repeat=len(d_tuple)):
-                yield validate_spec(n, b_tuple, d_tuple, dict(zip(d_tuple, signs)))
+            yield b_tuple, d_tuple
+
+
+def _variant(n: int, B: Iterable[int], d_tuple: tuple, signs: tuple) -> GraphSpec:
+    """The validated spec of shape (B, D) with signs on D in ascending order."""
+    return validate_spec(n, B, d_tuple, dict(zip(d_tuple, signs)))
+
+
+def enumerate_specs(n: int) -> Iterator[GraphSpec]:
+    """Yield every valid spec of order n, ordered by (B, D, sigma): each shape
+    of _shapes with every sign choice, +1 before -1 per divisor.  The order
+    is frozen: golden outputs depend on it."""
+    for b_tuple, d_tuple in _shapes(n):
+        for signs in _flips(len(d_tuple))[0]:
+            yield _variant(n, b_tuple, d_tuple, signs)
 
 
 def count_specs(n: int) -> int:
@@ -118,28 +137,37 @@ def _class_rows(n: int) -> tuple[dict[tuple[int, int], int], np.ndarray]:
     return {key: i for i, key in enumerate(specs)}, table
 
 
-def _spectrum_chunks(n: int) -> Iterator[tuple[list[GraphSpec], np.ndarray]]:
-    """Every spec of order n in enumeration order, CHUNK_SPECS at a time,
-    each chunk with the int64 matrix of its oracle spectra, one row per spec.
+def _shape_chunks(n: int) -> Iterator[tuple[list, np.ndarray]]:
+    """Every spec of order n in enumeration order, CHUNK_SPECS at a time, as
+    (shape, signs) labels with the int64 matrix of their oracle spectra.
 
-    The DFT is linear and the classes of a valid spec are disjoint, so a
-    spec's oracle spectrum is the sum of its classes' rows: the 0/1
-    incidence matrix of the chunk (specs x classes) times the class table.
+    shape is the validated all-+1 spec of a (B, D), shared by its whole sign
+    block.  The DFT is linear and the classes of a valid spec are disjoint,
+    so each row is the incidence matrix (labels x classes) times the class
+    table: a block shares its B columns and, per d in D, takes the +1 or -1
+    column as the flip matrix says.  A block is cut where its chunk is full.
     """
     index, table = _class_rows(n)
-    specs = enumerate_specs(n)
-    while chunk := list(islice(specs, CHUNK_SPECS)):
-        rows, cols = [], []
-        for i, spec in enumerate(chunk):
-            for d in spec.B:
-                rows.append(i)
-                cols.append(index[d, 0])
-            for d in spec.D:
-                rows.append(i)
-                cols.append(index[d, spec.sigma[d]])
-        incidence = np.zeros((len(chunk), len(table)), dtype=np.int64)
-        incidence[rows, cols] = 1
-        yield chunk, incidence @ table
+    labels, incidence = [], np.zeros((CHUNK_SPECS, len(table)), dtype=np.int64)
+    for b_tuple, d_tuple in _shapes(n):
+        signs, flips = _flips(len(d_tuple))
+        shape = _variant(n, b_tuple, d_tuple, signs[0])
+        b_cols = [index[d, 0] for d in b_tuple]
+        plus_cols, minus_cols = ([index[d, s] for d in d_tuple] for s in (1, -1))
+        done = 0
+        while done < len(signs):
+            take = min(len(signs) - done, CHUNK_SPECS - len(labels))
+            rows, block = slice(len(labels), len(labels) + take), flips[done : done + take]
+            incidence[rows, b_cols] = 1
+            incidence[rows, plus_cols] = ~block
+            incidence[rows, minus_cols] = block
+            labels.extend((shape, s) for s in signs[done : done + take])
+            done += take
+            if len(labels) == CHUNK_SPECS:
+                yield labels, incidence @ table
+                labels, incidence[:] = [], 0
+    if labels:
+        yield labels, incidence[: len(labels)] @ table
 
 
 def crosscheck(
@@ -152,35 +180,36 @@ def crosscheck(
     the multiples of 4 for transfer 0 -> n/2 ("pst"), or of 8 for 0 -> n/4,
     n/2, 3n/4 ("mst").  Raises BudgetExceeded before building any spec.
 
-    Legs per spec: the divisor-set classifier on the spec, the gap-valuation
-    test on the oracle (FFT) spectrum, and exact witness feasibility
-    verified numerically at tolerance tol.  The two spectral legs read one
-    gap profile per spec.  Any disagreement is recorded.
+    Legs per spec: the divisor-set classifier, the gap-valuation test on the
+    oracle (FFT) spectrum, and exact witness feasibility verified
+    numerically at tolerance tol.  Any disagreement is recorded.
 
-    The oracle spectrum is linear in the divisor data, so it is taken once
-    per divisor class per order (see _class_rows).  Each order's specs are
-    then read CHUNK_SPECS at a time as an int64 matrix of spectra (see
-    _spectrum_chunks), and one gap_profiles call profiles the whole chunk.
-    A Spectrum is built from its chunk row only for a spec whose witness
-    exists; a witness failing the numeric check is a mismatch, not a fault.
+    The classifier reads B and D only, never sigma, so it runs once per
+    (B, D) shape, on the shape's validated all-+1 spec.  The oracle is taken
+    once per divisor class per order (_class_rows); the sign variants are
+    read CHUNK_SPECS at a time as int64 rows of spectra (_shape_chunks), and
+    one gap_profiles call profiles a chunk.  A variant gets its own
+    GraphSpec only when it is a mismatch, and a Spectrum only when its
+    witness exists; a witness failing the numeric check is a mismatch.
     """
     step, quarters, classifier, valuation = _mode(mode)
     report = SweepReport(mode=mode, n_range=_budgeted(range(step, n_max + 1, step), budget))
-    positive = 0
+    positive, judged = 0, None
     start = time.perf_counter()
     for n in report.n_range:
         targets = tuple(k * n // 4 for k in quarters)
-        for chunk, gammas in _spectrum_chunks(n):
-            for spec, prof, row in zip(chunk, gap_profiles(gammas), gammas):
-                report.specs_checked += 1
-                by_class = classifier(spec)
+        for labels, gammas in _shape_chunks(n):
+            report.specs_checked += len(labels)
+            for (shape, signs), prof, row in zip(labels, gap_profiles(gammas), gammas):
+                if shape is not judged:
+                    judged, by_class = shape, classifier(shape)
                 by_vals = valuation(prof)
                 positive += by_class
                 by_num = _numeric_transfer(prof, row, targets, tol)
                 if not (by_class == by_vals == by_num):
                     report.mismatches.append(
                         {
-                            "spec": spec_to_json(spec),
+                            "spec": spec_to_json(_variant(n, shape.B, sorted(shape.D), signs)),
                             "classifier": by_class,
                             "valuation": by_vals,
                             "numeric": by_num,
@@ -203,7 +232,14 @@ def _numeric_transfer(prof, row: np.ndarray, targets, tol: float) -> bool:
 
 def search_specs(n: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> list[GraphSpec]:
     """All specs of order n the mode's classifier marks positive, in enumeration
-    order; BudgetExceeded, before building any spec, if order n has over budget."""
+    order; BudgetExceeded, before building any spec, if order n has over budget.
+    The classifier reads B and D only, so it runs once per (B, D) shape on its
+    all-+1 spec; a positive shape adds all its sign choices, built only then."""
     _, _, classifier, _ = _mode(mode)
     _budgeted([n], budget)
-    return [s for s in enumerate_specs(n) if classifier(s)]
+    hits = []
+    for b_tuple, d_tuple in _shapes(n):
+        signs = _flips(len(d_tuple))[0]
+        if classifier(_variant(n, b_tuple, d_tuple, signs[0])):
+            hits.extend(_variant(n, b_tuple, d_tuple, s) for s in signs)
+    return hits

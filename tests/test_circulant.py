@@ -32,6 +32,7 @@ from mixedcirc import (
     hermitian_adjacency,
     parse_spec,
     partition_divisors,
+    spec_to_dict,
     spec_to_json,
     validate_spec,
 )
@@ -310,6 +311,8 @@ def test_json_round_trip_everywhere():
         back = parse_spec(text)
         assert back == spec
         assert spec_to_json(back) == text
+        # the canonical object is what the JSON text holds, key for key
+        assert spec_to_dict(spec) == json.loads(text)
 
 
 def test_parse_rejects_malformed_input():

@@ -1,7 +1,8 @@
 """Enumeration, counting, crosscheck sweeps, and search."""
 
+import hashlib
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -12,17 +13,20 @@ from mixedcirc import (
     BudgetExceeded,
     SpecError,
     build_connection_set,
+    classify_mst,
     classify_pst,
     count_specs,
     crosscheck,
     eigenvalues_oracle,
     enumerate_specs,
     mst_sufficient_condition,
+    parse_spec,
     search_specs,
     spec_to_json,
     validate_spec,
 )
-from mixedcirc.harness import CHUNK_SPECS, _spectrum_chunks
+from mixedcirc.circulant import GraphSpec
+from mixedcirc.harness import CHUNK_SPECS, _shape_chunks, _shapes, _variant
 from mixedcirc.numthy import MAX_N, divisors
 
 
@@ -186,25 +190,54 @@ def test_crosscheck_memory_stays_flat():
 
 # ------------------------------------------------- oracle by divisor class
 
+def _label_spec(shape, signs):
+    """The spec a (shape, signs) chunk label stands for."""
+    return _variant(shape.n, shape.B, sorted(shape.D), signs)
+
+
+def _check_rows_against_oracle(n, labels, gammas):
+    assert gammas.dtype == np.int64
+    assert gammas.shape == (len(labels), n)
+    for (shape, signs), row in zip(labels, gammas):
+        # the shared shape is the all-+1 spec of the label's (B, D)
+        assert shape.sigma == dict.fromkeys(shape.D, 1)
+        spec = _label_spec(shape, signs)
+        whole = eigenvalues_oracle(build_connection_set(spec), n)
+        assert tuple(row.tolist()) == whole.gamma, spec_to_json(spec)
+
+
 def test_summed_class_rows_equal_per_spec_oracle():
-    # each chunk matrix row is the spec's whole oracle spectrum, and the
-    # chunks cover the enumeration in order, CHUNK_SPECS at a time
+    # each chunk matrix row is its label's whole oracle spectrum, and the
+    # labels cover the enumeration in order, CHUNK_SPECS at a time
     reversed_arcs = 0
     for n in range(4, 33, 4):
         seen = []
-        for chunk, gammas in _spectrum_chunks(n):
-            assert gammas.dtype == np.int64
-            assert gammas.shape == (len(chunk), n)
-            for spec, row in zip(chunk, gammas):
-                whole = eigenvalues_oracle(build_connection_set(spec), n)
-                assert tuple(row.tolist()) == whole.gamma, spec_to_json(spec)
-                reversed_arcs += -1 in spec.sigma.values()
-            seen.append(chunk)
+        for labels, gammas in _shape_chunks(n):
+            _check_rows_against_oracle(n, labels, gammas)
+            reversed_arcs += sum(-1 in signs for _, signs in labels)
+            seen.append(labels)
         assert all(len(c) == CHUNK_SPECS for c in seen[:-1])
         assert 0 < len(seen[-1]) <= CHUNK_SPECS
-        flat = [spec_to_json(s) for c in seen for s in c]
+        flat = [spec_to_json(_label_spec(*label)) for c in seen for label in c]
         assert flat == [spec_to_json(s) for s in enumerate_specs(n)]
     assert reversed_arcs > 0
+
+
+def test_sign_block_longer_than_a_chunk_is_cut():
+    # at n = 96, D = {1, 2, 3, 4, 6, 8, 12, 24} has 256 sign choices, rows
+    # 255..510 of the enumeration: the block fills chunks 4..6 and is cut
+    # at both ends, and every row still equals the per-spec oracle
+    n = 96
+    chunks = list(islice(_shape_chunks(n), 8))
+    labels = [label for c, _ in chunks for label in c]
+    assert [len(c) for c, _ in chunks] == [CHUNK_SPECS] * 8
+    full = [i for i, (shape, _) in enumerate(labels) if len(shape.D) == 8]
+    assert full == list(range(255, 511))
+    assert len({id(labels[i][0]) for i in full}) == 1  # one shape object
+    expected = [spec_to_json(s) for s in islice(enumerate_specs(n), len(labels))]
+    assert [spec_to_json(_label_spec(*label)) for label in labels] == expected
+    for c, gammas in chunks:
+        _check_rows_against_oracle(n, c, gammas)
 
 
 @pytest.fixture
@@ -229,6 +262,96 @@ def test_crosscheck_takes_oracle_once_per_class(oracle_calls, mode, expected):
     assert len(oracle_calls) == sum(per_order.values()) == expected
     assert oracle_calls == [n for n, k in per_order.items() for _ in range(k)]
     assert report.specs_checked > expected
+
+
+def test_classifiers_ignore_the_signs():
+    # the divisor-set leg reads B and D only, which is what lets crosscheck
+    # and search classify once per (B, D) shape
+    for n in range(4, 41, 4):
+        verdicts = {}
+        for spec in enumerate_specs(n):
+            key = (spec.B, spec.D)
+            got = (classify_pst(spec), classify_mst(spec), mst_sufficient_condition(spec))
+            assert verdicts.setdefault(key, got) == got, spec_to_json(spec)
+        assert len(verdicts) == len(list(_shapes(n)))
+
+
+# sha256 of the 114 mismatch spec strings, newline-joined, that
+# crosscheck(48, "mst") reported with the sufficient-only classifier before
+# the sweep classified per shape
+SUFFICIENT_MST_MISMATCH_DIGEST = (
+    "6e15fe7f29ca3aeab2a266f78b65e168c882efd31cb906ed5f685258c5747baa"
+)
+
+
+def test_mismatch_rows_carry_their_own_signs(monkeypatch):
+    # a mismatch row names its sign variant, not the shape's all-+1 spec
+    monkeypatch.setattr(mixedcirc.harness, "classify_mst", mst_sufficient_condition)
+    report = crosscheck(48, "mst")
+    rows = report.mismatches
+    assert len(rows) == 114
+    for row in rows:
+        assert (row["classifier"], row["valuation"], row["numeric"]) == (False, True, True)
+        assert spec_to_json(parse_spec(row["spec"])) == row["spec"]
+    joined = "\n".join(row["spec"] for row in rows).encode()
+    assert hashlib.sha256(joined).hexdigest() == SUFFICIENT_MST_MISMATCH_DIGEST
+
+
+def test_crosscheck_builds_one_spec_per_shape_class_row_and_mismatch(monkeypatch):
+    # sign variants are array rows: a GraphSpec is built for each (B, D)
+    # shape, each class row and each reported mismatch, plus the one each
+    # order-range check (_pools) validates; never one per spec
+    orders = [8, 16]
+    shapes = sum(len(list(_shapes(n))) for n in orders)
+    class_rows = sum(len(divisors(n)) - 1 + 2 * len(divisors(n // 4)) for n in orders)
+    built, pools = [], []
+    real_post_init, real_pools = GraphSpec.__post_init__, mixedcirc.harness._pools
+
+    def counting_post_init(self):
+        built.append(self.n)
+        real_post_init(self)
+
+    def counting_pools(n):
+        pools.append(n)
+        return real_pools(n)
+
+    def counting_classifier(spec):
+        judged.append(spec)
+        return mst_sufficient_condition(spec)
+
+    judged = []
+    monkeypatch.setattr(mixedcirc.harness, "classify_mst", counting_classifier)
+    monkeypatch.setattr(GraphSpec, "__post_init__", counting_post_init)
+    monkeypatch.setattr(mixedcirc.harness, "_pools", counting_pools)
+    report = crosscheck(16, "mst")
+    assert report.n_range == orders
+    assert len(report.mismatches) > 0
+    assert report.specs_checked > shapes
+    assert len(judged) == shapes  # the classifier runs once per shape
+    assert len(built) == shapes + class_rows + len(report.mismatches) + len(pools)
+
+
+def test_search_classifies_once_per_shape_and_builds_only_hits(monkeypatch):
+    built, judged = [], []
+    real_post_init = GraphSpec.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.n)
+        real_post_init(self)
+
+    def counting_classifier(spec):
+        judged.append(spec)
+        return classify_pst(spec)
+
+    shapes = len(list(_shapes(16)))
+    monkeypatch.setattr(mixedcirc.harness, "classify_pst", counting_classifier)
+    monkeypatch.setattr(GraphSpec, "__post_init__", counting_post_init)
+    hits = search_specs(16, "pst")
+    assert len(judged) == shapes
+    assert all(s.sigma == dict.fromkeys(s.D, 1) for s in judged)
+    # one spec per shape, one per hit, and one per order-range check: the
+    # budget count and the shape iterator
+    assert len(built) == shapes + len(hits) + 2
 
 
 # -------------------------------------------------------------------- search
@@ -271,7 +394,7 @@ def test_search_budget_guard(monkeypatch):
     def no_enumeration(n):
         raise AssertionError(f"order {n} enumerated")
 
-    monkeypatch.setattr(mixedcirc.harness, "enumerate_specs", no_enumeration)
+    monkeypatch.setattr(mixedcirc.harness, "_shapes", no_enumeration)
     with pytest.raises(BudgetExceeded, match="128 specs through order 16 exceed budget 127"):
         search_specs(16, "mst", budget=127)
     with pytest.raises(BudgetExceeded):
