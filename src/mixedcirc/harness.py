@@ -9,16 +9,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import chain, combinations, product
-from typing import Iterable, Iterator, Sequence
+from itertools import compress
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .circulant import GraphSpec, SpecError, build_connection_set, spec_to_json, validate_spec
 from .numthy import divisors
 from .spectrum import Spectrum, eigenvalues_oracle
-from .transfer import NUMERIC_TOL, classify_mst, classify_pst, gap_profiles, verify_numeric
+from .transfer import (
+    NUMERIC_TOL,
+    _gap_columns,
+    _profiles,
+    _solvable,
+    classify_mst_rows,
+    classify_pst_rows,
+    verify_numeric,
+)
 
 DEFAULT_BUDGET = 10**6
 
@@ -41,12 +48,13 @@ class SweepReport:
 
 
 def _mode(mode: str) -> tuple:
-    """Order step, vertex-0 targets in quarters of n, divisor-set leg (reads B and D
-    only) and gap-valuation leg of a mode; read per call, so patched classifiers count."""
+    """Order step, vertex-0 targets in quarters of n, divisor-set leg (on shape
+    matrices) and gap-valuation leg (on the common-valuation and quarter flags
+    of _gap_columns) of a mode; read per call, so patched classifiers count."""
     if mode == "pst":
-        return 4, (2,), lambda s: classify_pst(s) is not None, lambda p: p.m is not None
+        return 4, (2,), lambda n, B, D: classify_pst_rows(n, B, D) != 0, lambda c, q: c
     if mode == "mst":
-        return 8, (1, 2, 3), classify_mst, lambda p: p.quarter
+        return 8, (1, 2, 3), classify_mst_rows, lambda c, q: q
     raise ValueError(f"mode must be 'pst' or 'mst', got {mode!r}")
 
 
@@ -69,44 +77,64 @@ def _budgeted(orders: Sequence[int], budget: int) -> list[int]:
     return list(orders)
 
 
-def _subsets_lex(items: list[int]) -> list[tuple[int, ...]]:
-    # all subsets as ascending tuples, in lexicographic tuple order
-    subs = chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
-    return sorted(subs)
+class _Shapes(NamedTuple):
+    """The divisor shapes (B, D) of order n as bool B and D membership matrices
+    over the proper divisors cols, one row per shape.  Shape s owns the
+    enumeration rows ends[s] - 2**|D_s| up to ends[s], one per sign choice."""
+
+    n: int
+    cols: tuple[int, ...]
+    B: np.ndarray
+    D: np.ndarray
+    ends: np.ndarray
+
+    def specs(self, shape: np.ndarray, flips: np.ndarray) -> Iterator[GraphSpec]:
+        """The validated spec of each row given by its shape and its flips."""
+        rows = zip(self.B[shape].tolist(), self.D[shape].tolist(), (1 - 2 * flips).tolist())
+        for b_on, d_on, signs in rows:
+            B, D = list(compress(self.cols, b_on)), list(compress(self.cols, d_on))
+            yield validate_spec(self.n, B, D, dict(zip(D, compress(signs, d_on))))
 
 
-@cache
-def _flips(k: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """The 2**k sign choices on k divisors in enumeration order, as tuples and as a
-    read-only flip matrix (True where the sign is -1); every caller shares them."""
-    signs = tuple(product((1, -1), repeat=k))
-    flips = np.array(signs) < 0  # k = 0 gives one row of width 0
-    flips.flags.writeable = False
-    return signs, flips
-
-
-def _shapes(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every divisor shape (B, D) of order n as ascending tuples, in the frozen order:
-    B over subsets of the proper divisors, then D over those of n/4's divisors not in B."""
+def _shapes(n: int) -> _Shapes:
+    """The shapes of order n in the frozen order: B over the subsets of the
+    proper divisors, then D over those of n/4's divisors not in B, each in
+    lexicographic order as ascending tuples: the empty set, those holding the
+    first item, then the nonempty ones without it.  Filtering keeps the order,
+    so a disjointness mask over (B set, D set) pairs lists every shape."""
     proper, d_pool = _pools(n)
-    for b_tuple in _subsets_lex(proper):
-        avail = [d for d in d_pool if d not in b_tuple]
-        for d_tuple in _subsets_lex(avail):
-            yield b_tuple, d_tuple
+    sets = np.ones((1, 0), dtype=bool)
+    for width in range(1, len(proper) + 1):
+        head = [np.zeros((1, width), dtype=bool), np.insert(sets, 0, True, axis=1)]
+        sets = np.vstack([*head, np.insert(sets[1:], 0, False, axis=1)])
+    d_sets = sets[~sets[:, [d not in d_pool for d in proper]].any(axis=1)]
+    b_of, d_of = np.nonzero(~(sets @ d_sets.T))  # a bool product is True on overlap
+    D = d_sets[d_of]
+    return _Shapes(n, tuple(proper), sets[b_of], D, np.cumsum(1 << D.sum(axis=1)))
 
 
-def _variant(n: int, B: Iterable[int], d_tuple: tuple, signs: tuple) -> GraphSpec:
-    """The validated spec of shape (B, D) with signs on D in ascending order."""
-    return validate_spec(n, B, d_tuple, dict(zip(d_tuple, signs)))
+def _row_chunks(shapes: _Shapes) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Shape index and flip matrix (True where the sign is -1) of each row of
+    an order, CHUNK_SPECS rows at a time.  A shape's rows take its sign
+    choices in product order, +1 before -1 and the smallest divisor slowest:
+    bit r of a row's offset in its block flips the D member r from the right."""
+    total = int(shapes.ends[-1])
+    for start in range(0, total, CHUNK_SPECS):
+        rows = np.arange(start, min(start + CHUNK_SPECS, total))
+        shape = np.searchsorted(shapes.ends, rows, side="right")
+        D = shapes.D[shape]
+        offset = rows - shapes.ends[shape] + (1 << D.sum(axis=1))
+        right = np.cumsum(D[:, ::-1], axis=1)[:, ::-1] - D
+        yield shape, D & (offset[:, None] >> right & 1).astype(bool)
 
 
 def enumerate_specs(n: int) -> Iterator[GraphSpec]:
     """Yield every valid spec of order n, ordered by (B, D, sigma): each shape
-    of _shapes with every sign choice, +1 before -1 per divisor.  The order
-    is frozen: golden outputs depend on it."""
-    for b_tuple, d_tuple in _shapes(n):
-        for signs in _flips(len(d_tuple))[0]:
-            yield _variant(n, b_tuple, d_tuple, signs)
+    of _shapes with every sign choice, +1 before -1 per divisor (_row_chunks).
+    The order is frozen: golden outputs depend on it."""
+    shapes = _shapes(n)
+    for shape, flips in _row_chunks(shapes):
+        yield from shapes.specs(shape, flips)
 
 
 def count_specs(n: int) -> int:
@@ -115,59 +143,47 @@ def count_specs(n: int) -> int:
     return 2 ** (len(proper) - len(d_pool)) * 4 ** len(d_pool)
 
 
-CHUNK_SPECS = 64  # specs per spectrum matrix: keeps crosscheck memory flat in the order
+CHUNK_SPECS = 128  # rows per chunk of spectra: keeps crosscheck memory flat in the order
 
 
-def _class_rows(n: int) -> tuple[dict[tuple[int, int], int], np.ndarray]:
-    """Oracle spectrum of every single-class spec of order n, stacked.
-
-    Returns the int64 table with one row per class and the row index of
-    each class key: (d, 0) is the undirected class G_n(d) of a proper
-    divisor d; (d, +1) and (d, -1) are the two half classes of d | n/4.
-    Each row goes through the connection-set builder and eigenvalues_oracle,
-    with its integer-rounding check, exactly as a whole spec would.
-    """
+def _class_table(n: int) -> np.ndarray:
+    """Oracle spectra of the single-class specs of order n in three blocks of
+    rows over the proper divisors: the class G_n(d) of each, then the +1 and
+    the -1 half class of each d | n/4 (zero rows elsewhere).  Each is built and
+    checked by eigenvalues_oracle exactly as a whole spec would be.  Floats let
+    BLAS sum rows: sums over disjoint classes are integers below n, so exact."""
     proper, d_pool = _pools(n)
-    specs = {(d, 0): validate_spec(n, [d]) for d in proper}
-    specs |= {(d, s): validate_spec(n, [], [d], {d: s}) for d in d_pool for s in (1, -1)}
-    table = np.array(
-        [eigenvalues_oracle(build_connection_set(s), n).gamma for s in specs.values()],
-        dtype=np.int64,
-    )
-    return {key: i for i, key in enumerate(specs)}, table
+    table = np.zeros((3, len(proper), n))
+    for c, d in enumerate(proper):
+        halves = [validate_spec(n, [], [d], {d: s}) for s in (1, -1)] if d in d_pool else []
+        for k, spec in enumerate([validate_spec(n, [d]), *halves]):
+            table[k, c] = eigenvalues_oracle(build_connection_set(spec), n).gamma
+    return table.reshape(-1, n)
 
 
-def _shape_chunks(n: int) -> Iterator[tuple[list, np.ndarray]]:
-    """Every spec of order n in enumeration order, CHUNK_SPECS at a time, as
-    (shape, signs) labels with the int64 matrix of their oracle spectra.
-
-    shape is the validated all-+1 spec of a (B, D), shared by its whole sign
-    block.  The DFT is linear and the classes of a valid spec are disjoint,
-    so each row is the incidence matrix (labels x classes) times the class
-    table: a block shares its B columns and, per d in D, takes the +1 or -1
-    column as the flip matrix says.  A block is cut where its chunk is full.
-    """
-    index, table = _class_rows(n)
-    labels, incidence = [], np.zeros((CHUNK_SPECS, len(table)), dtype=np.int64)
-    for b_tuple, d_tuple in _shapes(n):
-        signs, flips = _flips(len(d_tuple))
-        shape = _variant(n, b_tuple, d_tuple, signs[0])
-        b_cols = [index[d, 0] for d in b_tuple]
-        plus_cols, minus_cols = ([index[d, s] for d in d_tuple] for s in (1, -1))
-        done = 0
-        while done < len(signs):
-            take = min(len(signs) - done, CHUNK_SPECS - len(labels))
-            rows, block = slice(len(labels), len(labels) + take), flips[done : done + take]
-            incidence[rows, b_cols] = 1
-            incidence[rows, plus_cols] = ~block
-            incidence[rows, minus_cols] = block
-            labels.extend((shape, s) for s in signs[done : done + take])
-            done += take
-            if len(labels) == CHUNK_SPECS:
-                yield labels, incidence @ table
-                labels, incidence[:] = [], 0
-    if labels:
-        yield labels, incidence[: len(labels)] @ table
+def _judged_chunks(shapes: _Shapes, mode: str, tol: float) -> Iterator[tuple[np.ndarray, ...]]:
+    """_row_chunks with the rows' int64 oracle spectra and a (3, rows) bool
+    matrix of their classifier, valuation and numeric answers.  The DFT is
+    linear and the classes of a valid spec are disjoint, so a spectrum is its
+    row's incidence (B, D less the flips, the flips) times the class table.
+    The classifier reads B and D only, so it runs once per order; only a row
+    with a witness for every target is verified, once per target."""
+    n = shapes.n
+    _, quarters, classifier, valuation = _mode(mode)
+    targets = [k * n // 4 for k in quarters]
+    judged, table = classifier(n, shapes.B, shapes.D), _class_table(n)
+    for shape, flips in _row_chunks(shapes):
+        incidence = np.hstack([shapes.B[shape], shapes.D[shape] & ~flips, flips])
+        gammas = (incidence @ table).astype(np.int64)
+        columns = d0, gcds, common, quarter = _gap_columns(gammas)
+        h = np.gcd(d0, gcds)
+        numeric = np.logical_and.reduce([_solvable(n, gcds, h, w) for w in targets])
+        feasible = np.flatnonzero(numeric)
+        for r, prof in zip(feasible, _profiles(n, *(c[feasible] for c in columns))):
+            spectrum = Spectrum(n, tuple(gammas[r].tolist()))
+            times = [(b, prof.witness(b)) for b in targets]
+            numeric[r] = all(verify_numeric(spectrum, 0, b, t, tol)[0] for b, t in times)
+        yield shape, flips, gammas, np.array([judged[shape], valuation(common, quarter), numeric])
 
 
 def crosscheck(
@@ -182,64 +198,34 @@ def crosscheck(
 
     Legs per spec: the divisor-set classifier, the gap-valuation test on the
     oracle (FFT) spectrum, and exact witness feasibility verified
-    numerically at tolerance tol.  Any disagreement is recorded.
-
-    The classifier reads B and D only, never sigma, so it runs once per
-    (B, D) shape, on the shape's validated all-+1 spec.  The oracle is taken
-    once per divisor class per order (_class_rows); the sign variants are
-    read CHUNK_SPECS at a time as int64 rows of spectra (_shape_chunks), and
-    one gap_profiles call profiles a chunk.  A variant gets its own
-    GraphSpec only when it is a mismatch, and a Spectrum only when its
-    witness exists; a witness failing the numeric check is a mismatch.
-    """
-    step, quarters, classifier, valuation = _mode(mode)
+    numerically at tolerance tol.  Any disagreement, a witness failing the
+    numeric check included, is recorded.  Orders are checked as arrays
+    (_judged_chunks): only a mismatch gets a GraphSpec."""
+    step = _mode(mode)[0]
     report = SweepReport(mode=mode, n_range=_budgeted(range(step, n_max + 1, step), budget))
-    positive, judged = 0, None
-    start = time.perf_counter()
+    positive, start = 0, time.perf_counter()
     for n in report.n_range:
-        targets = tuple(k * n // 4 for k in quarters)
-        for labels, gammas in _shape_chunks(n):
-            report.specs_checked += len(labels)
-            for (shape, signs), prof, row in zip(labels, gap_profiles(gammas), gammas):
-                if shape is not judged:
-                    judged, by_class = shape, classifier(shape)
-                by_vals = valuation(prof)
-                positive += by_class
-                by_num = _numeric_transfer(prof, row, targets, tol)
-                if not (by_class == by_vals == by_num):
-                    report.mismatches.append(
-                        {
-                            "spec": spec_to_json(_variant(n, shape.B, sorted(shape.D), signs)),
-                            "classifier": by_class,
-                            "valuation": by_vals,
-                            "numeric": by_num,
-                        }
-                    )
+        shapes = _shapes(n)
+        for shape, flips, _, votes in _judged_chunks(shapes, mode, tol):
+            report.specs_checked += len(shape)
+            positive += int(votes[0].sum())
+            bad = (votes != votes[0]).any(axis=0)
+            for spec, legs in zip(shapes.specs(shape[bad], flips[bad]), votes[:, bad].T.tolist()):
+                row = zip(("classifier", "valuation", "numeric"), legs)
+                report.mismatches.append({"spec": spec_to_json(spec), **dict(row)})
     setattr(report, f"{mode}_positive", positive)
     report.wall_time = time.perf_counter() - start
     return report
 
 
-def _numeric_transfer(prof, row: np.ndarray, targets, tol: float) -> bool:
-    """Transfer 0 -> b has an exact witness that verifies numerically on
-    row, the spectrum prof was read from, for every b in targets."""
-    times = [prof.witness(b) for b in targets]
-    if None in times:
-        return False
-    spectrum = Spectrum(prof.n, tuple(row.tolist()))
-    return all(verify_numeric(spectrum, 0, b, t, tol)[0] for b, t in zip(targets, times))
-
-
 def search_specs(n: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> list[GraphSpec]:
     """All specs of order n the mode's classifier marks positive, in enumeration
     order; BudgetExceeded, before building any spec, if order n has over budget.
-    The classifier reads B and D only, so it runs once per (B, D) shape on its
-    all-+1 spec; a positive shape adds all its sign choices, built only then."""
+    The classifier reads B and D only, so one call judges every shape of the
+    order on its membership matrices; only a hit gets a GraphSpec."""
     _, _, classifier, _ = _mode(mode)
     _budgeted([n], budget)
-    hits = []
-    for b_tuple, d_tuple in _shapes(n):
-        signs = _flips(len(d_tuple))[0]
-        if classifier(_variant(n, b_tuple, d_tuple, signs[0])):
-            hits.extend(_variant(n, b_tuple, d_tuple, s) for s in signs)
-    return hits
+    shapes = _shapes(n)
+    hit = classifier(n, shapes.B, shapes.D)
+    chunks = ((shape[hit[shape]], flips[hit[shape]]) for shape, flips in _row_chunks(shapes))
+    return [spec for rows in chunks for spec in shapes.specs(*rows)]

@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .circulant import DivisorPartition, GraphSpec, _scaled, partition_divisors
+from .circulant import GraphSpec, _scaled, partition_divisors
+from .numthy import divisors, two_adic_valuation
 from .spectrum import Spectrum, eigenvalues_closed_form
 
 NUMERIC_TOL = 1e-9
@@ -66,22 +68,26 @@ class DifferenceProfile:
 
         Writing t' = k/g with g = gap_gcd, the condition is the congruence
         n*delta_0*k = w*g (mod n*g).  It is solvable iff c = n*gcd(delta_0, g)
-        divides w*g, and then k is fixed modulo m = g/gcd(delta_0, g), so the
-        least positive k is (w*g/c) * (n*delta_0/c)^-1 mod m.  Returns None
-        when g = 0 (every gap equal, hence zero) or the congruence has no
+        divides w*g (_solvable), and then k is fixed modulo m = g/gcd(delta_0, g),
+        so the least positive k is (w*g/c) * (n*delta_0/c)^-1 mod m.  Returns
+        None when g = 0 (every gap equal, hence zero) or the congruence has no
         solution.
         """
-        g = self.gap_gcd
-        if g == 0:
+        n, d0, g = self.n, self.d0, self.gap_gcd
+        h = math.gcd(d0, g)
+        if not _solvable(n, g, h, w):
             return None
-        d0 = self.d0
-        c = self.n * math.gcd(d0, g)
-        if (w * g) % c:
-            return None
-        m = self.n * g // c
+        c, m = n * h, g // h
         # w/n is not an integer, so the residue is never 0 and k lies in 1..m-1
-        k = (w * g // c) * pow(self.n * d0 // c, -1, m) % m
+        k = (w * g // c) * pow(n * d0 // c, -1, m) % m
         return Fraction(k, g)
+
+
+def _solvable(n, g, h, w):
+    """Whether DifferenceProfile.witness has a solution, given h = gcd(d0, g),
+    on ints or int64 arrays alike: g != 0 and n | (w mod n)*((g/h) mod n),
+    which is n*h | w*g with a product below n**2, exact in int64 for n <= 2**30."""
+    return (g != 0) & (w % n * (g // (h | (g == 0)) % n) % n == 0)  # h | 1 where g = 0
 
 
 @dataclass(frozen=True)
@@ -111,20 +117,12 @@ def _gaps(gammas: np.ndarray, step: int) -> np.ndarray:
 
 
 def gap_profiles(gammas: np.ndarray) -> list[DifferenceProfile]:
-    """Gap profile of every row of a (k, n) integer matrix of spectra.
-
-    The whole matrix goes through a handful of array operations: the cyclic
-    gaps and double gaps by rotation and subtraction, the gap gcd by
-    np.gcd.reduce of delta_j - delta_0, and the lowest set bit d & -d of
-    each gap.  A row has a common valuation when its lowest bits are all
-    equal and nonzero; it lies on the quarter orbit when every gap is 2
-    (mod 4) and every double gap 4 (mod 8), which is v2 = 1 and v2 = 2 for
-    either sign and fails on zero.
-
-    Entries must be integers with |gamma| < 2**60, so that gaps, double
-    gaps and delta_j - delta_0 stay exact in int64; anything else raises
-    ValueError rather than being truncated or wrapped.  Profiles keep no
-    reference to the matrix, so an int64 one is read in place.
+    """Gap profile of every row of a (k, n) integer matrix of spectra, read
+    off the columns of _gap_columns.  Entries must be integers with
+    |gamma| < 2**60, so that gaps, double gaps and delta_j - delta_0 stay
+    exact in int64; anything else raises ValueError rather than being
+    truncated or wrapped.  Profiles keep no reference to the matrix, so an
+    int64 one is read in place.
     """
     gammas = np.asarray(gammas)
     if not (
@@ -140,22 +138,31 @@ def gap_profiles(gammas: np.ndarray) -> list[DifferenceProfile]:
             "spectra must form a (k, n) integer matrix with n >= 1 and every "
             f"|gamma| < 2**60, got dtype {gammas.dtype} and shape {gammas.shape}"
         )
-    gammas = gammas.astype(np.int64, copy=False)
+    return _profiles(gammas.shape[1], *_gap_columns(gammas.astype(np.int64, copy=False)))
+
+
+def _gap_columns(gammas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Columns of the gap data of each row of an int64 matrix of spectra that
+    gap_profiles accepts: d0, the gap gcd (np.gcd.reduce of delta_j - delta_0),
+    whether the lowest set bits d & -d of all gaps are equal and nonzero (a
+    common valuation, that of d0), and whether every gap is 2 (mod 4) and
+    every double gap 4 (mod 8): v2 = 1 and v2 = 2 for either sign, false on 0.
+    """
     deltas = _gaps(gammas, 1)
     d0 = deltas[:, 0]
     gcds = np.gcd.reduce(deltas - d0[:, None], axis=1)
     low = deltas & -deltas
     common = (low[:, 0] != 0) & (low == low[:, :1]).all(axis=1)
     quarter = ((deltas & 3) == 2).all(axis=1) & ((_gaps(gammas, 2) & 7) == 4).all(axis=1)
+    return d0, gcds, common, quarter
+
+
+def _profiles(n: int, d0, gcds, common, quarter) -> list[DifferenceProfile]:
+    """One DifferenceProfile per row of the columns of _gap_columns."""
+    rows = zip(d0.tolist(), gcds.tolist(), common.tolist(), quarter.tolist())
     return [
-        DifferenceProfile(gammas.shape[1], d, g, bit.bit_length() - 1 if c else None, q)
-        for d, g, bit, c, q in zip(
-            d0.tolist(),
-            gcds.tolist(),
-            low[:, 0].tolist(),
-            common.tolist(),
-            quarter.tolist(),
-        )
+        DifferenceProfile(n, d, g, (d & -d).bit_length() - 1 if c else None, q)
+        for d, g, c, q in rows
     ]
 
 
@@ -189,8 +196,38 @@ def mst_by_valuation(spectrum: Spectrum) -> bool:
     return difference_profile(spectrum).quarter
 
 
-def classify_pst(spec: GraphSpec) -> Optional[str]:
-    """Divisor-set test for antipodal transfer; returns the case tag or None.
+PST_CASES = (None, "i", "ii", "iii")  # the case tags classify_pst_rows indexes
+
+
+@lru_cache(maxsize=256)
+def _divisor_columns(n: int) -> tuple[np.ndarray, ...]:
+    """The proper divisors of n, ascending, as the row classifiers' columns;
+    the layer v2(n/d) of each; the layer-0 columns; and in row i - 1 their
+    images d/2**i, for 2**i | n and i <= 3.  Read-only: the cache shares them."""
+    cols = np.array(divisors(n)[:-1], dtype=np.int64)
+    layer = np.array([two_adic_valuation(n // d) for d in cols.tolist()], dtype=np.int64)
+    top, depth = np.flatnonzero(layer == 0), min(3, two_adic_valuation(n))
+    image = np.searchsorted(cols, cols[top] >> np.arange(1, depth + 1)[:, None])
+    for a in (cols, layer, top, image):
+        a.flags.writeable = False
+    return cols, layer, top, image
+
+
+def _layer_is(cols, layer, members: np.ndarray, i: int, d: int) -> np.ndarray:
+    """Rows of a membership matrix whose layer i is exactly {d}."""
+    return (members[:, layer == i] == (cols[layer == i] == d)).all(axis=1)
+
+
+def _chain(top, image, B: np.ndarray, depth: int) -> np.ndarray:
+    """Rows of B with B0 = 2*B1star = ... = 2**depth * B_depth star: d -> d/2**i
+    maps layer 0 onto layer i less n/2**i, whose double, n, is no column."""
+    return (B[:, None, top] == B[:, image[:depth]]).all(axis=(1, 2))
+
+
+def classify_pst_rows(n: int, B: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Divisor-set test for antipodal transfer on every row of B and D, boolean
+    membership matrices over the proper divisors of n in ascending order;
+    returns int8 indices into PST_CASES, 0 where there is no transfer.
 
     Cases share the chain B0 = 2*B1star = 4*B2star and split on which of the
     distinguished divisors n/4, n/2 appear:
@@ -199,71 +236,68 @@ def classify_pst(spec: GraphSpec) -> Optional[str]:
       iii: directed layer 2 empty, both n/4 and n/2 in B, 8 | n, directed
            layer 3 exactly {n/8}, and the chain goes on to 8*B3star.
     """
-    n = spec.n
+    cases = np.zeros(len(B), dtype=np.int8)
     if n % 4:
-        return None
-    dp = partition_divisors(spec)
-    if not dp.scaled_chain(2):
-        return None
-    half, quarter = n // 2, n // 4
-    d2 = dp.d_layer(2)
-    if d2 == frozenset({quarter}):
-        return "i" if half not in spec.B else None
-    if d2:
-        return None
-    has_half = half in spec.B
-    has_quarter = quarter in spec.B
-    if has_half and has_quarter:
-        if (
-            n % 8 == 0
-            and dp.d_layer(3) == frozenset({n // 8})
-            and dp.scaled_chain(3)
-        ):
-            return "iii"
-        return None
-    if has_half or has_quarter:
-        return "ii"
-    return None
+        return cases
+    cols, layer, top, image = _divisor_columns(n)
+    half, quarter = (B[:, np.searchsorted(cols, n // k)] for k in (2, 4))
+    chain = _chain(top, image, B, 2)
+    open2 = chain & ~D[:, layer == 2].any(axis=1)
+    cases[chain & _layer_is(cols, layer, D, 2, n // 4) & ~half] = 1
+    cases[open2 & (half != quarter)] = 2
+    if n % 8 == 0:
+        deep = _layer_is(cols, layer, D, 3, n // 8) & _chain(top, image, B, 3)
+        cases[open2 & half & quarter & deep] = 3
+    return cases
 
 
-def _quarter_orbit_layers(spec: GraphSpec) -> Optional[DivisorPartition]:
-    """Partition of spec when the conditions shared by both quarter-orbit
-    tests hold (8 | n, B0 = 2*B1star = 4*B2star = 8*B3star, directed layer 2
-    exactly {n/4}, n/2 not in B); None otherwise."""
-    n = spec.n
-    if n % 8 or n // 2 in spec.B:
-        return None
-    dp = partition_divisors(spec)
-    return dp if dp.scaled_chain(3) and dp.d_layer(2) == frozenset({n // 4}) else None
+def classify_mst_rows(n: int, B: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Divisor-set test for transfer around the whole quarter orbit, on every
+    row of B and D membership matrices as classify_pst_rows reads them.
+
+    Necessary and sufficient: mst_sufficient_rows with the n/8 class either
+    undirected or directed.  The whole undirected class adds +-4 to gamma_j
+    for j = 0 (mod 4) (at n = 8, B = {1} gives (4, 0, 0, 0, -4, 0, 0, 0)),
+    the directed half-class adds +-4 for j = 2 (mod 4), and either term
+    makes the double gaps at even j 4 (mod 8), as mst_by_valuation requires.
+    """
+    eighth = _divisor_columns(n)[0] == n // 8
+    return mst_sufficient_rows(n, B, D | B & eighth)  # the chain never reads B at n/8
+
+
+def mst_sufficient_rows(n: int, B: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Quarter-orbit test on every row of B and D membership matrices: 8 | n,
+    B0 = 2*B1star = 4*B2star = 8*B3star, directed layers 2 and 3 exactly {n/4}
+    and {n/8}, and n/2 not in B.  Sufficient only: it rejects the rows whose
+    n/8 class is undirected, the smallest being n = 8, B = {1}, D = {2}, which
+    does transfer around the quarter orbit (classify_mst_rows)."""
+    if n % 8:
+        return np.zeros(len(B), dtype=bool)
+    cols, layer, top, image = _divisor_columns(n)
+    layers = _layer_is(cols, layer, D, 2, n // 4) & _layer_is(cols, layer, D, 3, n // 8)
+    return layers & _chain(top, image, B, 3) & ~B[:, np.searchsorted(cols, n // 2)]
+
+
+def _one_row(spec: GraphSpec) -> tuple[int, np.ndarray, np.ndarray]:
+    """spec's order and its B and D as one-row membership matrices."""
+    cols = _divisor_columns(spec.n)[0].tolist()
+    rows = np.array([[d in s for d in cols] for s in (spec.B, spec.D)], dtype=bool)
+    return spec.n, rows[:1], rows[1:]
+
+
+def classify_pst(spec: GraphSpec) -> Optional[str]:
+    """classify_pst_rows on spec: its case tag "i", "ii" or "iii", or None."""
+    return PST_CASES[classify_pst_rows(*_one_row(spec))[0]]
 
 
 def classify_mst(spec: GraphSpec) -> bool:
-    """Divisor-set test for transfer around the whole quarter orbit.
-
-    Necessary and sufficient: the shared conditions of
-    _quarter_orbit_layers, directed layer 3 contained in {n/8}, and n/8 in
-    B or D.  The n/8 class may be undirected or directed because either
-    kind puts the needed +-4 into the spectrum: the whole undirected class
-    adds +-4 to gamma_j for j = 0 (mod 4) (at n = 8, B = {1} gives
-    (4, 0, 0, 0, -4, 0, 0, 0)), and the directed half-class adds +-4 for
-    j = 2 (mod 4).  Either term makes the double gaps at even j equal 4
-    (mod 8), which mst_by_valuation requires.  mst_sufficient_condition is
-    the narrower test that demands the directed half-class.
-    """
-    dp = _quarter_orbit_layers(spec)
-    eighth = spec.n // 8
-    return dp is not None and dp.d_layer(3) <= {eighth} and eighth in spec.B | spec.D
+    """classify_mst_rows on spec: transfer around the whole quarter orbit."""
+    return bool(classify_mst_rows(*_one_row(spec))[0])
 
 
 def mst_sufficient_condition(spec: GraphSpec) -> bool:
-    """Quarter-orbit test with directed layer 3 exactly {n/8}: sufficient only.
-
-    It implies classify_mst but rejects the specs whose n/8 class is
-    undirected, the smallest being n = 8, B = {1}, D = {2}, which does
-    transfer around the quarter orbit.
-    """
-    dp = _quarter_orbit_layers(spec)
-    return dp is not None and dp.d_layer(3) == frozenset({spec.n // 8})
+    """mst_sufficient_rows on spec: sufficient only, see classify_mst_rows."""
+    return bool(mst_sufficient_rows(*_one_row(spec))[0])
 
 
 def undirected_pst_criterion(spec: GraphSpec) -> bool:

@@ -3,10 +3,15 @@
 The five named graphs are the recurring hand-checked examples: a mixed
 order-8 graph exercising both arc layers, the three order-8 graphs realizing
 the antipodal-transfer cases i/ii/iii, and the order-16 graph with transfer
-around the whole quarter orbit.
+around the whole quarter orbit.  reference_shapes and reference_specs are
+the tuple generators of the frozen enumeration order, which the shape
+matrices of mixedcirc.harness must reproduce.
 """
 
+from itertools import chain, combinations, product
+
 from mixedcirc import GraphSpec, validate_spec
+from mixedcirc.numthy import divisors
 
 
 def two_arc_layer_graph() -> GraphSpec:
@@ -36,3 +41,26 @@ def all_specs(n_values):
 
     for n in n_values:
         yield from enumerate_specs(n)
+
+
+def reference_shapes(n: int):
+    """The shapes (B, D) of order n as ascending tuples, in the frozen order:
+    B over subsets of the proper divisors, then D over those of n/4's
+    divisors not in B, each in lexicographic tuple order."""
+    def subsets_lex(items):
+        subs = chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
+        return sorted(subs)
+
+    proper = divisors(n)[:-1]
+    d_pool = divisors(n // 4) if n % 4 == 0 else []
+    for b_tuple in subsets_lex(proper):
+        for d_tuple in subsets_lex([d for d in d_pool if d not in b_tuple]):
+            yield b_tuple, d_tuple
+
+
+def reference_specs(n: int):
+    """Every spec of order n in the frozen order: each reference shape with
+    every sign choice, +1 before -1 per divisor, the smallest slowest."""
+    for b_tuple, d_tuple in reference_shapes(n):
+        for signs in product((1, -1), repeat=len(d_tuple)):
+            yield validate_spec(n, b_tuple, d_tuple, dict(zip(d_tuple, signs)))

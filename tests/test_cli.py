@@ -12,9 +12,10 @@ from conftest import (
 )
 import mixedcirc.cli
 import mixedcirc.harness
-from mixedcirc import mst_sufficient_condition, spec_to_json
+from mixedcirc import spec_to_json
 from mixedcirc.cli import main
 from mixedcirc.numthy import MAX_N
+from mixedcirc.transfer import mst_sufficient_rows
 
 
 def write_spec(tmp_path, spec, name="graph.json"):
@@ -163,7 +164,7 @@ def test_crosscheck_clean_sweep_exits_zero(capsys):
 def test_crosscheck_disagreement_exits_one(capsys, monkeypatch):
     # a classifier narrower than the truth (the sufficient-only condition)
     # yields the two order-8 mismatches and exit code 1
-    monkeypatch.setattr(mixedcirc.harness, "classify_mst", mst_sufficient_condition)
+    monkeypatch.setattr(mixedcirc.harness, "classify_mst_rows", mst_sufficient_rows)
     code, out, _ = run(capsys, ["crosscheck", "--n-max", "8", "--mode", "mst"])
     assert code == 1
     payload = json.loads(out)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mixedcirc.harness
-from conftest import mst_example_graph, pst_case_i_graph
+from conftest import mst_example_graph, pst_case_i_graph, reference_shapes, reference_specs
 from mixedcirc import (
     BudgetExceeded,
     SpecError,
@@ -26,8 +26,14 @@ from mixedcirc import (
     validate_spec,
 )
 from mixedcirc.circulant import GraphSpec
-from mixedcirc.harness import CHUNK_SPECS, _shape_chunks, _shapes, _variant
+from mixedcirc.harness import CHUNK_SPECS, _judged_chunks, _row_chunks, _shapes
 from mixedcirc.numthy import MAX_N, divisors
+from mixedcirc.transfer import (
+    PST_CASES,
+    classify_mst_rows,
+    classify_pst_rows,
+    mst_sufficient_rows,
+)
 
 
 def naive_count(n: int) -> int:
@@ -42,6 +48,13 @@ def naive_count(n: int) -> int:
                 for d in combinations(avail, s):
                     total += 2 ** len(d)
     return total
+
+
+def decoded_shapes(n: int):
+    """The shape matrices of order n as (B, D) tuples."""
+    shapes = _shapes(n)
+    cols = np.array(shapes.cols)
+    return [(tuple(cols[b].tolist()), tuple(cols[d].tolist())) for b, d in zip(shapes.B, shapes.D)]
 
 
 ORDER_4_GOLDEN = [
@@ -69,6 +82,24 @@ def test_enumeration_counts():
         specs = list(enumerate_specs(n))
         assert len(specs) == count_specs(n) == naive_count(n)
         assert len({spec_to_json(s) for s in specs}) == len(specs)
+
+
+def test_shape_matrices_follow_the_frozen_order():
+    # the matrices decode to the tuple generator's shapes, in its order, and
+    # their sign blocks end where the running spec count does
+    for n in [*range(2, 65), 72, 96]:
+        reference = list(reference_shapes(n))
+        assert decoded_shapes(n) == reference, n
+        ends = _shapes(n).ends.tolist()
+        assert ends == np.cumsum([2 ** len(d) for _, d in reference]).tolist()
+        assert ends[-1] == count_specs(n)
+
+
+def test_enumeration_equals_reference_order():
+    for n in range(2, 33):
+        assert [spec_to_json(s) for s in enumerate_specs(n)] == [
+            spec_to_json(s) for s in reference_specs(n)
+        ], n
 
 
 def test_enumeration_is_deterministic():
@@ -104,9 +135,9 @@ def test_crosscheck_small_antipodal_sweep():
 def test_crosscheck_surfaces_quarter_orbit_disagreements(monkeypatch):
     # a classifier strictly narrower than the valuation and numeric routes
     # must show up as mismatches: with the sufficient-only condition in
-    # place of classify_mst, both orientations of one order-8 graph family
-    # have genuine quarter-orbit transfer the classifier rejects
-    monkeypatch.setattr(mixedcirc.harness, "classify_mst", mst_sufficient_condition)
+    # place of classify_mst_rows, both orientations of one order-8 graph
+    # family have genuine quarter-orbit transfer the classifier rejects
+    monkeypatch.setattr(mixedcirc.harness, "classify_mst_rows", mst_sufficient_rows)
     report = crosscheck(8, "mst")
     assert report.specs_checked == 32
     assert report.mst_positive == 4
@@ -190,54 +221,48 @@ def test_crosscheck_memory_stays_flat():
 
 # ------------------------------------------------- oracle by divisor class
 
-def _label_spec(shape, signs):
-    """The spec a (shape, signs) chunk label stands for."""
-    return _variant(shape.n, shape.B, sorted(shape.D), signs)
-
-
-def _check_rows_against_oracle(n, labels, gammas):
+def _check_rows_against_oracle(shapes, shape, flips, gammas):
+    n = shapes.n
     assert gammas.dtype == np.int64
-    assert gammas.shape == (len(labels), n)
-    for (shape, signs), row in zip(labels, gammas):
-        # the shared shape is the all-+1 spec of the label's (B, D)
-        assert shape.sigma == dict.fromkeys(shape.D, 1)
-        spec = _label_spec(shape, signs)
+    assert gammas.shape == (len(shape), n)
+    for spec, row in zip(shapes.specs(shape, flips), gammas):
         whole = eigenvalues_oracle(build_connection_set(spec), n)
         assert tuple(row.tolist()) == whole.gamma, spec_to_json(spec)
 
 
 def test_summed_class_rows_equal_per_spec_oracle():
-    # each chunk matrix row is its label's whole oracle spectrum, and the
-    # labels cover the enumeration in order, CHUNK_SPECS at a time
+    # each chunk matrix row is its spec's whole oracle spectrum, and the rows
+    # cover the reference enumeration in order, CHUNK_SPECS at a time
     reversed_arcs = 0
     for n in range(4, 33, 4):
-        seen = []
-        for labels, gammas in _shape_chunks(n):
-            _check_rows_against_oracle(n, labels, gammas)
-            reversed_arcs += sum(-1 in signs for _, signs in labels)
-            seen.append(labels)
+        shapes, seen = _shapes(n), []
+        for shape, flips, gammas, _ in _judged_chunks(shapes, "pst", 1e-9):
+            _check_rows_against_oracle(shapes, shape, flips, gammas)
+            reversed_arcs += int(flips.any(axis=1).sum())
+            seen.append([spec_to_json(spec) for spec in shapes.specs(shape, flips)])
         assert all(len(c) == CHUNK_SPECS for c in seen[:-1])
         assert 0 < len(seen[-1]) <= CHUNK_SPECS
-        flat = [spec_to_json(_label_spec(*label)) for c in seen for label in c]
-        assert flat == [spec_to_json(s) for s in enumerate_specs(n)]
+        flat = [spec for c in seen for spec in c]
+        assert flat == [spec_to_json(s) for s in reference_specs(n)]
     assert reversed_arcs > 0
 
 
 def test_sign_block_longer_than_a_chunk_is_cut():
     # at n = 96, D = {1, 2, 3, 4, 6, 8, 12, 24} has 256 sign choices, rows
-    # 255..510 of the enumeration: the block fills chunks 4..6 and is cut
+    # 255..510 of the enumeration: the block spans three chunks and is cut
     # at both ends, and every row still equals the per-spec oracle
-    n = 96
-    chunks = list(islice(_shape_chunks(n), 8))
-    labels = [label for c, _ in chunks for label in c]
-    assert [len(c) for c, _ in chunks] == [CHUNK_SPECS] * 8
-    full = [i for i, (shape, _) in enumerate(labels) if len(shape.D) == 8]
-    assert full == list(range(255, 511))
-    assert len({id(labels[i][0]) for i in full}) == 1  # one shape object
-    expected = [spec_to_json(s) for s in islice(enumerate_specs(n), len(labels))]
-    assert [spec_to_json(_label_spec(*label)) for label in labels] == expected
-    for c, gammas in chunks:
-        _check_rows_against_oracle(n, c, gammas)
+    n, shapes = 96, _shapes(96)
+    chunks = [c[:3] for c in islice(_judged_chunks(shapes, "pst", 1e-9), 512 // CHUNK_SPECS + 1)]
+    shape = np.concatenate([c[0] for c in chunks])
+    assert [len(c[0]) for c in chunks] == [CHUNK_SPECS] * len(chunks)
+    full = np.flatnonzero(shapes.D[shape].sum(axis=1) == 8)
+    assert full.tolist() == list(range(255, 511))
+    assert len(set(shape[full].tolist())) == 1  # one shape
+    assert 255 % CHUNK_SPECS and 511 % CHUNK_SPECS  # cut inside a chunk at both ends
+    rows = [spec_to_json(spec) for c in chunks for spec in shapes.specs(c[0], c[1])]
+    assert rows == [spec_to_json(s) for s in islice(reference_specs(n), len(rows))]
+    for c in chunks:
+        _check_rows_against_oracle(shapes, *c)
 
 
 @pytest.fixture
@@ -266,14 +291,22 @@ def test_crosscheck_takes_oracle_once_per_class(oracle_calls, mode, expected):
 
 def test_classifiers_ignore_the_signs():
     # the divisor-set leg reads B and D only, which is what lets crosscheck
-    # and search classify once per (B, D) shape
+    # and search classify an order's shapes, not its specs: every sign
+    # variant of a shape gets the one-row verdict of the shape's matrix row
     for n in range(4, 41, 4):
-        verdicts = {}
-        for spec in enumerate_specs(n):
-            key = (spec.B, spec.D)
-            got = (classify_pst(spec), classify_mst(spec), mst_sufficient_condition(spec))
-            assert verdicts.setdefault(key, got) == got, spec_to_json(spec)
-        assert len(verdicts) == len(list(_shapes(n)))
+        shapes = _shapes(n)
+        by_shape = list(
+            zip(
+                classify_pst_rows(n, shapes.B, shapes.D).tolist(),
+                classify_mst_rows(n, shapes.B, shapes.D).tolist(),
+                mst_sufficient_rows(n, shapes.B, shapes.D).tolist(),
+            )
+        )
+        for shape, flips in _row_chunks(shapes):
+            for s, spec in zip(shape.tolist(), shapes.specs(shape, flips)):
+                got = (classify_pst(spec), classify_mst(spec), mst_sufficient_condition(spec))
+                pst, mst, sufficient = by_shape[s]
+                assert got == (PST_CASES[pst], mst, sufficient), spec_to_json(spec)
 
 
 # sha256 of the 114 mismatch spec strings, newline-joined, that
@@ -285,8 +318,8 @@ SUFFICIENT_MST_MISMATCH_DIGEST = (
 
 
 def test_mismatch_rows_carry_their_own_signs(monkeypatch):
-    # a mismatch row names its sign variant, not the shape's all-+1 spec
-    monkeypatch.setattr(mixedcirc.harness, "classify_mst", mst_sufficient_condition)
+    # a mismatch row names its sign variant, not its shape's all-+1 spec
+    monkeypatch.setattr(mixedcirc.harness, "classify_mst_rows", mst_sufficient_rows)
     report = crosscheck(48, "mst")
     rows = report.mismatches
     assert len(rows) == 114
@@ -297,14 +330,33 @@ def test_mismatch_rows_carry_their_own_signs(monkeypatch):
     assert hashlib.sha256(joined).hexdigest() == SUFFICIENT_MST_MISMATCH_DIGEST
 
 
-def test_crosscheck_builds_one_spec_per_shape_class_row_and_mismatch(monkeypatch):
-    # sign variants are array rows: a GraphSpec is built for each (B, D)
-    # shape, each class row and each reported mismatch, plus the one each
-    # order-range check (_pools) validates; never one per spec
+@pytest.mark.parametrize("mode", ["pst", "mst"])
+def test_sign_negated_partners_get_the_same_answers(mode):
+    # relabelling the vertices by a unit u = 3 (mod 4) reverses every arc and
+    # fixes 0, n/2 and {n/4, 3n/4}, so a spec and the spec with every sign
+    # negated must get the same answer on each leg; every row is still judged
+    step = 4 if mode == "pst" else 8
+    for n in range(step, 49, step):
+        shapes = _shapes(n)
+        parts = list(_judged_chunks(shapes, mode, 1e-9))
+        shape, flips = (np.concatenate([p[k] for p in parts]) for k in (0, 1))
+        votes = np.concatenate([p[3] for p in parts], axis=1)
+        assert len(shape) == count_specs(n)
+        rows = np.arange(len(shape))
+        partner = 2 * shapes.ends[shape] - (1 << shapes.D[shape].sum(axis=1)) - 1 - rows
+        assert (shape[partner] == shape).all()
+        assert (flips[partner] == shapes.D[shape] & ~flips).all()
+        assert (votes[:, partner] == votes).all()
+        assert votes[0].any()  # the order has transfer-positive specs
+
+
+def test_crosscheck_builds_specs_only_for_class_rows_and_mismatches(monkeypatch):
+    # shapes and sign variants are array rows: a GraphSpec is built for each
+    # class row and each reported mismatch, plus the one each order-range
+    # check (_pools) validates; never one per shape or per spec
     orders = [8, 16]
-    shapes = sum(len(list(_shapes(n))) for n in orders)
     class_rows = sum(len(divisors(n)) - 1 + 2 * len(divisors(n // 4)) for n in orders)
-    built, pools = [], []
+    built, pools, judged = [], [], []
     real_post_init, real_pools = GraphSpec.__post_init__, mixedcirc.harness._pools
 
     def counting_post_init(self):
@@ -315,43 +367,46 @@ def test_crosscheck_builds_one_spec_per_shape_class_row_and_mismatch(monkeypatch
         pools.append(n)
         return real_pools(n)
 
-    def counting_classifier(spec):
-        judged.append(spec)
-        return mst_sufficient_condition(spec)
+    def counting_classifier(n, B, D):
+        judged.append(len(B))
+        return mst_sufficient_rows(n, B, D)
 
-    judged = []
-    monkeypatch.setattr(mixedcirc.harness, "classify_mst", counting_classifier)
+    monkeypatch.setattr(mixedcirc.harness, "classify_mst_rows", counting_classifier)
     monkeypatch.setattr(GraphSpec, "__post_init__", counting_post_init)
     monkeypatch.setattr(mixedcirc.harness, "_pools", counting_pools)
     report = crosscheck(16, "mst")
     assert report.n_range == orders
     assert len(report.mismatches) > 0
-    assert report.specs_checked > shapes
-    assert len(judged) == shapes  # the classifier runs once per shape
-    assert len(built) == shapes + class_rows + len(report.mismatches) + len(pools)
+    # the classifier runs once per order, on all of its shapes
+    assert judged == [len(list(reference_shapes(n))) for n in orders]
+    assert len(built) == class_rows + len(report.mismatches) + len(pools)
 
 
-def test_search_classifies_once_per_shape_and_builds_only_hits(monkeypatch):
-    built, judged = [], []
-    real_post_init = GraphSpec.__post_init__
+def test_search_classifies_each_order_once_and_builds_only_hits(monkeypatch):
+    built, judged, pools = [], [], []
+    real_post_init, real_pools = GraphSpec.__post_init__, mixedcirc.harness._pools
 
     def counting_post_init(self):
         built.append(self.n)
         real_post_init(self)
 
-    def counting_classifier(spec):
-        judged.append(spec)
-        return classify_pst(spec)
+    def counting_pools(n):
+        pools.append(n)
+        return real_pools(n)
 
-    shapes = len(list(_shapes(16)))
-    monkeypatch.setattr(mixedcirc.harness, "classify_pst", counting_classifier)
+    def counting_classifier(n, B, D):
+        judged.append(len(B))
+        return classify_pst_rows(n, B, D)
+
+    monkeypatch.setattr(mixedcirc.harness, "classify_pst_rows", counting_classifier)
     monkeypatch.setattr(GraphSpec, "__post_init__", counting_post_init)
+    monkeypatch.setattr(mixedcirc.harness, "_pools", counting_pools)
     hits = search_specs(16, "pst")
-    assert len(judged) == shapes
-    assert all(s.sigma == dict.fromkeys(s.D, 1) for s in judged)
-    # one spec per shape, one per hit, and one per order-range check: the
-    # budget count and the shape iterator
-    assert len(built) == shapes + len(hits) + 2
+    assert judged == [len(list(reference_shapes(16)))]
+    # one spec per hit and one per order-range check: the budget count and
+    # the shape matrices
+    assert len(pools) == 2
+    assert len(built) == len(hits) + len(pools)
 
 
 # -------------------------------------------------------------------- search

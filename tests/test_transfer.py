@@ -13,6 +13,7 @@ from conftest import (
     pst_case_i_graph,
     pst_case_ii_graph,
     pst_case_iii_graph,
+    reference_shapes,
     two_arc_layer_graph,
 )
 from mixedcirc import (
@@ -43,7 +44,17 @@ from mixedcirc import (
     validate_spec,
     verify_numeric,
 )
+from mixedcirc.circulant import partition_divisors
+from mixedcirc.harness import _judged_chunks, _shapes
 from mixedcirc.numthy import divisors
+from mixedcirc.transfer import (
+    PST_CASES,
+    _gap_columns,
+    _solvable,
+    classify_mst_rows,
+    classify_pst_rows,
+    mst_sufficient_rows,
+)
 
 
 def grid_feasible(spectrum: Spectrum, a: int, b: int):
@@ -303,6 +314,45 @@ def test_kernel_refuses_what_int64_cannot_hold():
     assert gap_profiles(np.zeros((0, 4), dtype=np.int64)) == []
 
 
+def test_solvability_helper_equals_witness():
+    # every chunk row with 4 | n <= 32 and every w: the array test on the
+    # kernel's columns says exactly when witness() finds a time
+    rows = feasible = 0
+    for n in range(4, 33, 4):
+        for _, _, gammas, _ in _judged_chunks(_shapes(n), "pst", 1e-9):
+            d0, gcds, _, _ = _gap_columns(gammas)
+            h = np.gcd(d0, gcds)
+            profiles = gap_profiles(gammas)
+            for w in range(1, n):
+                got = _solvable(n, gcds, h, w).tolist()
+                assert got == [p.witness(w) is not None for p in profiles], (n, w)
+                feasible += sum(got)
+            rows += len(profiles)
+    assert rows == sum(count_specs(n) for n in range(4, 33, 4))
+    assert feasible > 0
+
+
+def test_solvability_helper_is_exact_at_the_int64_extremes():
+    # w*g overflows int64 here; the helper, on ints and on int64 arrays,
+    # must still agree with the exact test n*gcd(d0, g) | w*g on Python ints
+    for n in (2**30, 3 * 2**28, 12):
+        cases = [
+            (d0, g, w)
+            for d0 in (0, -1, 2**60 - 3, -(2**60) + 1, -(3 * 2**40))
+            for g in (1, 2**59, 3 * 2**57, 2**60 - 2**30, 2**60 - 1)
+            for w in (1, n // 4, n // 2, n - 1)
+        ]
+        exact = [w * g % (n * math.gcd(d0, g)) == 0 for d0, g, w in cases]
+        assert 0 < sum(exact) < len(cases)
+        assert [bool(_solvable(n, g, math.gcd(d0, g), w)) for d0, g, w in cases] == exact
+        d0, g, w = (np.array(column, dtype=np.int64) for column in zip(*cases))
+        assert _solvable(n, g, np.gcd(d0, g), w).tolist() == exact
+    # g = 0 has no witness, whatever d0, and never divides by zero
+    zero = np.zeros(3, dtype=np.int64)
+    assert _solvable(8, zero, np.gcd(np.array([0, -4, 4]), zero), 4).tolist() == [False] * 3
+    assert not _solvable(8, 0, 0, 4)
+
+
 # -------------------------------------------------------- valuation criteria
 
 def test_antipodal_valuation_frozen_values():
@@ -369,13 +419,100 @@ def test_quarter_orbit_classifier_frozen_values():
 
 
 def test_sufficient_condition_implies_classifier():
-    # divisor-level only: no spectra, so every order up to 64 is cheap
+    # divisor-level only: every shape of every order up to 64, as matrix rows
     implied = 0
-    for spec in all_specs(range(2, 65)):
-        if mst_sufficient_condition(spec):
-            assert classify_mst(spec), spec
-            implied += 1
+    for n in range(2, 65):
+        shapes = _shapes(n)
+        sufficient = mst_sufficient_rows(n, shapes.B, shapes.D)
+        assert classify_mst_rows(n, shapes.B, shapes.D)[sufficient].all(), n
+        implied += int(sufficient.sum())
     assert implied > 0
+
+
+def reference_classify_pst(spec):
+    """The antipodal divisor-set test as one scalar pass over
+    partition_divisors: the reference for classify_pst_rows."""
+    n = spec.n
+    if n % 4:
+        return None
+    dp = partition_divisors(spec)
+    if not dp.scaled_chain(2):
+        return None
+    half, quarter = n // 2, n // 4
+    d2 = dp.d_layer(2)
+    if d2 == frozenset({quarter}):
+        return "i" if half not in spec.B else None
+    if d2:
+        return None
+    has_half = half in spec.B
+    has_quarter = quarter in spec.B
+    if has_half and has_quarter:
+        if n % 8 == 0 and dp.d_layer(3) == frozenset({n // 8}) and dp.scaled_chain(3):
+            return "iii"
+        return None
+    if has_half or has_quarter:
+        return "ii"
+    return None
+
+
+def reference_quarter_orbit_layers(spec):
+    """Partition of spec when the conditions shared by both quarter-orbit
+    references hold; None otherwise."""
+    n = spec.n
+    if n % 8 or n // 2 in spec.B:
+        return None
+    dp = partition_divisors(spec)
+    return dp if dp.scaled_chain(3) and dp.d_layer(2) == frozenset({n // 4}) else None
+
+
+def reference_classify_mst(spec):
+    """Scalar reference for classify_mst_rows."""
+    dp = reference_quarter_orbit_layers(spec)
+    eighth = spec.n // 8
+    return dp is not None and dp.d_layer(3) <= {eighth} and eighth in spec.B | spec.D
+
+
+def reference_mst_sufficient_condition(spec):
+    """Scalar reference for mst_sufficient_rows."""
+    dp = reference_quarter_orbit_layers(spec)
+    return dp is not None and dp.d_layer(3) == frozenset({spec.n // 8})
+
+
+def row_classifier_disagreements(orders):
+    """Shapes of the given orders on which a row classifier differs from its
+    scalar reference, and the number of shapes compared.  The membership
+    matrices are built here from the reference tuples, apart from harness."""
+    bad, checked = [], 0
+    for n in orders:
+        tuples = list(reference_shapes(n))
+        cols = divisors(n)[:-1]
+        B, D = (
+            np.array([[d in s for d in cols] for s in sets], dtype=bool).reshape(-1, len(cols))
+            for sets in zip(*tuples)
+        )
+        rows = zip(
+            classify_pst_rows(n, B, D).tolist(),
+            classify_mst_rows(n, B, D).tolist(),
+            mst_sufficient_rows(n, B, D).tolist(),
+        )
+        for (b, d), (pst, mst, sufficient) in zip(tuples, rows):
+            spec = validate_spec(n, b, d, dict.fromkeys(d, 1))
+            ref = (
+                reference_classify_pst(spec),
+                reference_classify_mst(spec),
+                reference_mst_sufficient_condition(spec),
+            )
+            if (PST_CASES[pst], mst, sufficient) != ref:
+                bad.append((n, b, d))
+        checked += len(tuples)
+    return bad, checked
+
+
+def test_row_classifiers_equal_scalar_references():
+    # every shape of every order up to 64, multiples of 4 and the rest
+    bad, checked = row_classifier_disagreements(range(2, 65))
+    assert bad == []
+    assert checked > sum(1 for n in range(4, 65, 4) for _ in reference_shapes(n))
 
 
 def test_special_case_criteria_frozen_values():
@@ -600,20 +737,20 @@ def test_failed_witness_check_is_a_consistency_error(monkeypatch, decide):
 
 @pytest.fixture
 def profile_calls(monkeypatch):
-    """Count the rows profiled by gap_profiles through transfer and harness:
+    """Count the rows profiled by the gap kernel through transfer and harness:
     one per spectrum, whether it comes alone or in a chunk matrix."""
     import mixedcirc.harness
     import mixedcirc.transfer
 
-    real = mixedcirc.transfer.gap_profiles
+    real = mixedcirc.transfer._gap_columns
     calls = []
 
     def counting(gammas):
         calls.extend(len(row) for row in gammas)
         return real(gammas)
 
-    monkeypatch.setattr(mixedcirc.transfer, "gap_profiles", counting)
-    monkeypatch.setattr(mixedcirc.harness, "gap_profiles", counting)
+    monkeypatch.setattr(mixedcirc.transfer, "_gap_columns", counting)
+    monkeypatch.setattr(mixedcirc.harness, "_gap_columns", counting)
     return calls
 
 
