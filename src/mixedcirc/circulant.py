@@ -258,11 +258,19 @@ def spec_to_json(spec: GraphSpec) -> str:
     return json.dumps(spec_to_dict(spec), sort_keys=True, separators=(",", ":"))
 
 
+def _unique_names(pairs: list) -> dict:
+    """json object_pairs_hook: the object, unless it repeats a name."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError("an object repeats a name")
+    return obj
+
+
 def parse_spec(text: str) -> GraphSpec:
     """Parse the JSON spec format and validate it."""
     try:
-        obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or a number past the digit limit
+        obj = json.loads(text, object_pairs_hook=_unique_names)
+    except ValueError as exc:  # JSONDecodeError, a number past the digit limit or a repeat
         raise SpecError(f"malformed JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise SpecError("spec must be a JSON object")
@@ -282,7 +290,11 @@ def parse_spec(text: str) -> GraphSpec:
     try:
         sigma = {int(k): v for k, v in sigma_raw.items()}
     except ValueError:
-        raise SpecError("sigma keys must be decimal divisor strings") from None
+        sigma = {}
+    # only the keys str(d) that spec_to_dict writes: not "02", " +2 ", "1_0" or
+    # non-ASCII digits, so no two keys name one divisor
+    if [str(d) for d in sigma] != list(sigma_raw):
+        raise SpecError("sigma keys must be decimal divisor strings")
     return validate_spec(n, B, D, sigma)
 
 

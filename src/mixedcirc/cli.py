@@ -9,20 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
 from .circulant import SpecError, UnknownFormat, export_graph, parse_spec, spec_to_dict
 from .harness import BudgetExceeded, crosscheck, search_specs, DEFAULT_BUDGET
 from .spectrum import eigenvalues_closed_form
-from .transfer import (
-    NUMERIC_TOL,
-    TransferVerdict,
-    antipodal_verdict,
-    mst_verdict,
-    pair_verdict,
-)
+from .transfer import TransferVerdict, antipodal_verdict, mst_verdict, pair_verdict
 
 SCHEMA = 1
 
@@ -86,15 +79,15 @@ def _cmd_check_pst(args) -> int:
             raise SpecError("--pair vertices must be distinct")
         if not (0 <= a < spec.n and 0 <= b < spec.n):
             raise SpecError(f"--pair vertices must lie in 0..{spec.n - 1}")
-        verdict = pair_verdict(spec, a, b, tol=args.tol)
+        verdict = pair_verdict(spec, a, b)
     else:
-        verdict = antipodal_verdict(spec, tol=args.tol)
+        verdict = antipodal_verdict(spec)
     return _report_verdict(verdict)
 
 
 def _cmd_check_mst(args) -> int:
     spec = _load_spec(args.spec)
-    return _report_verdict(mst_verdict(spec, tol=args.tol))
+    return _report_verdict(mst_verdict(spec))
 
 
 def _cmd_search(args) -> int:
@@ -106,7 +99,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    report = crosscheck(args.n_max, args.mode, budget=args.budget, tol=args.tol)
+    report = crosscheck(args.n_max, args.mode, budget=args.budget)
     # wall_time stays off stdout so identical runs stay byte-identical
     fields = ("mode", "n_range", "specs_checked", "pst_positive", "mst_positive", "mismatches")
     _emit({"schema": SCHEMA, **{f: getattr(report, f) for f in fields}})
@@ -140,12 +133,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pst = sub.add_parser("check-pst", help="decide perfect state transfer")
     pst.add_argument("--spec", required=True)
     pst.add_argument("--pair", nargs=2, type=int, metavar=("A", "B"))
-    pst.add_argument("--tol", type=float, default=NUMERIC_TOL)
     pst.set_defaults(func=_cmd_check_pst)
 
     mst = sub.add_parser("check-mst", help="decide quarter-orbit multiple transfer")
     mst.add_argument("--spec", required=True)
-    mst.add_argument("--tol", type=float, default=NUMERIC_TOL)
     mst.set_defaults(func=_cmd_check_mst)
 
     sr = sub.add_parser("search", help="list positive specs of one order")
@@ -158,7 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--n-max", type=int, required=True)
     cc.add_argument("--mode", choices=("pst", "mst"), default="pst")
     cc.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    cc.add_argument("--tol", type=float, default=NUMERIC_TOL)
     cc.set_defaults(func=_cmd_crosscheck)
 
     ex = sub.add_parser("export", help="serialize a spec as dot or canonical json")
@@ -179,9 +169,6 @@ def main(argv: list[str] | None = None) -> int:
     # only input errors become exit 2; any other exception is a fault and
     # propagates with its traceback
     try:
-        # subcommands without --tol pass; nan fails both comparisons
-        if not 0 < getattr(args, "tol", 1.0) < math.inf:
-            raise SpecError(f"--tol must be finite and positive, got {args.tol}")
         return args.func(args)
     except (SpecError, UnknownFormat, BudgetExceeded) as exc:
         return _fail(str(exc))

@@ -16,16 +16,8 @@ import numpy as np
 
 from .circulant import GraphSpec, SpecError, build_connection_set, spec_to_json, validate_spec
 from .numthy import divisors
-from .spectrum import Spectrum, eigenvalues_oracle
-from .transfer import (
-    NUMERIC_TOL,
-    _gap_columns,
-    _profiles,
-    _solvable,
-    classify_mst_rows,
-    classify_pst_rows,
-    verify_numeric,
-)
+from .spectrum import eigenvalues_oracle
+from .transfer import classify_mst_rows, classify_pst_rows, transfer_rows
 
 DEFAULT_BUDGET = 10**6
 
@@ -49,12 +41,13 @@ class SweepReport:
 
 def _mode(mode: str) -> tuple:
     """Order step, vertex-0 targets in quarters of n, divisor-set leg (on shape
-    matrices) and gap-valuation leg (on the common-valuation and quarter flags
-    of _gap_columns) of a mode; read per call, so patched classifiers count."""
+    matrices) and gap-valuation leg (the row of transfer_rows holding the
+    common-valuation or the quarter flag) of a mode; read per call, so patched
+    classifiers count."""
     if mode == "pst":
-        return 4, (2,), lambda n, B, D: classify_pst_rows(n, B, D) != 0, lambda c, q: c
+        return 4, (2,), lambda n, B, D: classify_pst_rows(n, B, D) != 0, 0
     if mode == "mst":
-        return 8, (1, 2, 3), classify_mst_rows, lambda c, q: q
+        return 8, (1, 2, 3), classify_mst_rows, 1
     raise ValueError(f"mode must be 'pst' or 'mst', got {mode!r}")
 
 
@@ -161,13 +154,13 @@ def _class_table(n: int) -> np.ndarray:
     return table.reshape(-1, n)
 
 
-def _judged_chunks(shapes: _Shapes, mode: str, tol: float) -> Iterator[tuple[np.ndarray, ...]]:
+def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...]]:
     """_row_chunks with the rows' int64 oracle spectra and a (3, rows) bool
     matrix of their classifier, valuation and numeric answers.  The DFT is
     linear and the classes of a valid spec are disjoint, so a spectrum is its
     row's incidence (B, D less the flips, the flips) times the class table.
-    The classifier reads B and D only, so it runs once per order; only a row
-    with a witness for every target is verified, once per target."""
+    The classifier reads B and D only, so it runs once per order; the other
+    two legs are transfer_rows on each chunk."""
     n = shapes.n
     _, quarters, classifier, valuation = _mode(mode)
     targets = [k * n // 4 for k in quarters]
@@ -175,38 +168,26 @@ def _judged_chunks(shapes: _Shapes, mode: str, tol: float) -> Iterator[tuple[np.
     for shape, flips in _row_chunks(shapes):
         incidence = np.hstack([shapes.B[shape], shapes.D[shape] & ~flips, flips])
         gammas = (incidence @ table).astype(np.int64)
-        columns = d0, gcds, common, quarter = _gap_columns(gammas)
-        h = np.gcd(d0, gcds)
-        numeric = np.logical_and.reduce([_solvable(n, gcds, h, w) for w in targets])
-        feasible = np.flatnonzero(numeric)
-        for r, prof in zip(feasible, _profiles(n, *(c[feasible] for c in columns))):
-            spectrum = Spectrum(n, tuple(gammas[r].tolist()))
-            times = [(b, prof.witness(b)) for b in targets]
-            numeric[r] = all(verify_numeric(spectrum, 0, b, t, tol)[0] for b, t in times)
-        yield shape, flips, gammas, np.array([judged[shape], valuation(common, quarter), numeric])
+        legs = transfer_rows(gammas, targets)
+        yield shape, flips, gammas, np.array([judged[shape], legs[valuation], legs[2]])
 
 
-def crosscheck(
-    n_max: int,
-    mode: str = "pst",
-    budget: int = DEFAULT_BUDGET,
-    tol: float = NUMERIC_TOL,
-) -> SweepReport:
+def crosscheck(n_max: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> SweepReport:
     """Run all three deciders over every valid spec with order up to n_max:
     the multiples of 4 for transfer 0 -> n/2 ("pst"), or of 8 for 0 -> n/4,
     n/2, 3n/4 ("mst").  Raises BudgetExceeded before building any spec.
 
     Legs per spec: the divisor-set classifier, the gap-valuation test on the
     oracle (FFT) spectrum, and exact witness feasibility verified
-    numerically at tolerance tol.  Any disagreement, a witness failing the
-    numeric check included, is recorded.  Orders are checked as arrays
-    (_judged_chunks): only a mismatch gets a GraphSpec."""
+    numerically at the fixed NUMERIC_TOL (transfer_rows).  Any disagreement,
+    a witness failing the numeric check included, is recorded.  Orders are
+    checked as arrays (_judged_chunks): only a mismatch gets a GraphSpec."""
     step = _mode(mode)[0]
     report = SweepReport(mode=mode, n_range=_budgeted(range(step, n_max + 1, step), budget))
     positive, start = 0, time.perf_counter()
     for n in report.n_range:
         shapes = _shapes(n)
-        for shape, flips, _, votes in _judged_chunks(shapes, mode, tol):
+        for shape, flips, _, votes in _judged_chunks(shapes, mode):
             report.specs_checked += len(shape)
             positive += int(votes[0].sum())
             bad = (votes != votes[0]).any(axis=0)

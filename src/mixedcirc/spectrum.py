@@ -205,17 +205,17 @@ def eigenvalues_by_class(spec: GraphSpec) -> Spectrum:
     return Spectrum(n=n, gamma=tuple(gamma))
 
 
-def eigenvalues_oracle(cs: ConnectionSet, n: int, tol: float = ORACLE_TOL) -> Spectrum:
+def eigenvalues_oracle(cs: ConnectionSet, n: int) -> Spectrum:
     """Floating-point spectrum n * ifft(row) of the Hermitian adjacency, rounded.
 
     gamma[j] = sum over c of row[c] * w^(jc), w = exp(2*pi*i/n), which is n
     times the inverse DFT of the difference row.  Raises NonIntegerResidual
-    if any value strays from an integer by tol or more.
+    if any value strays from an integer by ORACLE_TOL or more.
     """
     vals = n * np.fft.ifft(hermitian_adjacency(cs, n).row)
     rounded = np.rint(vals.real)
     resid = np.abs(vals - rounded)
-    if resid.max() >= tol:
+    if resid.max() >= ORACLE_TOL:
         worst = int(resid.argmax())
         raise NonIntegerResidual(
             f"gamma[{worst}] = {vals[worst]} is {resid[worst]:.3e} from an integer"

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circulant import GraphSpec, _scaled, partition_divisors
+from .circulant import GraphSpec, partition_divisors
 from .numthy import divisors, two_adic_valuation
 from .spectrum import Spectrum, eigenvalues_closed_form
 
@@ -117,12 +117,25 @@ def _gaps(gammas: np.ndarray, step: int) -> np.ndarray:
 
 
 def gap_profiles(gammas: np.ndarray) -> list[DifferenceProfile]:
-    """Gap profile of every row of a (k, n) integer matrix of spectra, read
-    off the columns of _gap_columns.  Entries must be integers with
-    |gamma| < 2**60, so that gaps, double gaps and delta_j - delta_0 stay
-    exact in int64; anything else raises ValueError rather than being
-    truncated or wrapped.  Profiles keep no reference to the matrix, so an
-    int64 one is read in place.
+    """Gap profile of every row of a (k, n) integer matrix of spectra with
+    every |gamma| < 2**60, read off the columns of _gap_columns, which raises
+    ValueError on any other matrix.  Profiles keep no reference to the
+    matrix, so an int64 one is read in place.
+    """
+    gammas = np.asarray(gammas)
+    columns = _gap_columns(gammas)
+    return _profiles(gammas.shape[1], *columns)
+
+
+def _gap_columns(gammas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Columns of the gap data of each row of a (k, n) matrix of spectra: d0,
+    the gap gcd (np.gcd.reduce of delta_j - delta_0), whether the lowest set
+    bits d & -d of all gaps are equal and nonzero (a common valuation, that
+    of d0), and whether every gap is 2 (mod 4) and every double gap 4 (mod
+    8): v2 = 1 and v2 = 2 for either sign, false on 0.  Entries must be
+    integers with |gamma| < 2**60, so that gaps, double gaps and
+    delta_j - delta_0 stay exact in int64; anything else raises ValueError
+    rather than being truncated or wrapped.
     """
     gammas = np.asarray(gammas)
     if not (
@@ -138,16 +151,7 @@ def gap_profiles(gammas: np.ndarray) -> list[DifferenceProfile]:
             "spectra must form a (k, n) integer matrix with n >= 1 and every "
             f"|gamma| < 2**60, got dtype {gammas.dtype} and shape {gammas.shape}"
         )
-    return _profiles(gammas.shape[1], *_gap_columns(gammas.astype(np.int64, copy=False)))
-
-
-def _gap_columns(gammas: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Columns of the gap data of each row of an int64 matrix of spectra that
-    gap_profiles accepts: d0, the gap gcd (np.gcd.reduce of delta_j - delta_0),
-    whether the lowest set bits d & -d of all gaps are equal and nonzero (a
-    common valuation, that of d0), and whether every gap is 2 (mod 4) and
-    every double gap 4 (mod 8): v2 = 1 and v2 = 2 for either sign, false on 0.
-    """
+    gammas = gammas.astype(np.int64, copy=False)
     deltas = _gaps(gammas, 1)
     d0 = deltas[:, 0]
     gcds = np.gcd.reduce(deltas - d0[:, None], axis=1)
@@ -312,11 +316,7 @@ def undirected_pst_criterion(spec: GraphSpec) -> bool:
     n = spec.n
     if n % 4:
         return False
-    dp = partition_divisors(spec)
-    if not (
-        dp.b_star(1) == _scaled(dp.b_star(2), 2)
-        and dp.b_layer(0) == _scaled(dp.b_star(2), 4)
-    ):
+    if not partition_divisors(spec).scaled_chain(2):
         return False
     return (n // 4 in spec.B) != (n // 2 in spec.B)
 
@@ -352,15 +352,14 @@ def minimal_pst_time(spectrum: Spectrum, a: int, b: int) -> Fraction:
     return t
 
 
-def verify_numeric(
-    spectrum: Spectrum, a: int, b: int, t_prime, tol: float = NUMERIC_TOL
-) -> tuple[bool, complex, float]:
-    """Evaluate |U_ab| at t_prime: (ok, unit phase, |1 - |U||)."""
+def verify_numeric(spectrum: Spectrum, a: int, b: int, t_prime) -> tuple[bool, complex, float]:
+    """Evaluate |U_ab| at t_prime: (ok, unit phase, |1 - |U||), ok when the
+    residual is below NUMERIC_TOL."""
     amp = transition_amplitude(spectrum, a, b, t_prime)
     mod = abs(amp)
     residual = abs(1.0 - mod)
     phase = amp / mod if mod > 0 else complex(0)
-    return residual < tol, phase, residual
+    return residual < NUMERIC_TOL, phase, residual
 
 
 def pair_restriction_check(spectrum: Spectrum) -> frozenset[int]:
@@ -374,29 +373,54 @@ def pair_restriction_check(spectrum: Spectrum) -> frozenset[int]:
     return frozenset(w for w in range(1, n) if prof.witness(w) is not None)
 
 
-def _verified_witness(spectrum, prof, a, b, tol):
-    """(t', unit phase, residual) of the witness of a -> b read off prof, or
-    None without one; a witness failing verify_numeric is a ConsistencyError."""
-    t = prof.witness((b - a) % prof.n)
-    if t is None:
+def _verified_witnesses(spectrum, prof, a, targets):
+    """(t', unit phase, residual) of the witness of a -> b for each b in
+    targets, read off prof, or None when a target has none; only then is each
+    witness checked, and one failing verify_numeric is a ConsistencyError."""
+    times = [prof.witness((b - a) % prof.n) for b in targets]
+    if any(t is None for t in times):
         return None
-    ok, phase, residual = verify_numeric(spectrum, a, b, t, tol)
-    if not ok:
-        raise ConsistencyError(
-            f"witness t'={t} for ({a},{b}) failed numeric check: residual {residual}"
-        )
-    return t, phase, residual
+    found = []
+    for b, t in zip(targets, times):
+        ok, phase, residual = verify_numeric(spectrum, a, b, t)
+        if not ok:
+            raise ConsistencyError(
+                f"witness t'={t} for ({a},{b}) failed numeric check: residual {residual}"
+            )
+        found.append((t, phase, residual))
+    return found
 
 
-def _decide_pair(spectrum: Spectrum, a: int, b: int, tol: float) -> TransferVerdict:
+def transfer_rows(gammas: np.ndarray, targets: list[int]) -> np.ndarray:
+    """A (3, k) bool matrix of answers on transfer from vertex 0 to every one
+    of targets, for each row of a matrix of spectra that gap_profiles
+    accepts: the common-valuation flag, the quarter flag and the numeric
+    answer.  The array witness test runs first, so only a row with a witness
+    for every target is verified (_verified_witnesses); a ConsistencyError
+    there is recorded as a numeric False, a disagreement for the caller."""
+    gammas = np.asarray(gammas)
+    columns = d0, gcds, common, quarter = _gap_columns(gammas)
+    n = gammas.shape[1]
+    h = np.gcd(d0, gcds)
+    numeric = np.logical_and.reduce([_solvable(n, gcds, h, w) for w in targets])
+    feasible = np.flatnonzero(numeric)
+    for r, prof in zip(feasible, _profiles(n, *(c[feasible] for c in columns))):
+        try:
+            _verified_witnesses(Spectrum(n, tuple(gammas[r].tolist())), prof, 0, targets)
+        except ConsistencyError:
+            numeric[r] = False
+    return np.array([common, quarter, numeric])
+
+
+def _decide_pair(spectrum: Spectrum, a: int, b: int) -> TransferVerdict:
     n = spectrum.n
     w = _difference(n, a, b)
     pair = (a % n, b % n)
     prof = difference_profile(spectrum)
-    found = _verified_witness(spectrum, prof, a, b, tol)
+    found = _verified_witnesses(spectrum, prof, a, [b])
     if found is None:
         return TransferVerdict(kind="none", pair=pair)
-    t, phase, residual = found
+    [(t, phase, residual)] = found
     if 2 * w % n == 0:
         kind = "antipodal_pst"
     elif n % 4 == 0 and w in (n // 4, 3 * n // 4):
@@ -408,25 +432,23 @@ def _decide_pair(spectrum: Spectrum, a: int, b: int, tol: float) -> TransferVerd
     )
 
 
-def antipodal_verdict(spec: GraphSpec, tol: float = NUMERIC_TOL) -> TransferVerdict:
+def antipodal_verdict(spec: GraphSpec) -> TransferVerdict:
     """Decide transfer between 0 and n/2 from the exact spectrum."""
     n = spec.n
     if n % 2 or n < 2:
         return TransferVerdict(kind="none", pair=())
-    return _decide_pair(eigenvalues_closed_form(spec), 0, n // 2, tol)
+    return _decide_pair(eigenvalues_closed_form(spec), 0, n // 2)
 
 
-def pair_verdict(
-    spec: GraphSpec, a: int, b: int, tol: float = NUMERIC_TOL
-) -> TransferVerdict:
+def pair_verdict(spec: GraphSpec, a: int, b: int) -> TransferVerdict:
     """Decide transfer between an arbitrary distinct pair."""
     n = spec.n
     if not (0 <= a < n and 0 <= b < n):
         raise ValueError(f"vertices must lie in 0..{n - 1}, got {a}, {b}")
-    return _decide_pair(eigenvalues_closed_form(spec), a, b, tol)
+    return _decide_pair(eigenvalues_closed_form(spec), a, b)
 
 
-def mst_verdict(spec: GraphSpec, tol: float = NUMERIC_TOL) -> TransferVerdict:
+def mst_verdict(spec: GraphSpec) -> TransferVerdict:
     """Decide transfer around the orbit (0, n/4, n/2, 3n/4)."""
     n = spec.n
     if n % 4:
@@ -434,14 +456,9 @@ def mst_verdict(spec: GraphSpec, tol: float = NUMERIC_TOL) -> TransferVerdict:
     spectrum = eigenvalues_closed_form(spec)
     prof = difference_profile(spectrum)
     orbit = (0, n // 4, n // 2, 3 * n // 4)
-    if not prof.quarter:
+    found = _verified_witnesses(spectrum, prof, 0, orbit[1:]) if prof.quarter else None
+    if found is None:
         return TransferVerdict(kind="none", pair=orbit)
-    found = []
-    for b in orbit[1:]:
-        step = _verified_witness(spectrum, prof, 0, b, tol)
-        if step is None:
-            return TransferVerdict(kind="none", pair=orbit)
-        found.append(step)
     (t, phase, _), worst = found[0], max(residual for _, _, residual in found)
     return TransferVerdict(
         kind="mst", pair=orbit, m=prof.m, t_prime=t, phase=phase, residual=worst

@@ -34,6 +34,7 @@ from mixedcirc import (
     undirected_pst_criterion,
     classify_mst,
 )
+from mixedcirc.transfer import NUMERIC_TOL
 
 
 def report(capsys, number: int, label: str, ok: bool, elapsed: float, detail: str = "") -> str:
@@ -85,7 +86,8 @@ def test_acceptance_2_spectrum_equivalence(capsys):
 
 def test_acceptance_3_antipodal_transfer_reproduction(capsys):
     start = time.perf_counter()
-    sweep = crosscheck(16, "pst", tol=1e-9)
+    assert NUMERIC_TOL == 1e-9  # the sweep's fixed amplitude tolerance
+    sweep = crosscheck(16, "pst")
     tags = (
         classify_pst(pst_case_i_graph()),
         classify_pst(pst_case_ii_graph()),
@@ -114,7 +116,8 @@ def test_acceptance_3_antipodal_transfer_reproduction(capsys):
 
 def test_acceptance_4_quarter_orbit_reproduction(capsys):
     start = time.perf_counter()
-    sweep = crosscheck(32, "mst", tol=1e-9)
+    assert NUMERIC_TOL == 1e-9
+    sweep = crosscheck(32, "mst")
 
     spec = mst_example_graph()
     sp = eigenvalues_closed_form(spec)

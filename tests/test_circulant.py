@@ -325,6 +325,14 @@ def test_parse_rejects_malformed_input():
         '{"n":8,"B":[],"D":{}}',
         '{"n":8,"B":[],"D":[1],"sigma":[1]}',
         '{"n":8,"B":[],"D":[1],"sigma":{"x":1}}',
+        # a repeated name, and sigma keys other than the canonical str(d)
+        '{"n":8,"n":16,"B":[1]}',
+        '{"n":8,"D":[2],"sigma":{"2":1,"2":-1}}',
+        '{"n":8,"D":[2],"sigma":{"2":1,"02":-1}}',
+        '{"n":8,"D":[2],"sigma":{"02":1}}',
+        '{"n":8,"D":[2],"sigma":{" +2 ":1}}',
+        '{"n":40,"D":[10],"sigma":{"1_0":1}}',
+        '{"n":8,"D":[2],"sigma":{"\u0662":1}}',
     ):
         with pytest.raises(SpecError):
             parse_spec(bad)

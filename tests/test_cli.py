@@ -12,6 +12,7 @@ from conftest import (
 )
 import mixedcirc.cli
 import mixedcirc.harness
+import mixedcirc.transfer
 from mixedcirc import spec_to_json
 from mixedcirc.cli import main
 from mixedcirc.numthy import MAX_N
@@ -177,7 +178,7 @@ def test_crosscheck_disagreement_exits_one(capsys, monkeypatch):
 def test_crosscheck_failed_numeric_check_exits_one(capsys, monkeypatch):
     # a witness failing the numeric check is a mismatch row, not a traceback
     monkeypatch.setattr(
-        mixedcirc.harness, "verify_numeric", lambda *args: (False, 1 + 0j, 0.5)
+        mixedcirc.transfer, "verify_numeric", lambda *args: (False, 1 + 0j, 0.5)
     )
     code, out, _ = run(capsys, ["crosscheck", "--n-max", "8", "--mode", "mst"])
     assert code == 1
@@ -264,18 +265,6 @@ def test_search_order_below_two_is_an_input_error(capsys):
         assert json.loads(out)["error"] == {"type": "input", "message": message}
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-@pytest.mark.parametrize("command", ["check-pst", "check-mst", "crosscheck"])
-def test_tol_must_be_finite_and_positive(tmp_path, capsys, command, tol):
-    # --tol 0 used to end a transfer-positive check in a ConsistencyError,
-    # and crosscheck --n-max 8 --tol 0 in false mismatches
-    path = write_spec(tmp_path, pst_case_i_graph())
-    args = ["--n-max", "8"] if command == "crosscheck" else ["--spec", path]
-    code, out, _ = run(capsys, [command, *args, "--tol", tol])
-    assert code == 2
-    assert json.loads(out)["error"]["type"] == "input"
-
-
 def test_internal_value_error_is_not_an_input_error(tmp_path, capsys, monkeypatch):
     # a fault inside a decider must surface, not be reported as exit 2
     def broken(*args, **kwargs):
@@ -297,3 +286,5 @@ def test_missing_file(capsys):
 def test_bad_usage_exits_two(capsys):
     assert run(capsys, ["no-such-command"])[0] == 2
     assert run(capsys, ["export", "--spec", "x", "--format", "png"])[0] == 2
+    # the numeric tolerance is fixed: there is no --tol to set
+    assert run(capsys, ["check-pst", "--spec", "x", "--tol", "1e-9"])[0] == 2

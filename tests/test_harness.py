@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import mixedcirc.harness
+import mixedcirc.transfer
 from conftest import mst_example_graph, pst_case_i_graph, reference_shapes, reference_specs
 from mixedcirc import (
     BudgetExceeded,
     SpecError,
+    antipodal_verdict,
     build_connection_set,
     classify_mst,
     classify_pst,
@@ -20,6 +22,7 @@ from mixedcirc import (
     eigenvalues_oracle,
     enumerate_specs,
     mst_sufficient_condition,
+    mst_verdict,
     parse_spec,
     search_specs,
     spec_to_json,
@@ -156,7 +159,7 @@ def test_crosscheck_reports_failed_numeric_check_as_mismatch(monkeypatch):
     # in a sweep a witness that fails the numeric check is a disagreement to
     # report, not a fault: every transfer-positive spec becomes a mismatch
     monkeypatch.setattr(
-        mixedcirc.harness, "verify_numeric", lambda *args: (False, 1 + 0j, 0.5)
+        mixedcirc.transfer, "verify_numeric", lambda *args: (False, 1 + 0j, 0.5)
     )
     report = crosscheck(8, "pst")
     assert report.specs_checked == 40
@@ -236,7 +239,7 @@ def test_summed_class_rows_equal_per_spec_oracle():
     reversed_arcs = 0
     for n in range(4, 33, 4):
         shapes, seen = _shapes(n), []
-        for shape, flips, gammas, _ in _judged_chunks(shapes, "pst", 1e-9):
+        for shape, flips, gammas, _ in _judged_chunks(shapes, "pst"):
             _check_rows_against_oracle(shapes, shape, flips, gammas)
             reversed_arcs += int(flips.any(axis=1).sum())
             seen.append([spec_to_json(spec) for spec in shapes.specs(shape, flips)])
@@ -252,7 +255,7 @@ def test_sign_block_longer_than_a_chunk_is_cut():
     # 255..510 of the enumeration: the block spans three chunks and is cut
     # at both ends, and every row still equals the per-spec oracle
     n, shapes = 96, _shapes(96)
-    chunks = [c[:3] for c in islice(_judged_chunks(shapes, "pst", 1e-9), 512 // CHUNK_SPECS + 1)]
+    chunks = [c[:3] for c in islice(_judged_chunks(shapes, "pst"), 512 // CHUNK_SPECS + 1)]
     shape = np.concatenate([c[0] for c in chunks])
     assert [len(c[0]) for c in chunks] == [CHUNK_SPECS] * len(chunks)
     full = np.flatnonzero(shapes.D[shape].sum(axis=1) == 8)
@@ -338,7 +341,7 @@ def test_sign_negated_partners_get_the_same_answers(mode):
     step = 4 if mode == "pst" else 8
     for n in range(step, 49, step):
         shapes = _shapes(n)
-        parts = list(_judged_chunks(shapes, mode, 1e-9))
+        parts = list(_judged_chunks(shapes, mode))
         shape, flips = (np.concatenate([p[k] for p in parts]) for k in (0, 1))
         votes = np.concatenate([p[3] for p in parts], axis=1)
         assert len(shape) == count_specs(n)
@@ -348,6 +351,26 @@ def test_sign_negated_partners_get_the_same_answers(mode):
         assert (flips[partner] == shapes.D[shape] & ~flips).all()
         assert (votes[:, partner] == votes).all()
         assert votes[0].any()  # the order has transfer-positive specs
+
+
+@pytest.mark.parametrize("mode", ["pst", "mst"])
+def test_sweep_numeric_leg_agrees_with_the_verdicts(mode):
+    # the sweep and the CLI verdicts share one verified-witness routine: on
+    # every spec through order 32 the chunk's numeric answer is the verdict
+    step, decide = {
+        "pst": (4, lambda spec: antipodal_verdict(spec).kind != "none"),
+        "mst": (8, lambda spec: mst_verdict(spec).kind == "mst"),
+    }[mode]
+    rows = positive = 0
+    for n in range(step, 33, step):
+        shapes = _shapes(n)
+        for shape, flips, _, votes in _judged_chunks(shapes, mode):
+            verdicts = [decide(spec) for spec in shapes.specs(shape, flips)]
+            assert votes[2].tolist() == verdicts, (n, mode)
+            rows += len(verdicts)
+            positive += sum(verdicts)
+    assert rows == sum(count_specs(n) for n in range(step, 33, step))
+    assert positive > 0
 
 
 def test_crosscheck_builds_specs_only_for_class_rows_and_mismatches(monkeypatch):

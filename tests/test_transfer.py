@@ -319,7 +319,7 @@ def test_solvability_helper_equals_witness():
     # kernel's columns says exactly when witness() finds a time
     rows = feasible = 0
     for n in range(4, 33, 4):
-        for _, _, gammas, _ in _judged_chunks(_shapes(n), "pst", 1e-9):
+        for _, _, gammas, _ in _judged_chunks(_shapes(n), "pst"):
             d0, gcds, _, _ = _gap_columns(gammas)
             h = np.gcd(d0, gcds)
             profiles = gap_profiles(gammas)
@@ -737,9 +737,8 @@ def test_failed_witness_check_is_a_consistency_error(monkeypatch, decide):
 
 @pytest.fixture
 def profile_calls(monkeypatch):
-    """Count the rows profiled by the gap kernel through transfer and harness:
+    """Count the rows profiled by the gap kernel, which only transfer calls:
     one per spectrum, whether it comes alone or in a chunk matrix."""
-    import mixedcirc.harness
     import mixedcirc.transfer
 
     real = mixedcirc.transfer._gap_columns
@@ -750,7 +749,6 @@ def profile_calls(monkeypatch):
         return real(gammas)
 
     monkeypatch.setattr(mixedcirc.transfer, "_gap_columns", counting)
-    monkeypatch.setattr(mixedcirc.harness, "_gap_columns", counting)
     return calls
 
 
