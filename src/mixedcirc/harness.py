@@ -191,6 +191,8 @@ def crosscheck(n_max: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> S
             report.specs_checked += len(shape)
             positive += int(votes[0].sum())
             bad = (votes != votes[0]).any(axis=0)
+            if not bad.any():  # only a chunk with a mismatch builds specs
+                continue
             for spec, legs in zip(shapes.specs(shape[bad], flips[bad]), votes[:, bad].T.tolist()):
                 row = zip(("classifier", "valuation", "numeric"), legs)
                 report.mismatches.append({"spec": spec_to_json(spec), **dict(row)})

@@ -64,23 +64,23 @@ class DifferenceProfile:
 
     def witness(self, w: int) -> Optional[Fraction]:
         """Least time t' in (0, 1] of transfer a -> b, where w = (b - a) mod n
-        is nonzero: every delta_j * t' - w/n must be an integer.
+        is nonzero: every delta_j * t' - w/n must be an integer.  It is k/g
+        with g = gap_gcd and k from _witness_k; None when there is none."""
+        k = _witness_k(self.n, self.d0, self.gap_gcd, w)
+        return None if k is None else Fraction(k, self.gap_gcd)
 
-        Writing t' = k/g with g = gap_gcd, the condition is the congruence
-        n*delta_0*k = w*g (mod n*g).  It is solvable iff c = n*gcd(delta_0, g)
-        divides w*g (_solvable), and then k is fixed modulo m = g/gcd(delta_0, g),
-        so the least positive k is (w*g/c) * (n*delta_0/c)^-1 mod m.  Returns
-        None when g = 0 (every gap equal, hence zero) or the congruence has no
-        solution.
-        """
-        n, d0, g = self.n, self.d0, self.gap_gcd
-        h = math.gcd(d0, g)
-        if not _solvable(n, g, h, w):
-            return None
-        c, m = n * h, g // h
-        # w/n is not an integer, so the residue is never 0 and k lies in 1..m-1
-        k = (w * g // c) * pow(n * d0 // c, -1, m) % m
-        return Fraction(k, g)
+
+def _witness_k(n: int, d0: int, g: int, w: int) -> Optional[int]:
+    """Numerator k of the least witness k/g across the nonzero difference w,
+    from a profile's d0 and gap gcd g, or None.  The congruence
+    n*d0*k = w*g (mod n*g) is solvable iff n*h | w*g, h = gcd(d0, g)
+    (_solvable); then k = (w*g/(n*h)) * (d0/h)^-1 mod g/h."""
+    h = math.gcd(d0, g)
+    if not _solvable(n, g, h, w):
+        return None
+    m = g // h
+    # w/n is not an integer, so the residue is never 0 and k lies in 1..m-1
+    return (w * g // (n * h)) * pow(d0 // h, -1, m) % m
 
 
 def _solvable(n, g, h, w):
@@ -103,12 +103,9 @@ class TransferVerdict:
 
 
 def transition_amplitude(spectrum: Spectrum, a: int, b: int, t_prime) -> complex:
-    """U(t)_{ab} = (1/n) * sum_r exp(2*pi*i*(gamma_r * t' + r*(a-b)/n))."""
-    n = spectrum.n
-    gamma = np.array(spectrum.gamma, dtype=float)
-    r = np.arange(n, dtype=float)
-    phases = gamma * float(t_prime) + r * ((a - b) % n) / n
-    return complex(np.exp(2j * np.pi * phases).sum() / n)
+    """U(t)_{ab} = (1/n) * sum_r exp(2*pi*i*(gamma_r * t' + r*(a-b)/n)), the
+    amplitude of verify_rows on one row and one time."""
+    return verify_rows(spectrum.gamma, [[float(t_prime)]], [(b - a) % spectrum.n])[1].item()
 
 
 def _gaps(gammas: np.ndarray, step: int) -> np.ndarray:
@@ -123,8 +120,10 @@ def gap_profiles(gammas: np.ndarray) -> list[DifferenceProfile]:
     matrix, so an int64 one is read in place.
     """
     gammas = np.asarray(gammas)
-    columns = _gap_columns(gammas)
-    return _profiles(gammas.shape[1], *columns)
+    return [
+        DifferenceProfile(gammas.shape[1], d, g, (d & -d).bit_length() - 1 if c else None, q)
+        for d, g, c, q in zip(*(col.tolist() for col in _gap_columns(gammas)))
+    ]
 
 
 def _gap_columns(gammas: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -159,15 +158,6 @@ def _gap_columns(gammas: np.ndarray) -> tuple[np.ndarray, ...]:
     common = (low[:, 0] != 0) & (low == low[:, :1]).all(axis=1)
     quarter = ((deltas & 3) == 2).all(axis=1) & ((_gaps(gammas, 2) & 7) == 4).all(axis=1)
     return d0, gcds, common, quarter
-
-
-def _profiles(n: int, d0, gcds, common, quarter) -> list[DifferenceProfile]:
-    """One DifferenceProfile per row of the columns of _gap_columns."""
-    rows = zip(d0.tolist(), gcds.tolist(), common.tolist(), quarter.tolist())
-    return [
-        DifferenceProfile(n, d, g, (d & -d).bit_length() - 1 if c else None, q)
-        for d, g, c, q in rows
-    ]
 
 
 def difference_profile(spectrum: Spectrum) -> DifferenceProfile:
@@ -333,13 +323,8 @@ def oriented_pst_criterion(spec: GraphSpec) -> bool:
 
 
 def pst_feasible_pair(spectrum: Spectrum, a: int, b: int) -> Optional[Fraction]:
-    """Minimal t' in (0, 1] with gamma_j * t' + (a-b)/n integral across gaps.
-
-    Transfer a -> b happens at some time iff a single rational t' clears
-    every cyclic gap congruence delta_j * t' + (a-b)/n in Z.  Every witness
-    is k/g with g the gap gcd, so the congruences reduce to one linear
-    congruence in k, solved with a modular inverse (DifferenceProfile.witness).
-    Returns the minimal witness, or None.
+    """Minimal t' in (0, 1] with every delta_j * t' + (a-b)/n integral, read
+    off the spectrum's gap profile (DifferenceProfile.witness), or None.
     """
     return difference_profile(spectrum).witness(_difference(spectrum.n, a, b))
 
@@ -352,14 +337,28 @@ def minimal_pst_time(spectrum: Spectrum, a: int, b: int) -> Fraction:
     return t
 
 
+def verify_rows(gammas, times, diffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numeric transfer check on each row of a (k, n) matrix of spectra (or
+    one spectrum), at times t' in a (k, T) matrix, across vertex differences
+    diffs[j] = (b - a) mod n: (k, T) arrays of ok (residual below NUMERIC_TOL),
+    amplitude U_ab and residual |1 - |U||, np.hypot being as exact as abs().
+    It holds k*T*n terms: the sweep passes chunks, the verdicts one time each."""
+    gammas = np.array(gammas, dtype=float, ndmin=2)
+    n = gammas.shape[1]
+    offsets = np.arange(n, dtype=float) * (-np.asarray(diffs) % n)[:, None] / n
+    phases = gammas[:, None] * np.asarray(times, dtype=float)[..., None] + offsets
+    amps = np.exp(2j * np.pi * phases).sum(axis=2) / n
+    residuals = np.abs(1.0 - np.hypot(amps.real, amps.imag))
+    return residuals < NUMERIC_TOL, amps, residuals
+
+
 def verify_numeric(spectrum: Spectrum, a: int, b: int, t_prime) -> tuple[bool, complex, float]:
     """Evaluate |U_ab| at t_prime: (ok, unit phase, |1 - |U||), ok when the
-    residual is below NUMERIC_TOL."""
-    amp = transition_amplitude(spectrum, a, b, t_prime)
+    residual is below NUMERIC_TOL (verify_rows on one row and one time)."""
+    rows = verify_rows(spectrum.gamma, [[float(t_prime)]], [(b - a) % spectrum.n])
+    ok, amp, residual = (x.item() for x in rows)
     mod = abs(amp)
-    residual = abs(1.0 - mod)
-    phase = amp / mod if mod > 0 else complex(0)
-    return residual < NUMERIC_TOL, phase, residual
+    return ok, amp / mod if mod > 0 else complex(0), residual
 
 
 def pair_restriction_check(spectrum: Spectrum) -> frozenset[int]:
@@ -395,20 +394,19 @@ def transfer_rows(gammas: np.ndarray, targets: list[int]) -> np.ndarray:
     """A (3, k) bool matrix of answers on transfer from vertex 0 to every one
     of targets, for each row of a matrix of spectra that gap_profiles
     accepts: the common-valuation flag, the quarter flag and the numeric
-    answer.  The array witness test runs first, so only a row with a witness
-    for every target is verified (_verified_witnesses); a ConsistencyError
-    there is recorded as a numeric False, a disagreement for the caller."""
+    answer.  The array witness test runs first; the rows with a witness for
+    every target take their times from _witness_k, and one verify_rows call
+    checks them all, a failure being a numeric False for the caller."""
     gammas = np.asarray(gammas)
-    columns = d0, gcds, common, quarter = _gap_columns(gammas)
+    d0, gcds, common, quarter = _gap_columns(gammas)
     n = gammas.shape[1]
     h = np.gcd(d0, gcds)
     numeric = np.logical_and.reduce([_solvable(n, gcds, h, w) for w in targets])
     feasible = np.flatnonzero(numeric)
-    for r, prof in zip(feasible, _profiles(n, *(c[feasible] for c in columns))):
-        try:
-            _verified_witnesses(Spectrum(n, tuple(gammas[r].tolist())), prof, 0, targets)
-        except ConsistencyError:
-            numeric[r] = False
+    if feasible.size:
+        rows = zip(d0[feasible].tolist(), gcds[feasible].tolist())
+        times = [[_witness_k(n, d, g, w) / g for w in targets] for d, g in rows]
+        numeric[feasible] = verify_rows(gammas[feasible], times, targets)[0].all(axis=1)
     return np.array([common, quarter, numeric])
 
 

@@ -5,10 +5,14 @@ order-8 graph exercising both arc layers, the three order-8 graphs realizing
 the antipodal-transfer cases i/ii/iii, and the order-16 graph with transfer
 around the whole quarter orbit.  reference_shapes and reference_specs are
 the tuple generators of the frozen enumeration order, which the shape
-matrices of mixedcirc.harness must reproduce.
+matrices of mixedcirc.harness must reproduce.  failing_verify_rows stands
+in for mixedcirc.transfer.verify_rows, the one numeric check, to inject a
+failed amplitude check.
 """
 
 from itertools import chain, combinations, product
+
+import numpy as np
 
 from mixedcirc import GraphSpec, validate_spec
 from mixedcirc.numthy import divisors
@@ -64,3 +68,9 @@ def reference_specs(n: int):
     for b_tuple, d_tuple in reference_shapes(n):
         for signs in product((1, -1), repeat=len(d_tuple)):
             yield validate_spec(n, b_tuple, d_tuple, dict(zip(d_tuple, signs)))
+
+
+def failing_verify_rows(gammas, times, diffs):
+    """verify_rows with every entry failing: ok False, amplitude 1, residual 0.5."""
+    shape = np.shape(times)
+    return np.zeros(shape, dtype=bool), np.ones(shape, dtype=complex), np.full(shape, 0.5)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import (
+    failing_verify_rows,
     mst_example_graph,
     pst_case_i_graph,
     pst_case_ii_graph,
@@ -110,6 +111,79 @@ def test_check_mst_negative(tmp_path, capsys):
     assert json.loads(out)["kind"] == "none"
 
 
+# ------------------------------------------------------- verdict goldens
+
+# stdout bytes of check-pst (antipodal pair, --pair 0 1, --pair 1 3) and
+# check-mst on fixed specs covering every verdict kind; the residual and the
+# rounded phase are pinned to the last digit, so a drift in the numeric check
+# shows
+VERDICT_ARGS = (
+    ["check-pst"],
+    ["check-pst", "--pair", "0", "1"],
+    ["check-pst", "--pair", "1", "3"],
+    ["check-mst"],
+)
+VERDICT_GOLDENS = [
+    ('{"B": [1], "n": 5}', [
+        '{"kind":"none","m":null,"pair":[],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+        '{"kind":"none","m":null,"pair":[0,1],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+        '{"kind":"none","m":null,"pair":[1,3],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+        '{"kind":"none","m":null,"pair":[],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+    ]),
+    ('{"D": [1], "n": 4, "sigma": {"1": 1}}', [
+        '{"kind":"antipodal_pst","m":1,"pair":[0,2],"phase":{"im":-0.0,"re":1.0},"residual":0.0,"schema":1,"t_prime":{"p":1,"q":4}}',
+        '{"kind":"none","m":null,"pair":[0,1],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+        '{"kind":"antipodal_pst","m":1,"pair":[1,3],"phase":{"im":-0.0,"re":1.0},"residual":0.0,"schema":1,"t_prime":{"p":1,"q":4}}',
+        '{"kind":"none","m":null,"pair":[0,1,2,3],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+    ]),
+    ('{"B": [1], "D": [2], "n": 8, "sigma": {"2": 1}}', [
+        '{"kind":"antipodal_pst","m":1,"pair":[0,4],"phase":{"im":-0.0,"re":1.0},"residual":0.0,"schema":1,"t_prime":{"p":1,"q":4}}',
+        '{"kind":"none","m":null,"pair":[0,1],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+        '{"kind":"quarter_pst","m":1,"pair":[1,3],"phase":{"im":0.0,"re":-1.0},"residual":0.0,"schema":1,"t_prime":{"p":1,"q":8}}',
+        '{"kind":"mst","m":1,"pair":[0,2,4,6],"phase":{"im":0.0,"re":-1.0},"residual":0.0,"schema":1,"t_prime":{"p":1,"q":8}}',
+    ]),
+    ('{"B": [2, 4], "D": [1], "n": 8, "sigma": {"1": -1}}', [
+        '{"kind":"antipodal_pst","m":2,"pair":[0,4],"phase":{"im":0.707106781187,"re":-0.707106781187},"residual":0.0,"schema":1,"t_prime":{"p":1,"q":8}}',
+        '{"kind":"none","m":null,"pair":[0,1],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+        '{"kind":"none","m":null,"pair":[1,3],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+        '{"kind":"none","m":null,"pair":[0,2,4,6],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+    ]),
+    ('{"B": [1], "D": [2, 4], "n": 16, "sigma": {"2": 1, "4": -1}}', [
+        '{"kind":"antipodal_pst","m":1,"pair":[0,8],"phase":{"im":-0.0,"re":1.0},"residual":0.0,"schema":1,"t_prime":{"p":1,"q":4}}',
+        '{"kind":"none","m":null,"pair":[0,1],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+        '{"kind":"none","m":null,"pair":[1,3],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+        '{"kind":"mst","m":1,"pair":[0,4,8,12],"phase":{"im":-0.0,"re":1.0},"residual":0.0,"schema":1,"t_prime":{"p":1,"q":8}}',
+    ]),
+    ('{"B": [4, 8, 16, 24, 32, 48], "D": [2, 3, 6, 12], "n": 96, "sigma": {"12": 1, "2": -1, "3": 1, "6": -1}}', [
+        '{"kind":"antipodal_pst","m":2,"pair":[0,48],"phase":{"im":0.707106781187,"re":-0.707106781187},"residual":1.1102230246251565e-16,"schema":1,"t_prime":{"p":1,"q":8}}',
+        '{"kind":"none","m":null,"pair":[0,1],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+        '{"kind":"none","m":null,"pair":[1,3],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+        '{"kind":"none","m":null,"pair":[0,24,48,72],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+    ]),
+    ('{"B": [1, 4, 16, 32, 48], "D": [2, 6, 12, 24, 96, 192], "n": 768, "sigma": {"12": -1, "192": 1, "2": -1, "24": 1, "6": -1, "96": -1}}', [
+        '{"kind":"antipodal_pst","m":1,"pair":[0,384],"phase":{"im":-0.0,"re":1.0},"residual":0.0,"schema":1,"t_prime":{"p":1,"q":4}}',
+        '{"kind":"none","m":null,"pair":[0,1],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+        '{"kind":"none","m":null,"pair":[1,3],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+        '{"kind":"none","m":null,"pair":[0,192,384,576],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+    ]),
+    ('{"B": [512], "n": 1024}', [
+        '{"kind":"antipodal_pst","m":1,"pair":[0,512],"phase":{"im":1.0,"re":0.0},"residual":0.0,"schema":1,"t_prime":{"p":1,"q":4}}',
+        '{"kind":"none","m":null,"pair":[0,1],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+        '{"kind":"none","m":null,"pair":[1,3],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+        '{"kind":"none","m":null,"pair":[0,256,512,768],"phase":null,"residual":null,"schema":1,"t_prime":null}',
+    ]),
+]
+
+
+@pytest.mark.parametrize("spec, lines", VERDICT_GOLDENS, ids=[s for s, _ in VERDICT_GOLDENS])
+def test_verdict_stdout_is_pinned(tmp_path, capsys, spec, lines):
+    path = tmp_path / "graph.json"
+    path.write_text(spec, encoding="utf-8")
+    for argv, line in zip(VERDICT_ARGS, lines, strict=True):
+        code, out, _ = run(capsys, [*argv, "--spec", str(path)])
+        assert (code, out) == (0, line + "\n"), argv
+
+
 # -------------------------------------------------------------------- search
 
 def test_search_output(capsys):
@@ -177,9 +251,7 @@ def test_crosscheck_disagreement_exits_one(capsys, monkeypatch):
 
 def test_crosscheck_failed_numeric_check_exits_one(capsys, monkeypatch):
     # a witness failing the numeric check is a mismatch row, not a traceback
-    monkeypatch.setattr(
-        mixedcirc.transfer, "verify_numeric", lambda *args: (False, 1 + 0j, 0.5)
-    )
+    monkeypatch.setattr(mixedcirc.transfer, "verify_rows", failing_verify_rows)
     code, out, _ = run(capsys, ["crosscheck", "--n-max", "8", "--mode", "mst"])
     assert code == 1
     payload = json.loads(out)

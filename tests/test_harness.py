@@ -9,7 +9,14 @@ import pytest
 
 import mixedcirc.harness
 import mixedcirc.transfer
-from conftest import mst_example_graph, pst_case_i_graph, reference_shapes, reference_specs
+from conftest import (
+    failing_verify_rows,
+    mst_example_graph,
+    pst_case_i_graph,
+    pst_case_iii_graph,
+    reference_shapes,
+    reference_specs,
+)
 from mixedcirc import (
     BudgetExceeded,
     SpecError,
@@ -19,6 +26,7 @@ from mixedcirc import (
     classify_pst,
     count_specs,
     crosscheck,
+    eigenvalues_closed_form,
     eigenvalues_oracle,
     enumerate_specs,
     mst_sufficient_condition,
@@ -158,15 +166,36 @@ def test_crosscheck_surfaces_quarter_orbit_disagreements(monkeypatch):
 def test_crosscheck_reports_failed_numeric_check_as_mismatch(monkeypatch):
     # in a sweep a witness that fails the numeric check is a disagreement to
     # report, not a fault: every transfer-positive spec becomes a mismatch
-    monkeypatch.setattr(
-        mixedcirc.transfer, "verify_numeric", lambda *args: (False, 1 + 0j, 0.5)
-    )
+    monkeypatch.setattr(mixedcirc.transfer, "verify_rows", failing_verify_rows)
     report = crosscheck(8, "pst")
     assert report.specs_checked == 40
     assert report.pst_positive > 0
     assert len(report.mismatches) == report.pst_positive
     for row in report.mismatches:
         assert (row["classifier"], row["valuation"], row["numeric"]) == (True, True, False)
+
+
+def test_one_failed_row_is_one_mismatch(monkeypatch):
+    # the chunk's numeric answers land on their own rows: failing the check
+    # for one spec's spectrum alone makes that spec a mismatch, and none of
+    # the other verified rows of its chunk (case iii is row 14 of 18 there)
+    chosen = pst_case_iii_graph()
+    gamma = eigenvalues_closed_form(chosen).gamma
+    real, hits = mixedcirc.transfer.verify_rows, []
+
+    def fail_chosen(gammas, times, diffs):
+        ok, amps, residuals = real(gammas, times, diffs)
+        hit = [i for i, row in enumerate(np.asarray(gammas).tolist()) if tuple(row) == gamma]
+        hits.append((len(gammas), hit))
+        ok[hit] = False
+        return ok, amps, residuals
+
+    monkeypatch.setattr(mixedcirc.transfer, "verify_rows", fail_chosen)
+    report = crosscheck(8, "pst")
+    assert hits == [(4, []), (18, [14])]
+    assert report.mismatches == [
+        {"spec": spec_to_json(chosen), "classifier": True, "valuation": True, "numeric": False}
+    ]
 
 
 def test_crosscheck_budget_guard():

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     all_specs,
+    failing_verify_rows,
     mst_example_graph,
     pst_case_i_graph,
     pst_case_ii_graph,
@@ -133,17 +134,20 @@ class LoopProfile:
         )
 
     def witness(self, w):
-        g = self.gap_gcd
-        if g == 0:
-            return None
-        n = len(self.deltas)
-        d0 = self.deltas[0]
-        c = n * math.gcd(d0, g)
-        if (w * g) % c:
-            return None
-        m = n * g // c
-        k = (w * g // c) * pow(n * d0 // c, -1, m) % m
-        return Fraction(k, g)
+        return loop_witness(len(self.deltas), self.deltas[0], self.gap_gcd, w)
+
+
+def loop_witness(n, d0, g, w):
+    """The congruence solve of the loop profile, on its fields: the least
+    Fraction witness k/g across w, or None."""
+    if g == 0:
+        return None
+    c = n * math.gcd(d0, g)
+    if (w * g) % c:
+        return None
+    m = n * g // c
+    k = (w * g // c) * pow(n * d0 // c, -1, m) % m
+    return Fraction(k, g)
 
 
 def loop_difference_profile(gamma) -> LoopProfile:
@@ -649,6 +653,63 @@ def test_amplitudes_shift_invariant():
         assert transition_amplitude(sp, b, (b + 4) % 8, t) == pytest.approx(base)
 
 
+def scalar_verify(gamma, a, b, t_prime):
+    """Reference numeric check, one row at a time: the amplitude of one
+    spectrum at one time as a Python complex, its modulus by Python's abs;
+    (ok, residual)."""
+    n = len(gamma)
+    r = np.arange(n, dtype=float)
+    phases = np.array(gamma, dtype=float) * float(t_prime) + r * ((a - b) % n) / n
+    amp = complex(np.exp(2j * np.pi * phases).sum() / n)
+    residual = abs(1.0 - abs(amp))
+    return residual < 1e-9, residual
+
+
+@pytest.mark.parametrize(
+    "mode, step, quarters", [("pst", 4, (2,)), ("mst", 8, (1, 2, 3))], ids=["pst", "mst"]
+)
+def test_chunk_verification_equals_the_per_row_route(monkeypatch, mode, step, quarters):
+    # every sweep row with a witness for every target, 4 | n <= 48 (pst) or
+    # 8 | n <= 48 (mst), goes through its chunk's one verify_rows call with
+    # the float of its Fraction witness (the loop profile's solve on the gap
+    # kernel's d0 and gap gcd), and gets the ok flag and the residual, bit
+    # for bit, of the per-row route
+    import mixedcirc.transfer
+
+    real, calls = mixedcirc.transfer.verify_rows, []
+
+    def recording(gammas, times, diffs):
+        result = real(gammas, times, diffs)
+        calls.append((np.asarray(gammas).tolist(), np.asarray(times).tolist(), list(diffs), result))
+        return result
+
+    monkeypatch.setattr(mixedcirc.transfer, "verify_rows", recording)
+    rows = 0
+    for n in range(step, 49, step):
+        targets = [k * n // 4 for k in quarters]
+        for _, _, gammas, _ in _judged_chunks(_shapes(n), mode):
+            witnessed = []
+            for gamma, prof in zip(gammas.tolist(), gap_profiles(gammas)):
+                times = [loop_witness(n, prof.d0, prof.gap_gcd, b) for b in targets]
+                if all(t is not None for t in times):
+                    witnessed.append((gamma, times))
+            if not witnessed:
+                assert calls == [], n
+                continue
+            [(got, got_times, diffs, (ok, _, residuals))] = calls
+            calls.clear()
+            assert diffs == targets
+            assert got == [gamma for gamma, _ in witnessed], n
+            for i, (gamma, times) in enumerate(witnessed):
+                for j, (b, t) in enumerate(zip(targets, times)):
+                    ref_ok, ref_residual = scalar_verify(gamma, 0, b, t)
+                    assert got_times[i][j] == float(t), (gamma, b)
+                    assert ok[i, j] == ref_ok, (gamma, b)
+                    assert residuals[i, j].hex() == ref_residual.hex(), (gamma, b)
+            rows += len(witnessed)
+    assert rows == {"pst": 2806, "mst": 342}[mode]  # the sweep's positive counts
+
+
 # --------------------------------------------------------- pair restriction
 
 def test_pair_restriction_frozen_values():
@@ -723,9 +784,7 @@ def test_failed_witness_check_is_a_consistency_error(monkeypatch, decide):
     # verdicts raise instead of reporting either answer
     import mixedcirc.transfer
 
-    monkeypatch.setattr(
-        mixedcirc.transfer, "verify_numeric", lambda *args: (False, 1 + 0j, 0.5)
-    )
+    monkeypatch.setattr(mixedcirc.transfer, "verify_rows", failing_verify_rows)
     with pytest.raises(ConsistencyError):
         decide()
     # no witness, nothing to check: these stay "none"
