@@ -14,9 +14,10 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .circulant import GraphSpec, SpecError, build_connection_set, spec_to_json, validate_spec
+from .circulant import GraphSpec, SpecError, build_connection_set, hermitian_adjacency
+from .circulant import spec_to_json, validate_spec
 from .numthy import divisors
-from .spectrum import eigenvalues_oracle
+from .spectrum import _oracle_spectra
 from .transfer import classify_mst_rows, classify_pst_rows, transfer_rows
 
 DEFAULT_BUDGET = 10**6
@@ -106,14 +107,18 @@ def _shapes(n: int) -> _Shapes:
     return _Shapes(n, tuple(proper), sets[b_of], D, np.cumsum(1 << D.sum(axis=1)))
 
 
+CHUNK_ENTRIES = 2**14  # spectrum entries per chunk: crosscheck memory stays flat in the order
+
+
 def _row_chunks(shapes: _Shapes) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Shape index and flip matrix (True where the sign is -1) of each row of
-    an order, CHUNK_SPECS rows at a time.  A shape's rows take its sign
+    an order, max(1, CHUNK_ENTRIES // n) rows at a time: a chunk of spectra has
+    about CHUNK_ENTRIES entries at any order.  A shape's rows take its sign
     choices in product order, +1 before -1 and the smallest divisor slowest:
     bit r of a row's offset in its block flips the D member r from the right."""
-    total = int(shapes.ends[-1])
-    for start in range(0, total, CHUNK_SPECS):
-        rows = np.arange(start, min(start + CHUNK_SPECS, total))
+    total, size = int(shapes.ends[-1]), max(1, CHUNK_ENTRIES // shapes.n)
+    for start in range(0, total, size):
+        rows = np.arange(start, min(start + size, total))
         shape = np.searchsorted(shapes.ends, rows, side="right")
         D = shapes.D[shape]
         offset = rows - shapes.ends[shape] + (1 << D.sum(axis=1))
@@ -136,22 +141,20 @@ def count_specs(n: int) -> int:
     return 2 ** (len(proper) - len(d_pool)) * 4 ** len(d_pool)
 
 
-CHUNK_SPECS = 128  # rows per chunk of spectra: keeps crosscheck memory flat in the order
-
-
 def _class_table(n: int) -> np.ndarray:
     """Oracle spectra of the single-class specs of order n in three blocks of
     rows over the proper divisors: the class G_n(d) of each, then the +1 and
-    the -1 half class of each d | n/4 (zero rows elsewhere).  Each is built and
-    checked by eigenvalues_oracle exactly as a whole spec would be.  Floats let
-    BLAS sum rows: sums over disjoint classes are integers below n, so exact."""
+    the -1 half class of each d | n/4 (zero rows elsewhere).  Each spec and its
+    Hermitian row are built one by one as a whole spec's would be; one pass of
+    _oracle_spectra transforms, rounds and checks them all.  Floats let BLAS
+    sum rows: sums over disjoint classes are integers below n, so exact."""
     proper, d_pool = _pools(n)
-    table = np.zeros((3, len(proper), n))
+    rows = np.zeros((3, len(proper), n), dtype=complex)
     for c, d in enumerate(proper):
         halves = [validate_spec(n, [], [d], {d: s}) for s in (1, -1)] if d in d_pool else []
         for k, spec in enumerate([validate_spec(n, [d]), *halves]):
-            table[k, c] = eigenvalues_oracle(build_connection_set(spec), n).gamma
-    return table.reshape(-1, n)
+            rows[k, c] = hermitian_adjacency(build_connection_set(spec), n).row
+    return _oracle_spectra(rows.reshape(-1, n))
 
 
 def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...]]:

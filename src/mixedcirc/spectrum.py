@@ -205,21 +205,25 @@ def eigenvalues_by_class(spec: GraphSpec) -> Spectrum:
     return Spectrum(n=n, gamma=tuple(gamma))
 
 
-def eigenvalues_oracle(cs: ConnectionSet, n: int) -> Spectrum:
-    """Floating-point spectrum n * ifft(row) of the Hermitian adjacency, rounded.
-
-    gamma[j] = sum over c of row[c] * w^(jc), w = exp(2*pi*i/n), which is n
-    times the inverse DFT of the difference row.  Raises NonIntegerResidual
-    if any value strays from an integer by ORACLE_TOL or more.
-    """
-    vals = n * np.fft.ifft(hermitian_adjacency(cs, n).row)
+def _oracle_spectra(rows: np.ndarray) -> np.ndarray:
+    """n * ifft of each Hermitian difference row of a (k, n) matrix, rounded, as
+    floats: gamma[j] = sum over c of row[c] * w^(jc), w = exp(2*pi*i/n).  One
+    check covers every row: NonIntegerResidual if any value strays from an
+    integer by ORACLE_TOL or more."""
+    vals = rows.shape[1] * np.fft.ifft(rows, axis=1)
     rounded = np.rint(vals.real)
     resid = np.abs(vals - rounded)
     if resid.max() >= ORACLE_TOL:
-        worst = int(resid.argmax())
+        k, j = np.unravel_index(resid.argmax(), resid.shape)
         raise NonIntegerResidual(
-            f"gamma[{worst}] = {vals[worst]} is {resid[worst]:.3e} from an integer"
+            f"row {k}: gamma[{j}] = {vals[k, j]} is {resid[k, j]:.3e} from an integer"
         )
+    return rounded
+
+
+def eigenvalues_oracle(cs: ConnectionSet, n: int) -> Spectrum:
+    """Floating-point spectrum of the Hermitian adjacency: _oracle_spectra on its row."""
+    rounded = _oracle_spectra(np.array([hermitian_adjacency(cs, n).row]))[0]
     return Spectrum(n=n, gamma=tuple(int(x) for x in rounded))
 
 

@@ -131,7 +131,8 @@ def _gap_columns(gammas: np.ndarray) -> tuple[np.ndarray, ...]:
     the gap gcd (np.gcd.reduce of delta_j - delta_0), whether the lowest set
     bits d & -d of all gaps are equal and nonzero (a common valuation, that
     of d0), and whether every gap is 2 (mod 4) and every double gap 4 (mod
-    8): v2 = 1 and v2 = 2 for either sign, false on 0.  Entries must be
+    8): v2 = 1 and v2 = 2 for either sign, false on 0 (double gaps are formed
+    only on rows whose common valuation is d0's, 1).  Entries must be
     integers with |gamma| < 2**60, so that gaps, double gaps and
     delta_j - delta_0 stay exact in int64; anything else raises ValueError
     rather than being truncated or wrapped.
@@ -156,7 +157,8 @@ def _gap_columns(gammas: np.ndarray) -> tuple[np.ndarray, ...]:
     gcds = np.gcd.reduce(deltas - d0[:, None], axis=1)
     low = deltas & -deltas
     common = (low[:, 0] != 0) & (low == low[:, :1]).all(axis=1)
-    quarter = ((deltas & 3) == 2).all(axis=1) & ((_gaps(gammas, 2) & 7) == 4).all(axis=1)
+    quarter = common & (d0 & 3 == 2)  # every gap 2 (mod 4): the rows worth a double-gap test
+    quarter[quarter] = ((_gaps(gammas[quarter], 2) & 7) == 4).all(axis=1)
     return d0, gcds, common, quarter
 
 
@@ -342,8 +344,9 @@ def verify_rows(gammas, times, diffs) -> tuple[np.ndarray, np.ndarray, np.ndarra
     one spectrum), at times t' in a (k, T) matrix, across vertex differences
     diffs[j] = (b - a) mod n: (k, T) arrays of ok (residual below NUMERIC_TOL),
     amplitude U_ab and residual |1 - |U||, np.hypot being as exact as abs().
-    It holds k*T*n terms: the sweep passes chunks, the verdicts one time each."""
-    gammas = np.array(gammas, dtype=float, ndmin=2)
+    It holds k*T*n terms: the sweep passes chunks, the verdicts one time each;
+    a float matrix or row is read in place, not copied."""
+    gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
     n = gammas.shape[1]
     offsets = np.arange(n, dtype=float) * (-np.asarray(diffs) % n)[:, None] / n
     phases = gammas[:, None] * np.asarray(times, dtype=float)[..., None] + offsets
@@ -357,8 +360,7 @@ def verify_numeric(spectrum: Spectrum, a: int, b: int, t_prime) -> tuple[bool, c
     residual is below NUMERIC_TOL (verify_rows on one row and one time)."""
     rows = verify_rows(spectrum.gamma, [[float(t_prime)]], [(b - a) % spectrum.n])
     ok, amp, residual = (x.item() for x in rows)
-    mod = abs(amp)
-    return ok, amp / mod if mod > 0 else complex(0), residual
+    return ok, amp / abs(amp) if amp else complex(0), residual
 
 
 def pair_restriction_check(spectrum: Spectrum) -> frozenset[int]:
@@ -375,18 +377,19 @@ def pair_restriction_check(spectrum: Spectrum) -> frozenset[int]:
 def _verified_witnesses(spectrum, prof, a, targets):
     """(t', unit phase, residual) of the witness of a -> b for each b in
     targets, read off prof, or None when a target has none; only then is each
-    witness checked, and one failing verify_numeric is a ConsistencyError."""
+    checked, by verify_rows on floats converted once; a failure is a ConsistencyError."""
     times = [prof.witness((b - a) % prof.n) for b in targets]
     if any(t is None for t in times):
         return None
-    found = []
+    gammas, found = np.array(spectrum.gamma, dtype=float), []
     for b, t in zip(targets, times):
-        ok, phase, residual = verify_numeric(spectrum, a, b, t)
+        rows = verify_rows(gammas, [[float(t)]], [(b - a) % prof.n])
+        ok, amp, residual = (x.item() for x in rows)
         if not ok:
             raise ConsistencyError(
                 f"witness t'={t} for ({a},{b}) failed numeric check: residual {residual}"
             )
-        found.append((t, phase, residual))
+        found.append((t, amp / abs(amp), residual))  # ok, so |amp| is near 1
     return found
 
 

@@ -37,7 +37,7 @@ from mixedcirc import (
     validate_spec,
 )
 from mixedcirc.circulant import GraphSpec
-from mixedcirc.harness import CHUNK_SPECS, _judged_chunks, _row_chunks, _shapes
+from mixedcirc.harness import CHUNK_ENTRIES, _judged_chunks, _row_chunks, _shapes
 from mixedcirc.numthy import MAX_N, divisors
 from mixedcirc.transfer import (
     PST_CASES,
@@ -264,16 +264,16 @@ def _check_rows_against_oracle(shapes, shape, flips, gammas):
 
 def test_summed_class_rows_equal_per_spec_oracle():
     # each chunk matrix row is its spec's whole oracle spectrum, and the rows
-    # cover the reference enumeration in order, CHUNK_SPECS at a time
+    # cover the reference enumeration in order, CHUNK_ENTRIES // n at a time
     reversed_arcs = 0
     for n in range(4, 33, 4):
-        shapes, seen = _shapes(n), []
+        shapes, seen, size = _shapes(n), [], max(1, CHUNK_ENTRIES // n)
         for shape, flips, gammas, _ in _judged_chunks(shapes, "pst"):
             _check_rows_against_oracle(shapes, shape, flips, gammas)
             reversed_arcs += int(flips.any(axis=1).sum())
             seen.append([spec_to_json(spec) for spec in shapes.specs(shape, flips)])
-        assert all(len(c) == CHUNK_SPECS for c in seen[:-1])
-        assert 0 < len(seen[-1]) <= CHUNK_SPECS
+        assert all(len(c) == size for c in seen[:-1])
+        assert 0 < len(seen[-1]) <= size
         flat = [spec for c in seen for spec in c]
         assert flat == [spec_to_json(s) for s in reference_specs(n)]
     assert reversed_arcs > 0
@@ -281,16 +281,19 @@ def test_summed_class_rows_equal_per_spec_oracle():
 
 def test_sign_block_longer_than_a_chunk_is_cut():
     # at n = 96, D = {1, 2, 3, 4, 6, 8, 12, 24} has 256 sign choices, rows
-    # 255..510 of the enumeration: the block spans three chunks and is cut
-    # at both ends, and every row still equals the per-spec oracle
-    n, shapes = 96, _shapes(96)
-    chunks = [c[:3] for c in islice(_judged_chunks(shapes, "pst"), 512 // CHUNK_SPECS + 1)]
+    # 255..510 of the enumeration; chunks of 170 rows: the block spans three
+    # chunks and is cut at both ends, and every row still equals the
+    # per-spec oracle
+    n, shapes, size = 96, _shapes(96), CHUNK_ENTRIES // 96
+    assert size == 170
+    chunks = [c[:3] for c in islice(_judged_chunks(shapes, "pst"), 512 // size + 1)]
     shape = np.concatenate([c[0] for c in chunks])
-    assert [len(c[0]) for c in chunks] == [CHUNK_SPECS] * len(chunks)
+    assert [len(c[0]) for c in chunks] == [size] * len(chunks)
     full = np.flatnonzero(shapes.D[shape].sum(axis=1) == 8)
     assert full.tolist() == list(range(255, 511))
     assert len(set(shape[full].tolist())) == 1  # one shape
-    assert 255 % CHUNK_SPECS and 511 % CHUNK_SPECS  # cut inside a chunk at both ends
+    assert 255 % size and 511 % size  # cut inside a chunk at both ends
+    assert len({r // size for r in full.tolist()}) == 3
     rows = [spec_to_json(spec) for c in chunks for spec in shapes.specs(c[0], c[1])]
     assert rows == [spec_to_json(s) for s in islice(reference_specs(n), len(rows))]
     for c in chunks:
@@ -298,27 +301,30 @@ def test_sign_block_longer_than_a_chunk_is_cut():
 
 
 @pytest.fixture
-def oracle_calls(monkeypatch):
-    """Count eigenvalues_oracle calls made through harness."""
-    real = mixedcirc.harness.eigenvalues_oracle
+def oracle_rows(monkeypatch):
+    """Per call of the oracle's one residual check made through harness, the
+    order and the number of class (nonzero) rows it transforms."""
+    real = mixedcirc.harness._oracle_spectra
     calls = []
 
-    def counting(cs, n, *args, **kwargs):
-        calls.append(n)
-        return real(cs, n, *args, **kwargs)
+    def counting(rows):
+        calls.append((rows.shape[1], int(rows.any(axis=1).sum())))
+        return real(rows)
 
-    monkeypatch.setattr(mixedcirc.harness, "eigenvalues_oracle", counting)
+    monkeypatch.setattr(mixedcirc.harness, "_oracle_spectra", counting)
     return calls
 
 
 @pytest.mark.parametrize("mode, expected", [("pst", 30), ("mst", 17)])
-def test_crosscheck_takes_oracle_once_per_class(oracle_calls, mode, expected):
-    # tau(n) - 1 undirected classes plus two half classes per d | n/4
+def test_crosscheck_takes_oracle_once_per_class(oracle_rows, mode, expected):
+    # tau(n) - 1 undirected classes plus two half classes per d | n/4, all
+    # of an order's class rows in one oracle pass
     report = crosscheck(16, mode)
     per_order = {n: len(divisors(n)) - 1 + 2 * len(divisors(n // 4)) for n in report.n_range}
-    assert len(oracle_calls) == sum(per_order.values()) == expected
-    assert oracle_calls == [n for n, k in per_order.items() for _ in range(k)]
+    assert sum(k for _, k in oracle_rows) == sum(per_order.values()) == expected
+    assert oracle_rows == list(per_order.items())
     assert report.specs_checked > expected
+
 
 
 def test_classifiers_ignore_the_signs():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -34,9 +35,9 @@ from mixedcirc import (
     undirected_degree,
     validate_spec,
 )
-from mixedcirc.circulant import partition_divisors
+from mixedcirc.circulant import hermitian_adjacency, partition_divisors
 from mixedcirc.numthy import divisors
-from mixedcirc.spectrum import _delta
+from mixedcirc.spectrum import _delta, _oracle_spectra
 
 
 def scaled(s, k):
@@ -149,6 +150,26 @@ def test_oracle_rejects_non_integral_graph():
     # a single unpaired arc on a triangle has non-integer character sums
     with pytest.raises(NonIntegerResidual):
         eigenvalues_oracle(ConnectionSet(frozenset(), frozenset({1})), 3)
+
+
+def test_one_non_integral_row_fails_a_batched_oracle_pass():
+    # one rounding and one residual check serve a whole stack of rows: the
+    # class rows of order 12 pass, and the undirected pair {1, 11}, not a
+    # union of divisor classes (gamma_1 = 2*cos(pi/6) = sqrt(3)), placed
+    # among them raises NonIntegerResidual naming its row
+    n = 12
+    rows = [
+        hermitian_adjacency(build_connection_set(validate_spec(n, [d])), n).row
+        for d in divisors(n)[:-1]
+    ]
+    spectra = _oracle_spectra(np.array(rows))
+    assert spectra.tolist() == [
+        list(eigenvalues_oracle(build_connection_set(validate_spec(n, [d])), n).gamma)
+        for d in divisors(n)[:-1]
+    ]
+    bad = hermitian_adjacency(ConnectionSet(frozenset({1, 11}), frozenset()), n).row
+    with pytest.raises(NonIntegerResidual, match="row 2: gamma"):
+        _oracle_spectra(np.array(rows[:2] + [bad] + rows[2:]))
 
 
 # ----------------------------------------------------------- auxiliary sums

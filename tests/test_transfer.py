@@ -281,6 +281,58 @@ def test_kernel_equals_loop_reference_on_hand_picked_rows(gamma):
     assert hash(prof) == hash(single)
 
 
+def unscreened_quarter(gammas: np.ndarray) -> np.ndarray:
+    """The quarter flag by its definition, on every row: each cyclic gap is
+    2 (mod 4) and each cyclic double gap 4 (mod 8)."""
+    gaps = [np.roll(gammas, -step, axis=1) - gammas for step in (1, 2)]
+    return ((gaps[0] % 4) == 2).all(axis=1) & ((gaps[1] % 8) == 4).all(axis=1)
+
+
+def test_screened_quarter_equals_its_definition_on_sweep_rows():
+    # the kernel forms double gaps only where the valuation is common and
+    # d0 is 2 (mod 4); every row the mst sweep checks, 8 | n <= 96, gets
+    # the flag the unscreened definition gives
+    rows = positive = 0
+    for n in range(8, 97, 8):
+        for _, _, gammas, votes in _judged_chunks(_shapes(n), "mst"):
+            quarter = unscreened_quarter(gammas)
+            assert (votes[1] == quarter).all(), n  # the kernel's flag, via transfer_rows
+            rows, positive = rows + len(gammas), positive + int(quarter.sum())
+    assert rows == sum(count_specs(n) for n in range(8, 97, 8))
+    assert positive > 0
+
+
+def test_screened_quarter_equals_its_definition_on_random_rows():
+    # seeded int64 matrices: random rows with negative entries and zero
+    # gaps, a constant row, and rows built on the quarter orbit (every gap
+    # r (mod 8), r in {2, 6}; with 4 | n the closing gap is r too) near
+    # |gamma| = 2**59 - 1, with near misses that pass the screen (+-4 on
+    # one entry) or fail it (+-2)
+    rng = np.random.default_rng(20260)
+    top = 2**59 - 1
+    for n in (4, 8, 12, 16, 24, 40):
+        gaps = 8 * rng.integers(-3, 4, size=(64, n - 1)) + rng.choice([2, 6], size=(64, 1))
+        walks = np.hstack([np.zeros((64, 1), dtype=np.int64), np.cumsum(gaps, axis=1)])
+        span = walks.max(axis=1, keepdims=True) - walks.min(axis=1, keepdims=True)
+        edge = top - 4  # room for the near misses
+        low = np.where(rng.random((64, 1)) < 0.5, edge - span, -edge)
+        base = low - walks.min(axis=1, keepdims=True)
+        orbit = base + walks
+        nudged = orbit.copy()
+        nudged[np.arange(64), rng.integers(0, n, size=64)] += rng.choice([-4, -2, 2, 4], size=64)
+        noise = rng.integers(-6, 7, size=(64, n))
+        noise[::4] = noise[::4, :1]  # zero gaps: constant rows
+        noise[1::4, ::2] = 0  # some gaps zero
+        wide = rng.integers(-top, top + 1, size=(16, n), dtype=np.int64)
+        gammas = np.vstack([orbit, nudged, noise, wide, np.full((1, n), -top)])
+        assert np.abs(gammas).max() <= top
+        quarter = unscreened_quarter(gammas)
+        assert quarter[:64].all() and not quarter[64:128].any()
+        d0, _, common, screened = _gap_columns(gammas)
+        assert (screened == quarter).all(), n
+        assert (common & (d0 & 3 == 2))[64:128].any()  # misses the double-gap test catches
+
+
 def test_kernel_profiles_keep_their_own_rows():
     # a later write to the caller's matrix must not change a profile
     gammas = np.array([[0, 2, 0, 2]], dtype=np.int64)
