@@ -214,15 +214,24 @@ def build_connection_set(spec: GraphSpec) -> ConnectionSet:
 
 
 def hermitian_adjacency(cs: ConnectionSet, n: int) -> HermitianMatrix:
-    """Adjacency with 1 on undirected edges, +i on arcs, -i on reversed arcs."""
+    """Adjacency with 1 on undirected edges, +i on arcs, -i on reversed arcs.
+
+    SpecError unless the residues lie in 1..n-1, the undirected ones are closed
+    under c -> n - c, and no arc c has c or n - c undirected or n - c an arc
+    (so c = n/2 is refused): else entries would overwrite each other."""
+    und, arcs = cs.undirected, cs.directed
+    if not all(0 < c < n for c in und | arcs):
+        raise SpecError(f"residues must lie in 1..{n - 1} (loops forbidden)")
+    if und != {n - c for c in und}:
+        raise SpecError("undirected residues are not closed under c -> n - c")
+    if arcs & (und | {n - c for c in arcs}):
+        raise SpecError("an arc's reverse is undirected or an arc as well")
     row = [complex(0)] * n
-    for c in cs.undirected:
-        row[c % n] = complex(1)
-    for c in cs.directed:
-        row[c % n] = 1j
-        row[(-c) % n] = -1j
-    if row[0] != 0:
-        raise SpecError("connection set touches difference 0 (loops forbidden)")
+    for c in und:
+        row[c] = complex(1)
+    for c in arcs:
+        row[c] = 1j
+        row[n - c] = -1j
     return HermitianMatrix(order=n, row=tuple(row))
 
 

@@ -2,7 +2,7 @@
 
 Every closed form here returns a plain Python int.  The *_oracle companions
 evaluate the defining trigonometric sums in floating point and round, raising
-NonIntegerResidual when the result is not within tolerance of an integer; they
+NonIntegerResidual when the result is not within ORACLE_TOL of an integer; they
 exist so tests can check the closed forms against an independent route.
 """
 
@@ -100,7 +100,7 @@ def ramanujan_sum(n: int, q: int) -> int:
     return mu * (euler_phi(n) // euler_phi(k))
 
 
-def ramanujan_sum_oracle(n: int, q: int, tol: float = ORACLE_TOL) -> int:
+def ramanujan_sum_oracle(n: int, q: int) -> int:
     """Literal cosine sum over residues coprime to n, rounded to an integer."""
     _check_modulus(n)
     if q < 1:
@@ -108,7 +108,7 @@ def ramanujan_sum_oracle(n: int, q: int, tol: float = ORACLE_TOL) -> int:
     a = np.array([x for x in range(1, n + 1) if math.gcd(x, n) == 1], dtype=float)
     total = float(np.cos(2.0 * np.pi * a * q / n).sum())
     nearest = round(total)
-    if abs(total - nearest) >= tol:
+    if abs(total - nearest) >= ORACLE_TOL:
         raise NonIntegerResidual(
             f"c_{n}({q}) evaluated to {total}, residual {abs(total - nearest):.3e}"
         )
@@ -160,7 +160,7 @@ def ramanujan_sine_sum(n: int, q: int) -> int:
     return sign * (1 << (t - 1)) * ramanujan_sum(m, qp)
 
 
-def ramanujan_sine_sum_oracle(n: int, q: int, tol: float = ORACLE_TOL) -> int:
+def ramanujan_sine_sum_oracle(n: int, q: int) -> int:
     """Literal sum -2*sin(2*pi*a*q/n) over coprime residues a = 1 (mod 4)."""
     _check_modulus(n)
     if q < 1:
@@ -172,7 +172,7 @@ def ramanujan_sine_sum_oracle(n: int, q: int, tol: float = ORACLE_TOL) -> int:
     )
     total = float((-2.0 * np.sin(2.0 * np.pi * a * q / n)).sum())
     nearest = round(total)
-    if abs(total - nearest) >= tol:
+    if abs(total - nearest) >= ORACLE_TOL:
         raise NonIntegerResidual(
             f"s_{n}({q}) evaluated to {total}, residual {abs(total - nearest):.3e}"
         )

@@ -9,7 +9,7 @@ agree; tests sweep them against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -54,21 +54,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return self.n
-
-
-@dataclass(frozen=True)
-class AuxTerms:
-    """Class-restricted correction terms entering the case formulas.
-
-    lambda1 is defined for odd j, lambda2 for j = 2 (mod 4), lambda3 and delta
-    for j = 0 (mod 4); the other fields are None.
-    """
-
-    j: int
-    lambda1: Optional[int] = None
-    lambda2: Optional[int] = None
-    lambda3: Optional[int] = None
-    delta: Optional[int] = None
 
 
 def undirected_degree(spec: GraphSpec) -> int:
@@ -163,16 +148,6 @@ def delta(spec: GraphSpec, j: int) -> int:
     if j % 4:
         raise WrongResidueClass(f"delta needs j = 0 (mod 4), got {j}")
     return _delta(spec, partition_divisors(spec), j)
-
-
-def aux_terms(spec: GraphSpec, j: int) -> AuxTerms:
-    """All auxiliary terms defined for this j's residue class."""
-    dp = partition_divisors(spec)
-    if j % 2:
-        return AuxTerms(j=j, lambda1=_lambda1(spec, dp, j))
-    if j % 4 == 2:
-        return AuxTerms(j=j, lambda2=_lambda2(spec, dp, j))
-    return AuxTerms(j=j, lambda3=_lambda3(spec, dp, j), delta=_delta(spec, dp, j))
 
 
 def eigenvalues_by_class(spec: GraphSpec) -> Spectrum:

@@ -399,10 +399,14 @@ def transfer_rows(gammas: np.ndarray, targets: list[int]) -> np.ndarray:
     accepts: the common-valuation flag, the quarter flag and the numeric
     answer.  The array witness test runs first; the rows with a witness for
     every target take their times from _witness_k, and one verify_rows call
-    checks them all, a failure being a numeric False for the caller."""
+    checks them all, a failure being a numeric False for the caller.  An
+    empty target list is a ValueError, a target = 0 (mod n) SamePair."""
     gammas = np.asarray(gammas)
-    d0, gcds, common, quarter = _gap_columns(gammas)
     n = gammas.shape[1]
+    if not targets:
+        raise ValueError("transfer_rows needs at least one target")
+    targets = [_difference(n, 0, b) for b in targets]
+    d0, gcds, common, quarter = _gap_columns(gammas)
     h = np.gcd(d0, gcds)
     numeric = np.logical_and.reduce([_solvable(n, gcds, h, w) for w in targets])
     feasible = np.flatnonzero(numeric)

@@ -253,6 +253,26 @@ def test_adjacency_hermitian_and_circulant():
                 assert mat[u, v] in (0, 1, 1j, -1j)
 
 
+def test_adjacency_refuses_sets_no_spec_builds():
+    # at n = 4 no spec builds these sets, and each would write one entry over
+    # another or give a non-Hermitian row: residues outside 1..3 (7 and -1
+    # fall on 3), an arc with an undirected or directed reverse, c = n/2 = 2
+    # as an arc
+    bad = [
+        ({0}, ()), ({4}, ()), ((), {4}), ({1, 7}, ()), ((), {-1}),
+        ({1}, ()),  # not closed under c -> n - c
+        ((), {1, 3}), ({1, 3}, {1}), ({1, 3}, {3}), ((), {2}),
+    ]
+    for und, arcs in bad:
+        cs = ConnectionSet(frozenset(und), frozenset(arcs))
+        with pytest.raises(SpecError):
+            hermitian_adjacency(cs, 4)
+        with pytest.raises(SpecError):
+            eigenvalues_oracle(cs, 4)
+    ok = ConnectionSet(frozenset({2}), frozenset({1}))
+    assert hermitian_adjacency(ok, 4).row == (0, 1j, 1, -1j)
+
+
 # ---------------------------------------------------------------- partition
 
 def test_partition_frozen_layerings():

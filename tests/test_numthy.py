@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mixedcirc.numthy
 from mixedcirc import (
     NonIntegerResidual,
     divisors,
@@ -208,9 +209,15 @@ def test_sine_sum_matches_oracle():
             assert ramanujan_sine_sum(n, q) == ramanujan_sine_sum_oracle(n, q)
 
 
-def test_oracle_flags_rounding_residual():
-    # the sum over 198 cosines lands ~1e-14 off the integer; a tolerance
-    # below that must trip the residual check
-    with pytest.raises(NonIntegerResidual):
-        ramanujan_sum_oracle(199, 1, tol=1e-15)
-    assert ramanujan_sum_oracle(199, 1) == -1
+def test_oracle_flags_rounding_residual(monkeypatch):
+    # each literal sum lands ~1e-14 off its integer: the default tolerance
+    # rounds it, and one below that must trip the residual check of either
+    # oracle
+    cases = [(ramanujan_sum_oracle, 199, 1, -1, "c_199"),
+             (ramanujan_sine_sum_oracle, 388, 3, -2, "s_388")]
+    for oracle, n, q, exact, _ in cases:
+        assert oracle(n, q) == exact
+    monkeypatch.setattr(mixedcirc.numthy, "ORACLE_TOL", 1e-15)
+    for oracle, n, q, _, name in cases:
+        with pytest.raises(NonIntegerResidual, match=name):
+            oracle(n, q)

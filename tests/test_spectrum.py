@@ -19,7 +19,6 @@ from mixedcirc import (
     NonIntegerResidual,
     Spectrum,
     WrongResidueClass,
-    aux_terms,
     build_connection_set,
     classify_pst,
     delta,
@@ -252,14 +251,6 @@ def test_aux_terms_respect_residue_classes():
         lambda3(spec, 2)
     with pytest.raises(WrongResidueClass):
         delta(spec, 1)
-
-    odd = aux_terms(spec, 1)
-    assert odd.lambda1 is not None and odd.lambda2 is None and odd.delta is None
-    half = aux_terms(spec, 2)
-    assert half.lambda2 is not None and half.lambda1 is None
-    quarter = aux_terms(spec, 4)
-    assert quarter.delta is not None and quarter.lambda3 is not None
-    assert quarter.lambda1 is None and quarter.lambda2 is None
 
 
 # --------------------------------------------------------------- parity laws

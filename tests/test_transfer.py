@@ -55,6 +55,7 @@ from mixedcirc.transfer import (
     classify_mst_rows,
     classify_pst_rows,
     mst_sufficient_rows,
+    transfer_rows,
 )
 
 
@@ -331,6 +332,22 @@ def test_screened_quarter_equals_its_definition_on_random_rows():
         d0, _, common, screened = _gap_columns(gammas)
         assert (screened == quarter).all(), n
         assert (common & (d0 & 3 == 2))[64:128].any()  # misses the double-gap test catches
+
+
+def test_transfer_rows_refuses_what_the_verdicts_refuse():
+    # a target = 0 (mod n) asks about periodicity, as in pst_feasible_pair;
+    # an empty target list asks nothing
+    spectrum = eigenvalues_closed_form(pst_case_i_graph())
+    gammas, n = np.array([spectrum.gamma]), spectrum.n
+    for b in (0, n):
+        with pytest.raises(SamePair):
+            pst_feasible_pair(spectrum, 0, b)
+        with pytest.raises(SamePair):
+            transfer_rows(gammas, [b])
+    with pytest.raises(ValueError, match="at least one target"):
+        transfer_rows(gammas, [])
+    assert transfer_rows(gammas, [n // 2]).tolist() == [[True], [True], [True]]
+    assert (transfer_rows(gammas, [n + n // 2]) == transfer_rows(gammas, [n // 2])).all()
 
 
 def test_kernel_profiles_keep_their_own_rows():
