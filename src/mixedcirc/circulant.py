@@ -112,19 +112,6 @@ class HermitianMatrix:
     order: int
     row: tuple[complex, ...]
 
-    def entry(self, u: int, v: int) -> complex:
-        return self.row[(v - u) % self.order]
-
-    def to_numpy(self):
-        import numpy as np
-
-        n = self.order
-        out = np.empty((n, n), dtype=complex)
-        for u in range(n):
-            for v in range(n):
-                out[u, v] = self.row[(v - u) % n]
-        return out
-
 
 @dataclass(frozen=True)
 class DivisorPartition:

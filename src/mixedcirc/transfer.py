@@ -37,54 +37,23 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class DifferenceProfile:
-    """Gap data of one spectrum, as gap_profiles reads it from a matrix row.
-
-    n is the order; d0 = gamma[1] - gamma[0] is the first cyclic gap;
-    gap_gcd is g = gcd of delta_j - delta_0 over all j (0 when every gap is
-    equal); m is the 2-adic valuation shared by every gap (None on a zero
-    gap or a disagreement); quarter says every gap has valuation 1 and every
-    double gap valuation 2.  A profile is a plain value: two profiles with
-    the same fields are equal and hash alike.
-
-    A time t' = s/q in lowest terms of transfer across the vertex difference
-    w must have q | g, since delta_j * t' - w/n is integral for every j only
-    if each (delta_j - delta_0) * s/q is.  So every witness is k/g for some
-    k, the gap congruences collapse to the one at delta_0, and witness()
-    solves that one with a modular inverse.  Build a profile once per
-    spectrum and read it as often as needed.
-    """
-
-    n: int
-    d0: int
-    gap_gcd: int
-    m: Optional[int]
-    quarter: bool
-
-    def witness(self, w: int) -> Optional[Fraction]:
-        """Least time t' in (0, 1] of transfer a -> b, where w = (b - a) mod n
-        is nonzero: every delta_j * t' - w/n must be an integer.  It is k/g
-        with g = gap_gcd and k from _witness_k; None when there is none."""
-        k = _witness_k(self.n, self.d0, self.gap_gcd, w)
-        return None if k is None else Fraction(k, self.gap_gcd)
-
-
-def _witness_k(n: int, d0: int, g: int, w: int) -> Optional[int]:
-    """Numerator k of the least witness k/g across the nonzero difference w,
-    from a profile's d0 and gap gcd g, or None.  The congruence
-    n*d0*k = w*g (mod n*g) is solvable iff n*h | w*g, h = gcd(d0, g)
-    (_solvable); then k = (w*g/(n*h)) * (d0/h)^-1 mod g/h."""
+def _witness_ks(n: int, d0: int, g: int, diffs: list[int]) -> list[int]:
+    """Numerators k of the least witness times k/g in (0, 1] of transfer
+    across each nonzero difference w in diffs, for a spectrum with first gap
+    d0 and gap gcd g (_gap_columns) that has a witness for each (_solvable).
+    A time s/q in lowest terms makes every delta_j * s/q - w/n integral only
+    if each (delta_j - delta_0) * s/q is, so q | g; the gap congruences then
+    collapse to the one at delta_0, n*d0*k = w*g (mod n*g), solvable iff
+    n*h | w*g, h = gcd(d0, g); then k = (w*g/(n*h)) * (d0/h)^-1 mod g/h,
+    never 0 since w/n is not an integer."""
     h = math.gcd(d0, g)
-    if not _solvable(n, g, h, w):
-        return None
     m = g // h
-    # w/n is not an integer, so the residue is never 0 and k lies in 1..m-1
-    return (w * g // (n * h)) * pow(d0 // h, -1, m) % m
+    inverse = pow(d0 // h, -1, m)
+    return [w * g // (n * h) * inverse % m for w in diffs]
 
 
 def _solvable(n, g, h, w):
-    """Whether DifferenceProfile.witness has a solution, given h = gcd(d0, g),
+    """Whether there is a witness (_witness_ks), given h = gcd(d0, g),
     on ints or int64 arrays alike: g != 0 and n | (w mod n)*((g/h) mod n),
     which is n*h | w*g with a product below n**2, exact in int64 for n <= 2**30."""
     return (g != 0) & (w % n * (g // (h | (g == 0)) % n) % n == 0)  # h | 1 where g = 0
@@ -113,19 +82,6 @@ def _gaps(gammas: np.ndarray, step: int) -> np.ndarray:
     return np.concatenate((gammas[..., step:], gammas[..., :step]), axis=-1) - gammas
 
 
-def gap_profiles(gammas: np.ndarray) -> list[DifferenceProfile]:
-    """Gap profile of every row of a (k, n) integer matrix of spectra with
-    every |gamma| < 2**60, read off the columns of _gap_columns, which raises
-    ValueError on any other matrix.  Profiles keep no reference to the
-    matrix, so an int64 one is read in place.
-    """
-    gammas = np.asarray(gammas)
-    return [
-        DifferenceProfile(gammas.shape[1], d, g, (d & -d).bit_length() - 1 if c else None, q)
-        for d, g, c, q in zip(*(col.tolist() for col in _gap_columns(gammas)))
-    ]
-
-
 def _gap_columns(gammas: np.ndarray) -> tuple[np.ndarray, ...]:
     """Columns of the gap data of each row of a (k, n) matrix of spectra: d0,
     the gap gcd (np.gcd.reduce of delta_j - delta_0), whether the lowest set
@@ -135,7 +91,8 @@ def _gap_columns(gammas: np.ndarray) -> tuple[np.ndarray, ...]:
     only on rows whose common valuation is d0's, 1).  Entries must be
     integers with |gamma| < 2**60, so that gaps, double gaps and
     delta_j - delta_0 stay exact in int64; anything else raises ValueError
-    rather than being truncated or wrapped.
+    rather than being truncated or wrapped.  The columns are new arrays, so
+    a later write to the matrix leaves them as they are.
     """
     gammas = np.asarray(gammas)
     if not (
@@ -162,9 +119,16 @@ def _gap_columns(gammas: np.ndarray) -> tuple[np.ndarray, ...]:
     return d0, gcds, common, quarter
 
 
-def difference_profile(spectrum: Spectrum) -> DifferenceProfile:
-    """Gap profile of one spectrum: gap_profiles on a one-row matrix."""
-    return gap_profiles(np.array([spectrum.gamma]))[0]
+def _row_values(columns) -> tuple[int, int, Optional[int], bool]:
+    """One-row gap columns as Python values: d0, the gap gcd g, the 2-adic
+    valuation m of d0 where every gap shares it (else None), the quarter flag."""
+    d, g, common, quarter = (c.item() for c in columns)
+    return d, g, (d & -d).bit_length() - 1 if common else None, quarter
+
+
+def _profile(spectrum: Spectrum) -> tuple[int, int, Optional[int], bool]:
+    """_row_values of the gap columns of one spectrum."""
+    return _row_values(_gap_columns(np.array([spectrum.gamma])))
 
 
 def _difference(n: int, a: int, b: int) -> int:
@@ -182,14 +146,14 @@ def antipodal_pst_by_valuation(spectrum: Spectrum) -> Optional[int]:
     """
     if spectrum.n % 2:
         raise ValueError(f"antipodal pair needs even n, got {spectrum.n}")
-    return difference_profile(spectrum).m
+    return _profile(spectrum)[2]
 
 
 def mst_by_valuation(spectrum: Spectrum) -> bool:
     """Gap valuations all 1 and double-gap valuations all 2 (cyclically)."""
     if spectrum.n % 4:
         raise ValueError(f"quarter orbit needs 4 | n, got {spectrum.n}")
-    return difference_profile(spectrum).quarter
+    return _profile(spectrum)[3]
 
 
 PST_CASES = (None, "i", "ii", "iii")  # the case tags classify_pst_rows indexes
@@ -326,9 +290,13 @@ def oriented_pst_criterion(spec: GraphSpec) -> bool:
 
 def pst_feasible_pair(spectrum: Spectrum, a: int, b: int) -> Optional[Fraction]:
     """Minimal t' in (0, 1] with every delta_j * t' + (a-b)/n integral, read
-    off the spectrum's gap profile (DifferenceProfile.witness), or None.
+    off the spectrum's gap columns (_witness_ks), or None.
     """
-    return difference_profile(spectrum).witness(_difference(spectrum.n, a, b))
+    n, (d0, g, _, _) = spectrum.n, _profile(spectrum)
+    w = _difference(n, a, b)
+    if not _solvable(n, g, math.gcd(d0, g), w):
+        return None
+    return Fraction(_witness_ks(n, d0, g, [w])[0], g)
 
 
 def minimal_pst_time(spectrum: Spectrum, a: int, b: int) -> Fraction:
@@ -365,67 +333,79 @@ def verify_numeric(spectrum: Spectrum, a: int, b: int, t_prime) -> tuple[bool, c
 
 def pair_restriction_check(spectrum: Spectrum) -> frozenset[int]:
     """Differences w with transfer 0 -> w feasible; theory confines these
-    to {n/4, n/2, 3n/4}.  One gap profile serves every w, so this is linear
-    in n."""
+    to {n/4, n/2, 3n/4}.  One row of gap columns serves every w: one
+    _solvable array over w = 1..n-1."""
     n = spectrum.n
     if n % 4:
         raise ValueError(f"quarter-point differences need 4 | n, got {n}")
-    prof = difference_profile(spectrum)
-    return frozenset(w for w in range(1, n) if prof.witness(w) is not None)
+    d0, gcds, _, _ = _gap_columns(np.array([spectrum.gamma]))
+    w = np.arange(1, n)
+    return frozenset(w[_solvable(n, gcds, np.gcd(d0, gcds), w)].tolist())
 
 
-def _verified_witnesses(spectrum, prof, a, targets):
-    """(t', unit phase, residual) of the witness of a -> b for each b in
-    targets, read off prof, or None when a target has none; only then is each
-    checked, by verify_rows on floats converted once; a failure is a ConsistencyError."""
-    times = [prof.witness((b - a) % prof.n) for b in targets]
-    if any(t is None for t in times):
-        return None
-    gammas, found = np.array(spectrum.gamma, dtype=float), []
-    for b, t in zip(targets, times):
-        rows = verify_rows(gammas, [[float(t)]], [(b - a) % prof.n])
-        ok, amp, residual = (x.item() for x in rows)
-        if not ok:
-            raise ConsistencyError(
-                f"witness t'={t} for ({a},{b}) failed numeric check: residual {residual}"
-            )
-        found.append((t, amp / abs(amp), residual))  # ok, so |amp| is near 1
-    return found
+def _witnesses(gammas: np.ndarray, targets: list[int]):
+    """The one route from spectra to checked witnesses of transfer from
+    vertex 0 to every one of targets, on a matrix of spectra that
+    _gap_columns accepts: its gap columns; the indices of the rows with a
+    witness for every target; their numerators k, one list per row, each
+    time being k/g with g the row's gap gcd (_witness_ks); and verify_rows'
+    (ok, amplitude, residual) arrays on those rows at those times, None when
+    no row has one.  An empty target list is a ValueError, a target = 0
+    (mod n) SamePair."""
+    gammas = np.asarray(gammas)
+    columns = d0, gcds, _, _ = _gap_columns(gammas)
+    n = gammas.shape[1]
+    if not targets:
+        raise ValueError("transfer needs at least one target")
+    diffs = [_difference(n, 0, b) for b in targets]
+    h = np.gcd(d0, gcds)
+    feasible = np.flatnonzero(np.logical_and.reduce([_solvable(n, gcds, h, w) for w in diffs]))
+    rows = list(zip(d0[feasible].tolist(), gcds[feasible].tolist()))
+    ks = [_witness_ks(n, d, g, diffs) for d, g in rows]
+    times = [[k / g for k in row] for row, (_, g) in zip(ks, rows)]
+    checked = verify_rows(gammas[feasible], times, diffs) if ks else None
+    return columns, feasible, ks, checked
 
 
 def transfer_rows(gammas: np.ndarray, targets: list[int]) -> np.ndarray:
     """A (3, k) bool matrix of answers on transfer from vertex 0 to every one
-    of targets, for each row of a matrix of spectra that gap_profiles
+    of targets, for each row of a matrix of spectra that _gap_columns
     accepts: the common-valuation flag, the quarter flag and the numeric
-    answer.  The array witness test runs first; the rows with a witness for
-    every target take their times from _witness_k, and one verify_rows call
-    checks them all, a failure being a numeric False for the caller.  An
-    empty target list is a ValueError, a target = 0 (mod n) SamePair."""
-    gammas = np.asarray(gammas)
-    n = gammas.shape[1]
-    if not targets:
-        raise ValueError("transfer_rows needs at least one target")
-    targets = [_difference(n, 0, b) for b in targets]
-    d0, gcds, common, quarter = _gap_columns(gammas)
-    h = np.gcd(d0, gcds)
-    numeric = np.logical_and.reduce([_solvable(n, gcds, h, w) for w in targets])
-    feasible = np.flatnonzero(numeric)
-    if feasible.size:
-        rows = zip(d0[feasible].tolist(), gcds[feasible].tolist())
-        times = [[_witness_k(n, d, g, w) / g for w in targets] for d, g in rows]
-        numeric[feasible] = verify_rows(gammas[feasible], times, targets)[0].all(axis=1)
+    answer, read off _witnesses, a failed check being a numeric False for
+    the caller."""
+    (_, _, common, quarter), feasible, _, checked = _witnesses(gammas, targets)
+    numeric = np.zeros_like(common)
+    if checked is not None:
+        numeric[feasible] = checked[0].all(axis=1)
     return np.array([common, quarter, numeric])
+
+
+def _verified(spectrum: Spectrum, targets: list[int]):
+    """_witnesses on one spectrum, as _row_values and either None or (t', unit
+    phase at the first target, worst residual) of its witness for every
+    target; a witness that fails the numeric check is a ConsistencyError."""
+    columns, _, ks, checked = _witnesses(np.array([spectrum.gamma]), targets)
+    _, g, m, quarter = _row_values(columns)
+    if checked is None:
+        return m, quarter, None
+    ok, amps, residuals = checked
+    t, worst = Fraction(ks[0][0], g), residuals.max().item()
+    if not ok.all():
+        raise ConsistencyError(
+            f"witness t'={t} to {targets} failed numeric check: residual {worst}"
+        )
+    amp = amps[0, 0].item()  # ok, so |amp| is near 1
+    return m, quarter, (t, amp / abs(amp), worst)
 
 
 def _decide_pair(spectrum: Spectrum, a: int, b: int) -> TransferVerdict:
     n = spectrum.n
     w = _difference(n, a, b)
     pair = (a % n, b % n)
-    prof = difference_profile(spectrum)
-    found = _verified_witnesses(spectrum, prof, a, [b])
+    m, _, found = _verified(spectrum, [w])
     if found is None:
         return TransferVerdict(kind="none", pair=pair)
-    [(t, phase, residual)] = found
+    t, phase, residual = found
     if 2 * w % n == 0:
         kind = "antipodal_pst"
     elif n % 4 == 0 and w in (n // 4, 3 * n // 4):
@@ -433,7 +413,7 @@ def _decide_pair(spectrum: Spectrum, a: int, b: int) -> TransferVerdict:
     else:
         raise ConsistencyError(f"feasible difference {w} outside quarter points")
     return TransferVerdict(
-        kind=kind, pair=pair, m=prof.m, t_prime=t, phase=phase, residual=residual
+        kind=kind, pair=pair, m=m, t_prime=t, phase=phase, residual=residual
     )
 
 
@@ -458,13 +438,11 @@ def mst_verdict(spec: GraphSpec) -> TransferVerdict:
     n = spec.n
     if n % 4:
         return TransferVerdict(kind="none", pair=())
-    spectrum = eigenvalues_closed_form(spec)
-    prof = difference_profile(spectrum)
     orbit = (0, n // 4, n // 2, 3 * n // 4)
-    found = _verified_witnesses(spectrum, prof, 0, orbit[1:]) if prof.quarter else None
-    if found is None:
+    m, quarter, found = _verified(eigenvalues_closed_form(spec), list(orbit[1:]))
+    if not quarter or found is None:
         return TransferVerdict(kind="none", pair=orbit)
-    (t, phase, _), worst = found[0], max(residual for _, _, residual in found)
+    t, phase, worst = found
     return TransferVerdict(
-        kind="mst", pair=orbit, m=prof.m, t_prime=t, phase=phase, residual=worst
+        kind="mst", pair=orbit, m=m, t_prime=t, phase=phase, residual=worst
     )

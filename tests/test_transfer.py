@@ -28,10 +28,8 @@ from mixedcirc import (
     classify_pst,
     count_specs,
     crosscheck,
-    difference_profile,
     eigenvalues_closed_form,
     enumerate_specs,
-    gap_profiles,
     minimal_pst_time,
     mst_by_valuation,
     mst_sufficient_condition,
@@ -51,7 +49,9 @@ from mixedcirc.numthy import divisors
 from mixedcirc.transfer import (
     PST_CASES,
     _gap_columns,
+    _profile,
     _solvable,
+    _witness_ks,
     classify_mst_rows,
     classify_pst_rows,
     mst_sufficient_rows,
@@ -165,15 +165,29 @@ def loop_difference_profile(gamma) -> LoopProfile:
     return LoopProfile(tuple(deltas), tuple(step2), tuple(vals), g)
 
 
-def assert_profiles_agree(prof, ref, label):
+def column_rows(gammas):
+    """The gap columns of a matrix of spectra, one (d0, g, common, quarter)
+    tuple of Python values per row."""
+    return list(zip(*(col.tolist() for col in _gap_columns(np.asarray(gammas)))))
+
+
+def assert_columns_agree(row, ref, label):
+    """One row of gap columns against the loop profile: every field, the
+    valuation of d0 where it is common, and every witness k/g: _solvable
+    says whether there is one and _witness_ks gives k."""
+    d0, g, common, quarter = row
     n = len(ref.deltas)
-    assert prof.n == n, label
-    assert prof.d0 == ref.deltas[0], label
-    assert prof.gap_gcd == ref.gap_gcd, label
-    assert prof.m == ref.common_valuation(), label
-    assert prof.quarter is ref.quarter_orbit(), label
-    for w in range(1, n):
-        assert prof.witness(w) == ref.witness(w), (label, w)
+    assert d0 == ref.deltas[0], label
+    assert g == ref.gap_gcd, label
+    assert common is (ref.common_valuation() is not None), label
+    if common:
+        assert (d0 & -d0).bit_length() - 1 == ref.common_valuation(), label
+    assert quarter is ref.quarter_orbit(), label
+    diffs = [w for w in range(1, n) if _solvable(n, g, math.gcd(d0, g), w)]
+    assert diffs == [w for w in range(1, n) if ref.witness(w) is not None], label
+    if diffs:
+        times = [Fraction(k, g) for k in _witness_ks(n, d0, g, diffs)]
+        assert times == [ref.witness(w) for w in diffs], label
 
 
 # ---------------------------------------------------------------- amplitudes
@@ -203,23 +217,21 @@ def test_antipodal_amplitude_reaches_one():
     assert abs(abs(transition_amplitude(sp, 0, 4, Fraction(1, 4))) - 1) < 1e-9
 
 
-# ------------------------------------------------------- difference profiles
+# ------------------------------------------------------------- gap columns
 
 def test_profile_flags_zero_gaps():
-    # every gap zero: no gap gcd, no common valuation, off the quarter orbit
-    prof = difference_profile(Spectrum(n=4, gamma=(5, 5, 5, 5)))
-    assert (prof.d0, prof.gap_gcd, prof.m, prof.quarter) == (0, 0, None, False)
+    # every gap zero: no gap gcd, no common valuation, off the quarter orbit;
+    # _profile reads one row of gap columns as (d0, g, m, quarter)
+    assert _profile(Spectrum(n=4, gamma=(5, 5, 5, 5))) == (0, 0, None, False)
     # some gaps zero (gaps -4, 0, 0, 4 repeated): a gap gcd but no valuation
-    prof = difference_profile(eigenvalues_closed_form(validate_spec(8, [2, 4], [], {})))
-    assert (prof.d0, prof.gap_gcd, prof.m, prof.quarter) == (-4, 4, None, False)
+    sp = eigenvalues_closed_form(validate_spec(8, [2, 4], [], {}))
+    assert _profile(sp) == (-4, 4, None, False)
 
 
 def test_profile_frozen_values():
-    prof = difference_profile(eigenvalues_closed_form(validate_spec(8, [4], [], {})))
-    assert (prof.n, prof.d0, prof.gap_gcd, prof.m, prof.quarter) == (8, -2, 4, 1, False)
-
-    prof = difference_profile(Spectrum(n=4, gamma=(0, 1, 0, 1)))
-    assert (prof.n, prof.d0, prof.gap_gcd, prof.m, prof.quarter) == (4, 1, 2, 0, False)
+    sp = eigenvalues_closed_form(validate_spec(8, [4], [], {}))
+    assert _profile(sp) == (-2, 4, 1, False)
+    assert _profile(Spectrum(n=4, gamma=(0, 1, 0, 1))) == (1, 2, 0, False)
 
 
 def test_profile_gap_gcd_frozen_values():
@@ -233,9 +245,9 @@ def test_profile_gap_gcd_frozen_values():
         (validate_spec(8, [2, 4], [], {}), 4),  # gaps -4, 0, 4
     ]
     for spec, g in cases:
-        assert difference_profile(eigenvalues_closed_form(spec)).gap_gcd == g, spec
-    assert difference_profile(Spectrum(n=2, gamma=(0, 2))).gap_gcd == 4
-    assert difference_profile(Spectrum(n=4, gamma=(5, 5, 5, 5))).gap_gcd == 0
+        assert _profile(eigenvalues_closed_form(spec))[1] == g, spec
+    assert _profile(Spectrum(n=2, gamma=(0, 2)))[1] == 4
+    assert _profile(Spectrum(n=4, gamma=(5, 5, 5, 5)))[1] == 0
 
 
 def test_kernel_equals_loop_reference():
@@ -244,13 +256,13 @@ def test_kernel_equals_loop_reference():
     checked = quarter = common = 0
     for n in range(2, 41):
         spectra = [eigenvalues_closed_form(spec).gamma for spec in enumerate_specs(n)]
-        profiles = gap_profiles(np.array(spectra, dtype=np.int64))
-        assert len(profiles) == len(spectra)
-        for gamma, prof in zip(spectra, profiles):
-            assert_profiles_agree(prof, loop_difference_profile(gamma), gamma)
+        rows = column_rows(np.array(spectra, dtype=np.int64))
+        assert len(rows) == len(spectra)
+        for gamma, row in zip(spectra, rows):
+            assert_columns_agree(row, loop_difference_profile(gamma), gamma)
             checked += 1
-            quarter += prof.quarter
-            common += prof.m is not None
+            common += row[2]
+            quarter += row[3]
     assert checked == sum(count_specs(n) for n in range(2, 41))
     assert quarter > 0 and common > 0
 
@@ -273,13 +285,13 @@ def test_kernel_equals_loop_reference():
 )
 def test_kernel_equals_loop_reference_on_hand_picked_rows(gamma):
     ref = loop_difference_profile(gamma)
-    single = difference_profile(Spectrum(len(gamma), gamma))
-    assert_profiles_agree(single, ref, gamma)
-    (prof,) = gap_profiles(np.array([gamma]))
-    assert_profiles_agree(prof, ref, gamma)
-    # profiles are values: equal fields mean equal profiles and equal hashes
-    assert prof == single
-    assert hash(prof) == hash(single)
+    (row,) = column_rows(np.array([gamma]))
+    assert_columns_agree(row, ref, gamma)
+    # the one-spectrum readers see the same row
+    sp = Spectrum(len(gamma), gamma)
+    assert _profile(sp) == (row[0], row[1], ref.common_valuation(), row[3])
+    for w in range(1, len(gamma)):
+        assert pst_feasible_pair(sp, 0, w) == ref.witness(w), (gamma, w)
 
 
 def unscreened_quarter(gammas: np.ndarray) -> np.ndarray:
@@ -351,56 +363,56 @@ def test_transfer_rows_refuses_what_the_verdicts_refuse():
 
 
 def test_kernel_profiles_keep_their_own_rows():
-    # a later write to the caller's matrix must not change a profile
+    # a later write to the caller's matrix must not change the columns
     gammas = np.array([[0, 2, 0, 2]], dtype=np.int64)
-    (prof,) = gap_profiles(gammas)
-    before = difference_profile(Spectrum(4, (0, 2, 0, 2)))
+    columns = _gap_columns(gammas)
+    before = column_rows(np.array([[0, 2, 0, 2]]))
     gammas[0, 1] = 5
-    assert prof == before
-    assert (prof.d0, prof.gap_gcd) == (2, 4)
+    assert list(zip(*(col.tolist() for col in columns))) == before
+    assert before[0][:2] == (2, 4)
 
 
 def test_kernel_refuses_what_int64_cannot_hold():
     # a float spectrum would be truncated by an int64 cast
     with pytest.raises(ValueError):
-        difference_profile(Spectrum(2, (0.5, 1)))
+        _profile(Spectrum(2, (0.5, 1)))
     with pytest.raises(ValueError):
-        gap_profiles(np.array([[0.0, 2.0]]))
+        _gap_columns(np.array([[0.0, 2.0]]))
     with pytest.raises(ValueError):
-        gap_profiles(np.array([[True, False]]))
+        _gap_columns(np.array([[True, False]]))
     # gaps of 2**62 would wrap: the exact gap gcd here is 2**63
     with pytest.raises(ValueError):
-        difference_profile(Spectrum(4, (0, 2**62, 0, -(2**62))))
+        _profile(Spectrum(4, (0, 2**62, 0, -(2**62))))
     with pytest.raises(ValueError):
-        difference_profile(Spectrum(2, (0, 2**60)))
+        _profile(Spectrum(2, (0, 2**60)))
     with pytest.raises(ValueError):
-        difference_profile(Spectrum(2, (-(2**60), 0)))
+        _profile(Spectrum(2, (-(2**60), 0)))
     with pytest.raises(ValueError):
-        difference_profile(Spectrum(2, (0, 2**64)))
+        _profile(Spectrum(2, (0, 2**64)))
     with pytest.raises(ValueError):
-        gap_profiles(np.array([[0, 2**63]], dtype=np.uint64))
+        _gap_columns(np.array([[0, 2**63]], dtype=np.uint64))
     # only a (k, n) matrix with n >= 1 has cyclic gaps
     with pytest.raises(ValueError):
-        gap_profiles(np.array([0, 2]))
+        _gap_columns(np.array([0, 2]))
     with pytest.raises(ValueError):
-        gap_profiles(np.zeros((1, 0), dtype=np.int64))
-    assert gap_profiles(np.zeros((0, 4), dtype=np.int64)) == []
+        _gap_columns(np.zeros((1, 0), dtype=np.int64))
+    assert column_rows(np.zeros((0, 4), dtype=np.int64)) == []
 
 
 def test_solvability_helper_equals_witness():
     # every chunk row with 4 | n <= 32 and every w: the array test on the
-    # kernel's columns says exactly when witness() finds a time
+    # kernel's columns says exactly when the loop solve finds a time
     rows = feasible = 0
     for n in range(4, 33, 4):
         for _, _, gammas, _ in _judged_chunks(_shapes(n), "pst"):
             d0, gcds, _, _ = _gap_columns(gammas)
             h = np.gcd(d0, gcds)
-            profiles = gap_profiles(gammas)
+            pairs = list(zip(d0.tolist(), gcds.tolist()))
             for w in range(1, n):
                 got = _solvable(n, gcds, h, w).tolist()
-                assert got == [p.witness(w) is not None for p in profiles], (n, w)
+                assert got == [loop_witness(n, d, g, w) is not None for d, g in pairs], (n, w)
                 feasible += sum(got)
-            rows += len(profiles)
+            rows += len(pairs)
     assert rows == sum(count_specs(n) for n in range(4, 33, 4))
     assert feasible > 0
 
@@ -758,8 +770,9 @@ def test_chunk_verification_equals_the_per_row_route(monkeypatch, mode, step, qu
         targets = [k * n // 4 for k in quarters]
         for _, _, gammas, _ in _judged_chunks(_shapes(n), mode):
             witnessed = []
-            for gamma, prof in zip(gammas.tolist(), gap_profiles(gammas)):
-                times = [loop_witness(n, prof.d0, prof.gap_gcd, b) for b in targets]
+            d0, gcds, _, _ = _gap_columns(gammas)
+            for gamma, d, g in zip(gammas.tolist(), d0.tolist(), gcds.tolist()):
+                times = [loop_witness(n, d, g, b) for b in targets]
                 if all(t is not None for t in times):
                     witnessed.append((gamma, times))
             if not witnessed:
@@ -837,6 +850,64 @@ def test_mst_verdict_fields():
 
     assert mst_verdict(pst_case_ii_graph()).kind == "none"
     assert mst_verdict(validate_spec(6, [3], [], {})).kind == "none"
+
+
+def reference_verdict(gamma, ref, targets, kind):
+    """(kind, m, t', residual hex) of a verdict on transfer from 0 around
+    targets, from the loop profile's witnesses and scalar_verify: t' is the
+    first target's witness, the residual the worst; ("none", ...) when a
+    target has no witness."""
+    times = [ref.witness(b) for b in targets]
+    if None in times:
+        return "none", None, None, None
+    checks = [scalar_verify(gamma, 0, b, t) for b, t in zip(targets, times)]
+    assert all(ok for ok, _ in checks), (gamma, targets)
+    return kind, ref.common_valuation(), times[0], max(r for _, r in checks).hex()
+
+
+def verdict_fields(v):
+    return v.kind, v.m, v.t_prime, None if v.residual is None else v.residual.hex()
+
+
+def test_one_row_routes_equal_the_loop_references():
+    # every spec with 4 | n <= 24: pair_restriction_check is the set of
+    # differences the loop solve finds a witness for, and each verdict's
+    # kind, m, t' and residual (bit for bit) are the references'
+    kinds = set()
+    for spec in all_specs(range(4, 25, 4)):
+        n, sp = spec.n, eigenvalues_closed_form(spec)
+        ref = loop_difference_profile(sp.gamma)
+        feasible = {w for w in range(1, n) if ref.witness(w) is not None}
+        assert pair_restriction_check(sp) == feasible, spec
+        quarters = [n // 4, n // 2, 3 * n // 4]
+        expected = reference_verdict(sp.gamma, ref, quarters, "mst")
+        if not ref.quarter_orbit():
+            expected = "none", None, None, None
+        verdicts = [(mst_verdict(spec), expected)]
+        for b in quarters:
+            kind = "antipodal_pst" if b == n // 2 else "quarter_pst"
+            verdicts.append((pair_verdict(spec, 0, b), reference_verdict(sp.gamma, ref, [b], kind)))
+        verdicts.append((antipodal_verdict(spec), verdicts[2][1]))  # as pair (0, n/2)
+        for v, expected in verdicts:
+            assert verdict_fields(v) == expected, (spec, v.pair)
+            kinds.add(v.kind)
+    assert kinds == {"none", "antipodal_pst", "quarter_pst", "mst"}
+
+
+def test_mst_verdict_reads_the_first_phase_and_the_worst_residual(monkeypatch):
+    # real witnesses check with residual 0.0 at every order tried, so a
+    # stand-in check fixes distinct amplitudes and residuals per target
+    import mixedcirc.transfer
+
+    def passing(gammas, times, diffs):
+        shape = np.shape(times)
+        amps = np.broadcast_to(np.array([1j, -1, 1]), shape)
+        residuals = np.broadcast_to(np.array([1e-12, 3e-12, 2e-12]), shape)
+        return np.ones(shape, dtype=bool), amps, residuals
+
+    monkeypatch.setattr(mixedcirc.transfer, "verify_rows", passing)
+    v = mst_verdict(mst_example_graph())
+    assert (v.kind, v.t_prime, v.phase, v.residual) == ("mst", Fraction(1, 8), 1j, 3e-12)
 
 
 @pytest.mark.parametrize(
