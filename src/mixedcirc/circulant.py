@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .numthy import MAX_N
+from .numthy import MAX_N, _check_kernel, _is_int
 
 
 class SpecError(ValueError):
@@ -40,10 +41,6 @@ class UnknownFormat(ValueError):
     """Unsupported export format name."""
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True, eq=True)
 class GraphSpec:
     """Validated description (n, B, D, sigma) of a mixed circulant graph.
@@ -51,9 +48,9 @@ class GraphSpec:
     Construction checks the validity rules: n is a positive integer no
     larger than MAX_N; every b in B is a proper divisor of n; D nonempty
     forces 4 | n and every d in D divides n/4; B and D are disjoint; sigma
-    maps exactly D into {+1, -1}.  A bool is not an integer here, although
-    Python treats True as 1.  B and D may be any iterables: their members
-    are checked before they are frozen, so a set cannot merge True into 1.
+    maps exactly D into {+1, -1}, and is stored read-only.  Integers obey
+    numthy._is_int, so True is not 1.  B and D may be any iterables: their
+    members are checked before they are frozen, so no set merges True into 1.
     """
 
     n: int
@@ -89,7 +86,7 @@ class GraphSpec:
             raise SigmaDomainMismatch(f"sigma values must be +1 or -1, got {bad_signs}")
         object.__setattr__(self, "B", b_set)
         object.__setattr__(self, "D", d_set)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", MappingProxyType(sigma))
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -100,17 +97,6 @@ class ConnectionSet:
 
     undirected: frozenset[int]
     directed: frozenset[int]
-
-
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """Circulant Hermitian adjacency matrix, stored as its difference row.
-
-    row[c] is the entry at (u, u+c); values are exactly 0, 1, 1j or -1j.
-    """
-
-    order: int
-    row: tuple[complex, ...]
 
 
 @dataclass(frozen=True)
@@ -150,12 +136,11 @@ def _scaled(s: frozenset[int], k: int) -> frozenset[int]:
 def gcd_class(n: int, d: int) -> frozenset[int]:
     """G_n(d): residues 1 <= k < n with gcd(k, n) = d.
 
-    d = n is tolerated and yields the empty set; any other non-divisor or
-    out-of-range d is rejected.
+    n and d are checked as a numthy kernel's modulus and argument; d = n is
+    tolerated and yields the empty set, and any other non-divisor is rejected.
     """
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    if d < 1 or n % d != 0 or d > n:
+    _check_kernel(n, d)
+    if n % d != 0 or d > n:
         raise ValueError(f"{d} is not a divisor of {n} in range")
     if d == n:
         return frozenset()
@@ -169,11 +154,12 @@ def gcd_class_mod4(n: int, d: int, r: int) -> frozenset[int]:
     every k in G_n(d) is d times a unit of Z_{n/d}, and n/d = 0 (mod 4) makes
     that unit odd, so the two residue classes partition G_n(d).
     """
+    _check_kernel(n, d)
     if n % 4:
         raise BadModulus(f"need 4 | n for directed classes, got n = {n}")
-    if r not in (1, 3):
-        raise ValueError(f"residue class must be 1 or 3, got {r}")
-    if d < 1 or (n // 4) % d != 0:
+    if not _is_int(r) or r not in (1, 3):
+        raise ValueError(f"residue class must be 1 or 3, got {r!r}")
+    if (n // 4) % d != 0:
         raise BadDivisor(f"{d} does not divide n/4 = {n // 4}")
     return frozenset(k for k in gcd_class(n, d) if (k // d) % 4 == r)
 
@@ -200,8 +186,9 @@ def build_connection_set(spec: GraphSpec) -> ConnectionSet:
     return ConnectionSet(undirected=frozenset(und), directed=frozenset(dirr))
 
 
-def hermitian_adjacency(cs: ConnectionSet, n: int) -> HermitianMatrix:
-    """Adjacency with 1 on undirected edges, +i on arcs, -i on reversed arcs.
+def hermitian_adjacency(cs: ConnectionSet, n: int) -> tuple[complex, ...]:
+    """Difference row of the Hermitian adjacency: row[c], the entry at (u, u+c),
+    is 1 on undirected edges, +i on arcs, -i on reversed arcs, else 0.
 
     SpecError unless the residues lie in 1..n-1, the undirected ones are closed
     under c -> n - c, and no arc c has c or n - c undirected or n - c an arc
@@ -219,7 +206,7 @@ def hermitian_adjacency(cs: ConnectionSet, n: int) -> HermitianMatrix:
     for c in arcs:
         row[c] = 1j
         row[n - c] = -1j
-    return HermitianMatrix(order=n, row=tuple(row))
+    return tuple(row)
 
 
 def partition_divisors(spec: GraphSpec) -> DivisorPartition:

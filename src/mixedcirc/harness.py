@@ -153,7 +153,7 @@ def _class_table(n: int) -> np.ndarray:
     for c, d in enumerate(proper):
         halves = [validate_spec(n, [], [d], {d: s}) for s in (1, -1)] if d in d_pool else []
         for k, spec in enumerate([validate_spec(n, [d]), *halves]):
-            rows[k, c] = hermitian_adjacency(build_connection_set(spec), n).row
+            rows[k, c] = hermitian_adjacency(build_connection_set(spec), n)
     return _oracle_spectra(rows.reshape(-1, n))
 
 

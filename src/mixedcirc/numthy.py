@@ -1,9 +1,9 @@
 """Exact number-theoretic kernels: totient, Moebius, divisors, Ramanujan sums.
 
-Every closed form here returns a plain Python int.  The *_oracle companions
-evaluate the defining trigonometric sums in floating point and round, raising
-NonIntegerResidual when the result is not within ORACLE_TOL of an integer; they
-exist so tests can check the closed forms against an independent route.
+Every closed form here returns a plain Python int, and every integer argument
+must obey _is_int.  The *_oracle companions evaluate the defining trigonometric
+sums in floating point and round them by _round_checked; they exist so tests can
+check the closed forms against an independent route.
 """
 
 from __future__ import annotations
@@ -24,16 +24,42 @@ class NonIntegerResidual(ArithmeticError):
     """A floating-point character sum failed to land on an integer."""
 
 
+def _is_int(x) -> bool:
+    """The package's integer rule: an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_modulus(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    """ValueError unless n obeys _is_int and 1 <= n <= MAX_N."""
+    # type(n) is int first: a kernel call runs this several times
+    if not (type(n) is int or _is_int(n)) or n < 1:
         raise ValueError(f"modulus must be a positive integer, got {n!r}")
     if n > MAX_N:
         raise ValueError(f"modulus {n} exceeds supported cap {MAX_N}")
 
 
+def _check_kernel(n: int, q: int) -> None:
+    """A kernel's arguments: a modulus n and a positive integer q."""
+    _check_modulus(n)
+    if not (type(q) is int or _is_int(q)) or q < 1:
+        raise ValueError(f"argument must be a positive integer, got {q!r}")
+
+
+def _round_checked(vals: np.ndarray, label: str) -> np.ndarray:
+    """vals (real or complex, any shape) rounded to integers, as floats: the one
+    ORACLE_TOL check.  NonIntegerResidual if an entry lies ORACLE_TOL or more
+    from its integer, naming the furthest as label.format(*its index)."""
+    rounded = np.rint(vals.real)
+    resid = np.abs(vals - rounded)
+    at = np.unravel_index(resid.argmax(), resid.shape)
+    if resid[at] >= ORACLE_TOL:
+        raise NonIntegerResidual(f"{label.format(*at)} = {vals[at]} is {resid[at]:.3e} off")
+    return rounded
+
+
 def two_adic_valuation(n: int) -> int:
     """Largest e with 2**e dividing n (0 for odd n).  Undefined for n = 0."""
-    if not isinstance(n, int) or n == 0:
+    if not (type(n) is int or _is_int(n)) or n == 0:
         raise ValueError(f"2-adic valuation needs a nonzero integer, got {n!r}")
     return (n & -n).bit_length() - 1  # n & -n is the lowest set bit for either sign
 
@@ -89,11 +115,8 @@ def ramanujan_sum(n: int, q: int) -> int:
 
     Closed form: mu(n/g) * phi(n) / phi(n/g) with g = gcd(n, q).
     """
-    _check_modulus(n)
-    if not isinstance(q, int) or q < 1:
-        raise ValueError(f"argument must be a positive integer, got {q!r}")
-    g = math.gcd(n, q)
-    k = n // g
+    _check_kernel(n, q)
+    k = n // math.gcd(n, q)
     mu = moebius(k)
     if mu == 0:
         return 0
@@ -102,17 +125,9 @@ def ramanujan_sum(n: int, q: int) -> int:
 
 def ramanujan_sum_oracle(n: int, q: int) -> int:
     """Literal cosine sum over residues coprime to n, rounded to an integer."""
-    _check_modulus(n)
-    if q < 1:
-        raise ValueError(f"argument must be a positive integer, got {q!r}")
+    _check_kernel(n, q)
     a = np.array([x for x in range(1, n + 1) if math.gcd(x, n) == 1], dtype=float)
-    total = float(np.cos(2.0 * np.pi * a * q / n).sum())
-    nearest = round(total)
-    if abs(total - nearest) >= ORACLE_TOL:
-        raise NonIntegerResidual(
-            f"c_{n}({q}) evaluated to {total}, residual {abs(total - nearest):.3e}"
-        )
-    return nearest
+    return int(_round_checked(np.cos(2.0 * np.pi * a * q / n).sum(), f"c_{n}({q})"))
 
 
 def ramanujan_sum_two_adic(n: int, q: int) -> int:
@@ -122,9 +137,7 @@ def ramanujan_sum_two_adic(n: int, q: int) -> int:
     and otherwise equals (-1)**(q/2**(t-1)) * 2**(t-1) * c_m(q') where
     q' = q / 2**v2(q).
     """
-    _check_modulus(n)
-    if q < 1:
-        raise ValueError(f"argument must be a positive integer, got {q!r}")
+    _check_kernel(n, q)
     t = two_adic_valuation(n)
     if t == 0:
         raise ValueError(f"even modulus required, got {n}")
@@ -143,9 +156,7 @@ def ramanujan_sine_sum(n: int, q: int) -> int:
     With n = 2**t * m (m odd, t >= 2) and q' = q / 2**(t-2): zero unless q' is
     an odd integer, else (-1)**((m-1)/2) * (-1)**((q'+1)/2) * 2**(t-1) * c_m(q').
     """
-    _check_modulus(n)
-    if q < 1:
-        raise ValueError(f"argument must be a positive integer, got {q!r}")
+    _check_kernel(n, q)
     if n % 4:
         raise ValueError(f"modulus divisible by 4 required, got {n}")
     t = two_adic_valuation(n)
@@ -162,18 +173,10 @@ def ramanujan_sine_sum(n: int, q: int) -> int:
 
 def ramanujan_sine_sum_oracle(n: int, q: int) -> int:
     """Literal sum -2*sin(2*pi*a*q/n) over coprime residues a = 1 (mod 4)."""
-    _check_modulus(n)
-    if q < 1:
-        raise ValueError(f"argument must be a positive integer, got {q!r}")
+    _check_kernel(n, q)
     if n % 4:
         raise ValueError(f"modulus divisible by 4 required, got {n}")
     a = np.array(
         [x for x in range(1, n) if math.gcd(x, n) == 1 and x % 4 == 1], dtype=float
     )
-    total = float((-2.0 * np.sin(2.0 * np.pi * a * q / n)).sum())
-    nearest = round(total)
-    if abs(total - nearest) >= ORACLE_TOL:
-        raise NonIntegerResidual(
-            f"s_{n}({q}) evaluated to {total}, residual {abs(total - nearest):.3e}"
-        )
-    return nearest
+    return int(_round_checked((-2.0 * np.sin(2.0 * np.pi * a * q / n)).sum(), f"s_{n}({q})"))

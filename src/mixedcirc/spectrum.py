@@ -21,8 +21,7 @@ from .circulant import (
     partition_divisors,
 )
 from .numthy import (
-    ORACLE_TOL,
-    NonIntegerResidual,
+    _round_checked,
     euler_phi,
     ramanujan_sine_sum,
     ramanujan_sum,
@@ -77,10 +76,10 @@ def eigenvalues_closed_form(spec: GraphSpec) -> Spectrum:
         for j in range(step, n, step):
             gamma[j] += ramanujan_sum(m, j)
     for d in spec.D:
-        m = n // d
+        m, sign = n // d, spec.sigma[d]
         q = 1 << (two_adic_valuation(m) - 2)
         for j in range(q, n, 2 * q):
-            gamma[j] += spec.sigma[d] * ramanujan_sine_sum(m, j)
+            gamma[j] += sign * ramanujan_sine_sum(m, j)
     gamma[0] = undirected_degree(spec)
     return Spectrum(n=n, gamma=tuple(gamma))
 
@@ -183,22 +182,14 @@ def eigenvalues_by_class(spec: GraphSpec) -> Spectrum:
 def _oracle_spectra(rows: np.ndarray) -> np.ndarray:
     """n * ifft of each Hermitian difference row of a (k, n) matrix, rounded, as
     floats: gamma[j] = sum over c of row[c] * w^(jc), w = exp(2*pi*i/n).  One
-    check covers every row: NonIntegerResidual if any value strays from an
-    integer by ORACLE_TOL or more."""
-    vals = rows.shape[1] * np.fft.ifft(rows, axis=1)
-    rounded = np.rint(vals.real)
-    resid = np.abs(vals - rounded)
-    if resid.max() >= ORACLE_TOL:
-        k, j = np.unravel_index(resid.argmax(), resid.shape)
-        raise NonIntegerResidual(
-            f"row {k}: gamma[{j}] = {vals[k, j]} is {resid[k, j]:.3e} from an integer"
-        )
-    return rounded
+    numthy._round_checked call covers every row: NonIntegerResidual, naming
+    "row k: gamma[j]", if any value strays from an integer by ORACLE_TOL or more."""
+    return _round_checked(rows.shape[1] * np.fft.ifft(rows, axis=1), "row {}: gamma[{}]")
 
 
 def eigenvalues_oracle(cs: ConnectionSet, n: int) -> Spectrum:
     """Floating-point spectrum of the Hermitian adjacency: _oracle_spectra on its row."""
-    rounded = _oracle_spectra(np.array([hermitian_adjacency(cs, n).row]))[0]
+    rounded = _oracle_spectra(np.array([hermitian_adjacency(cs, n)]))[0]
     return Spectrum(n=n, gamma=tuple(int(x) for x in rounded))
 
 

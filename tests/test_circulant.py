@@ -152,6 +152,20 @@ def test_validate_rejects_booleans():
         validate_spec(8, [], [1], {True: 1})
 
 
+def test_sigma_is_read_only():
+    # a stored spec is final: writing to sigma raises, where it once changed
+    # the spectrum of a validated spec
+    s = validate_spec(8, [1], [2], {2: -1})
+    with pytest.raises(TypeError):
+        s.sigma[2] = 7
+    assert s.sigma == {2: -1}
+    assert s == validate_spec(8, [1], [2], {2: -1})
+    assert s != validate_spec(8, [1], [2], {2: 1})
+    assert parse_spec(spec_to_json(s)) == s
+    assert spec_to_dict(s) == {"n": 8, "B": [1], "D": [2], "sigma": {"2": -1}}
+    assert eigenvalues_closed_form(s).gamma == (4, 2, 0, -2, -4, 2, 0, -2)
+
+
 def test_validate_rejects_non_integer_members_without_crashing():
     # mixed or unhashable members are input errors, not TypeErrors
     for text in (
@@ -221,8 +235,8 @@ def test_connection_set_invariants_hold_everywhere():
 # ---------------------------------------------------------------- adjacency
 
 def test_empty_connection_set_gives_zero_matrix():
-    h = hermitian_adjacency(ConnectionSet(frozenset(), frozenset()), 5)
-    assert all(x == 0 for x in h.row)
+    row = hermitian_adjacency(ConnectionSet(frozenset(), frozenset()), 5)
+    assert row == (0,) * 5
 
 
 def test_adjacency_frozen_entries():
@@ -230,13 +244,13 @@ def test_adjacency_frozen_entries():
     undirected = hermitian_adjacency(
         build_connection_set(validate_spec(8, [4], [], {})), 8
     )
-    assert undirected.row[4] == 1
+    assert undirected[4] == 1
 
     arcs = hermitian_adjacency(
         build_connection_set(validate_spec(8, [], [1], {1: 1})), 8
     )
-    assert arcs.row[1] == 1j
-    assert arcs.row[7] == -1j
+    assert arcs[1] == 1j
+    assert arcs[7] == -1j
 
 
 def test_adjacency_hermitian_and_circulant():
@@ -245,7 +259,7 @@ def test_adjacency_hermitian_and_circulant():
     # row[0] = 0 and row[-c] is the conjugate of row[c]
     for spec in all_specs(range(2, 17)):
         n = spec.n
-        row = hermitian_adjacency(build_connection_set(spec), n).row
+        row = hermitian_adjacency(build_connection_set(spec), n)
         assert len(row) == n and row[0] == 0
         for c in range(n):
             assert row[(n - c) % n] == row[c].conjugate()
@@ -269,7 +283,7 @@ def test_adjacency_refuses_sets_no_spec_builds():
         with pytest.raises(SpecError):
             eigenvalues_oracle(cs, 4)
     ok = ConnectionSet(frozenset({2}), frozenset({1}))
-    assert hermitian_adjacency(ok, 4).row == (0, 1j, 1, -1j)
+    assert hermitian_adjacency(ok, 4) == (0, 1j, 1, -1j)
 
 
 # ---------------------------------------------------------------- partition

@@ -11,6 +11,8 @@ from mixedcirc import (
     divisors,
     euler_phi,
     factorize,
+    gcd_class,
+    gcd_class_mod4,
     moebius,
     ramanujan_sine_sum,
     ramanujan_sine_sum_oracle,
@@ -20,6 +22,41 @@ from mixedcirc import (
     two_adic_valuation,
 )
 from mixedcirc.numthy import MAX_N
+
+
+# ---------------------------------------------------------- integer arguments
+
+# every integer argument of the public numthy functions and the gcd classes,
+# with a valid call to start from: a bool or a float in any one position is
+# refused, although True == 1 and 2.0 == 2 in Python
+_VALID_CALLS = [
+    (two_adic_valuation, (8,)), (factorize, (8,)), (euler_phi, (8,)),
+    (moebius, (8,)), (divisors, (8,)), (ramanujan_sum, (8, 2)),
+    (ramanujan_sum_oracle, (8, 2)), (ramanujan_sum_two_adic, (8, 2)),
+    (ramanujan_sine_sum, (8, 2)), (ramanujan_sine_sum_oracle, (8, 2)),
+    (gcd_class, (8, 2)), (gcd_class_mod4, (8, 1, 1)),
+]
+_NOT_INTEGERS = [True, 2.0, 2.5]
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (fn, args[:i] + (bad,) + args[i + 1:])
+        for fn, args in _VALID_CALLS
+        for i in range(len(args))
+        for bad in _NOT_INTEGERS
+    ],
+    ids=lambda x: x.__name__ if callable(x) else repr(x),
+)
+def test_integer_arguments_refuse_bools_and_floats(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+def test_the_refused_calls_are_valid_with_integers():
+    for fn, args in _VALID_CALLS:
+        fn(*args)
 
 
 # ---------------------------------------------------------------- valuation

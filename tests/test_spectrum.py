@@ -158,7 +158,7 @@ def test_one_non_integral_row_fails_a_batched_oracle_pass():
     # among them raises NonIntegerResidual naming its row
     n = 12
     rows = [
-        hermitian_adjacency(build_connection_set(validate_spec(n, [d])), n).row
+        hermitian_adjacency(build_connection_set(validate_spec(n, [d])), n)
         for d in divisors(n)[:-1]
     ]
     spectra = _oracle_spectra(np.array(rows))
@@ -166,7 +166,7 @@ def test_one_non_integral_row_fails_a_batched_oracle_pass():
         list(eigenvalues_oracle(build_connection_set(validate_spec(n, [d])), n).gamma)
         for d in divisors(n)[:-1]
     ]
-    bad = hermitian_adjacency(ConnectionSet(frozenset({1, 11}), frozenset()), n).row
+    bad = hermitian_adjacency(ConnectionSet(frozenset({1, 11}), frozenset()), n)
     with pytest.raises(NonIntegerResidual, match="row 2: gamma"):
         _oracle_spectra(np.array(rows[:2] + [bad] + rows[2:]))
 
