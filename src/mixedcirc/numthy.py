@@ -29,6 +29,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_ints(*xs) -> None:
+    """ValueError unless every x obeys _is_int: vertex and index arguments."""
+    for x in xs:
+        if not _is_int(x):
+            raise ValueError(f"expected an integer, got {x!r}")
+
+
 def _check_modulus(n: int) -> None:
     """ValueError unless n obeys _is_int and 1 <= n <= MAX_N."""
     # type(n) is int first: a kernel call runs this several times
@@ -113,14 +120,19 @@ def divisors(n: int) -> list[int]:
 def ramanujan_sum(n: int, q: int) -> int:
     """Sum of q-th powers of primitive n-th roots of unity (an integer).
 
-    Closed form: mu(n/g) * phi(n) / phi(n/g) with g = gcd(n, q).
+    Hoelder's mu(n/g) * phi(n) / phi(n/g), g = gcd(n, q), taken as a product
+    over p**a exactly dividing n from one factorization: phi(p**a) when
+    p**a | q, -p**(a-1) when p**(a-1) divides q exactly, and otherwise the
+    sum is 0.  So c_n(q) = 0 unless (n / rad n) | q.
     """
     _check_kernel(n, q)
-    k = n // math.gcd(n, q)
-    mu = moebius(k)
-    if mu == 0:
-        return 0
-    return mu * (euler_phi(n) // euler_phi(k))
+    total = 1
+    for p, a in factorize(n).items():
+        low = p ** (a - 1)
+        if q % low:
+            return 0
+        total *= low * (p - 1) if q % (low * p) == 0 else -low
+    return total
 
 
 def ramanujan_sum_oracle(n: int, q: int) -> int:

@@ -8,6 +8,7 @@ agree; tests sweep them against each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -21,8 +22,10 @@ from .circulant import (
     partition_divisors,
 )
 from .numthy import (
+    _check_ints,
     _round_checked,
     euler_phi,
+    factorize,
     ramanujan_sine_sum,
     ramanujan_sum,
     two_adic_valuation,
@@ -65,20 +68,23 @@ def eigenvalues_closed_form(spec: GraphSpec) -> Spectrum:
 
     gamma_j = sum over d in B of c_{n/d}(j) plus sum over d in D of
     sigma(d) * s_{n/d}(j), and gamma_0 is the degree.  Each term is visited
-    only where it can be nonzero: c_{n/d}(j) needs 2**max(v2(n/d)-1, 0) | j,
-    and s_{n/d}(j) needs j = q * (odd) with q = 2**(v2(n/d)-2).
+    only where it can be nonzero: c_m(j) needs (m / rad m) | j, every prime
+    of m at once (numthy.ramanujan_sum), and s_m(j) needs j = q * r * (odd)
+    with q = 2**(v2(m)-2) and r = m_odd / rad(m_odd), m_odd the odd part of m.
     """
     n = spec.n
     gamma = [0] * n
     for d in spec.B:
         m = n // d
-        step = 1 << max(two_adic_valuation(m) - 1, 0)
+        step = m // math.prod(factorize(m))
         for j in range(step, n, step):
             gamma[j] += ramanujan_sum(m, j)
     for d in spec.D:
         m, sign = n // d, spec.sigma[d]
         q = 1 << (two_adic_valuation(m) - 2)
-        for j in range(q, n, 2 * q):
+        m_odd = m // (4 * q)
+        step = q * (m_odd // math.prod(factorize(m_odd)))
+        for j in range(step, n, 2 * step):
             gamma[j] += sign * ramanujan_sine_sum(m, j)
     gamma[0] = undirected_degree(spec)
     return Spectrum(n=n, gamma=tuple(gamma))
@@ -123,6 +129,7 @@ def _delta(spec: GraphSpec, dp: DivisorPartition, j: int) -> int:
 
 def lambda1(spec: GraphSpec, j: int) -> int:
     """Directed correction for odd j (layer-2 classes only)."""
+    _check_ints(j)
     if j % 2 == 0:
         raise WrongResidueClass(f"lambda1 needs odd j, got {j}")
     return _lambda1(spec, partition_divisors(spec), j)
@@ -130,6 +137,7 @@ def lambda1(spec: GraphSpec, j: int) -> int:
 
 def lambda2(spec: GraphSpec, j: int) -> int:
     """Directed correction for j = 2 (mod 4) (layer-3 classes only)."""
+    _check_ints(j)
     if j % 4 != 2:
         raise WrongResidueClass(f"lambda2 needs j = 2 (mod 4), got {j}")
     return _lambda2(spec, partition_divisors(spec), j)
@@ -137,6 +145,7 @@ def lambda2(spec: GraphSpec, j: int) -> int:
 
 def lambda3(spec: GraphSpec, j: int) -> int:
     """High-layer tail for j = 0 (mod 4)."""
+    _check_ints(j)
     if j % 4:
         raise WrongResidueClass(f"lambda3 needs j = 0 (mod 4), got {j}")
     return _lambda3(spec, partition_divisors(spec), j)
@@ -144,6 +153,7 @@ def lambda3(spec: GraphSpec, j: int) -> int:
 
 def delta(spec: GraphSpec, j: int) -> int:
     """Aggregate quarter-class term for j = 0 (mod 4)."""
+    _check_ints(j)
     if j % 4:
         raise WrongResidueClass(f"delta needs j = 0 (mod 4), got {j}")
     return _delta(spec, partition_divisors(spec), j)

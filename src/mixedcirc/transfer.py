@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .circulant import GraphSpec, partition_divisors
-from .numthy import divisors, two_adic_valuation
+from .numthy import _check_ints, divisors, two_adic_valuation
 from .spectrum import Spectrum, eigenvalues_closed_form
 
 NUMERIC_TOL = 1e-9
@@ -74,7 +74,7 @@ class TransferVerdict:
 def transition_amplitude(spectrum: Spectrum, a: int, b: int, t_prime) -> complex:
     """U(t)_{ab} = (1/n) * sum_r exp(2*pi*i*(gamma_r * t' + r*(a-b)/n)), the
     amplitude of verify_rows on one row and one time."""
-    return verify_rows(spectrum.gamma, [[float(t_prime)]], [(b - a) % spectrum.n])[1].item()
+    return verify_rows(spectrum.gamma, [[float(t_prime)]], [_offset(spectrum.n, a, b)])[1].item()
 
 
 def _gaps(gammas: np.ndarray, step: int) -> np.ndarray:
@@ -131,11 +131,18 @@ def _profile(spectrum: Spectrum) -> tuple[int, int, Optional[int], bool]:
     return _row_values(_gap_columns(np.array([spectrum.gamma])))
 
 
-def _difference(n: int, a: int, b: int) -> int:
-    """(b - a) mod n for a transfer question; SamePair when a = b mod n."""
-    if a % n == b % n:
-        raise SamePair(f"a = b = {a % n} asks about periodicity, not transfer")
+def _offset(n: int, a: int, b: int) -> int:
+    """(b - a) mod n for vertices a and b; ValueError unless both obey numthy._is_int."""
+    _check_ints(a, b)
     return (b - a) % n
+
+
+def _difference(n: int, a: int, b: int) -> int:
+    """_offset for a transfer question; SamePair when a = b mod n."""
+    w = _offset(n, a, b)
+    if w == 0:
+        raise SamePair(f"a = b = {a % n} asks about periodicity, not transfer")
+    return w
 
 
 def antipodal_pst_by_valuation(spectrum: Spectrum) -> Optional[int]:
@@ -326,7 +333,7 @@ def verify_rows(gammas, times, diffs) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def verify_numeric(spectrum: Spectrum, a: int, b: int, t_prime) -> tuple[bool, complex, float]:
     """Evaluate |U_ab| at t_prime: (ok, unit phase, |1 - |U||), ok when the
     residual is below NUMERIC_TOL (verify_rows on one row and one time)."""
-    rows = verify_rows(spectrum.gamma, [[float(t_prime)]], [(b - a) % spectrum.n])
+    rows = verify_rows(spectrum.gamma, [[float(t_prime)]], [_offset(spectrum.n, a, b)])
     ok, amp, residual = (x.item() for x in rows)
     return ok, amp / abs(amp) if amp else complex(0), residual
 

@@ -199,6 +199,39 @@ def test_ramanujan_sum_matches_oracle(n, q):
     assert ramanujan_sum(n, q) == ramanujan_sum_oracle(n, q)
 
 
+def test_ramanujan_sum_equals_hoelder_form():
+    # mu(k) * phi(n) / phi(k) with k = n / gcd(n, q), from moebius and euler_phi
+    for n in range(1, 401):
+        phi_n = euler_phi(n)
+        for q in range(1, 2 * n + 1):
+            k = n // math.gcd(n, q)
+            assert ramanujan_sum(n, q) == moebius(k) * phi_n // euler_phi(k), (n, q)
+
+
+def _rad(m):
+    return math.prod(factorize(m))
+
+
+def test_ramanujan_sum_vanishes_off_multiples_of_m_over_rad_m():
+    for m in range(1, 401):
+        step = m // _rad(m)
+        for j in range(1, 2 * m):
+            if j % step:
+                assert ramanujan_sum(m, j) == 0, (m, j)
+
+
+def test_sine_sum_vanishes_off_its_progression():
+    # s_m(j) can be nonzero only at j = q * r * (odd), q = 2**(v2(m)-2) and
+    # r = m_odd / rad(m_odd): the progression the closed form walks
+    for m in range(4, 401, 4):
+        q = 1 << (two_adic_valuation(m) - 2)
+        m_odd = m // (4 * q)
+        step = q * (m_odd // _rad(m_odd))
+        for j in range(1, 2 * m):
+            if j % step or (j // step) % 2 == 0:
+                assert ramanujan_sine_sum(m, j) == 0, (m, j)
+
+
 # -------------------------------------------------------------- 2-adic split
 
 def test_two_adic_split_frozen_values():

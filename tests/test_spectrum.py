@@ -35,6 +35,7 @@ from mixedcirc import (
     validate_spec,
 )
 from mixedcirc.circulant import hermitian_adjacency, partition_divisors
+from mixedcirc.harness import _class_table
 from mixedcirc.numthy import divisors
 from mixedcirc.spectrum import _delta, _oracle_spectra
 
@@ -145,6 +146,25 @@ def test_all_routes_agree_at_orders_32_and_64():
     assert len(specs) == 512 + 486 and reduced > 0
 
 
+def test_closed_form_equals_class_table_on_every_single_class_spec():
+    # every order 2..256: each row of the oracle class table (the class
+    # G_n(d) of each proper d, then the +1 and -1 half class of each d | n/4)
+    # is the closed form of that one-class spec; the term skips fire at
+    # composite orders, the odd-square one on a D term first at n = 36
+    checked = 0
+    for n in range(2, 257):
+        table = _class_table(n).astype(np.int64).reshape(3, -1, n)
+        proper = divisors(n)[:-1]
+        for c, d in enumerate(proper):
+            specs = [(0, validate_spec(n, [d]))]
+            if n % 4 == 0 and (n // 4) % d == 0:
+                specs += [(k, validate_spec(n, [], [d], {d: s})) for k, s in ((1, 1), (2, -1))]
+            for k, spec in specs:
+                assert eigenvalues_closed_form(spec).gamma == tuple(table[k, c].tolist()), spec
+                checked += 1
+    assert checked == 1770
+
+
 def test_oracle_rejects_non_integral_graph():
     # a single unpaired arc on a triangle has non-integer character sums
     with pytest.raises(NonIntegerResidual):
@@ -239,6 +259,16 @@ def test_aux_terms_frozen_values(args, l1, l2, l3, dl):
     assert tuple(lambda2(spec, j) for j in range(2, n, 4)) == l2
     assert tuple(lambda3(spec, j) for j in range(0, n, 4)) == l3
     assert tuple(delta(spec, j) for j in range(0, n, 4)) == dl
+
+
+@pytest.mark.parametrize("term, j", [(lambda1, 1), (lambda2, 2), (lambda3, 4), (delta, 4)])
+@pytest.mark.parametrize("bad", [True, 2.0, 2.5], ids=repr)
+def test_aux_terms_refuse_bools_and_floats(term, j, bad):
+    # B = {1} has no directed layer, so no kernel would ever see a bad j
+    spec = validate_spec(16, [1])
+    term(spec, j)
+    with pytest.raises(ValueError):
+        term(spec, bad)
 
 
 def test_aux_terms_respect_residue_classes():

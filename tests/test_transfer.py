@@ -190,6 +190,35 @@ def assert_columns_agree(row, ref, label):
         assert times == [ref.witness(w) for w in diffs], label
 
 
+# ---------------------------------------------------------- integer arguments
+
+# the vertex arguments a and b, with a valid call to start from: a bool or a
+# float in either is refused, as numthy refuses them in its kernels
+_SPEC16 = validate_spec(16, [8])
+_SPECTRUM16 = eigenvalues_closed_form(_SPEC16)
+_VALID_PAIR_CALLS = [
+    (transition_amplitude, (_SPECTRUM16, 0, 8, Fraction(1, 4))),
+    (verify_numeric, (_SPECTRUM16, 0, 8, Fraction(1, 4))),
+    (pst_feasible_pair, (_SPECTRUM16, 0, 8)),
+    (minimal_pst_time, (_SPECTRUM16, 0, 8)),
+    (pair_verdict, (_SPEC16, 0, 8)),
+]
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 2.5], ids=repr)
+@pytest.mark.parametrize("i", [1, 2], ids=["a", "b"])
+@pytest.mark.parametrize("fn, args", _VALID_PAIR_CALLS, ids=[fn.__name__ for fn, _ in _VALID_PAIR_CALLS])
+def test_vertex_arguments_refuse_bools_and_floats(fn, args, i, bad):
+    with pytest.raises(ValueError):
+        fn(*args[:i], bad, *args[i + 1:])
+
+
+def test_the_refused_pair_calls_are_valid_with_integers():
+    for fn, args in _VALID_PAIR_CALLS:
+        fn(*args)
+    assert pair_verdict(_SPEC16, 0, 8).kind == "antipodal_pst"
+
+
 # ---------------------------------------------------------------- amplitudes
 
 def test_amplitude_identity_at_time_zero():
