@@ -1,9 +1,11 @@
-"""Mixed circulant graph construction: specs, connection sets, adjacency, formats.
+"""Mixed circulant graph construction: specs, adjacency, formats.
 
 A graph here lives on vertex set Z_n.  Undirected edges come from gcd classes
 G_n(d) = {1 <= k < n : gcd(k, n) = d} for d in B; arcs come from the half
 classes G_n^r(d) = {k in G_n(d) : k/d = r (mod 4)} (r = 1 or 3) for d in D,
-with sigma(d) = +1 picking r = 1 and sigma(d) = -1 picking r = 3.
+with sigma(d) = +1 picking r = 1 and sigma(d) = -1 picking r = 3.  The
+connection set is always such a union of classes, so the Hermitian row is
+built from a validated spec and no other set can be written down.
 """
 
 from __future__ import annotations
@@ -92,14 +94,6 @@ class GraphSpec:
 
 
 @dataclass(frozen=True)
-class ConnectionSet:
-    """Symbol-difference sets: undirected residues and arc-head residues."""
-
-    undirected: frozenset[int]
-    directed: frozenset[int]
-
-
-@dataclass(frozen=True)
 class DivisorPartition:
     """B and D split into layers by the 2-adic valuation of n/d."""
 
@@ -140,10 +134,8 @@ def gcd_class(n: int, d: int) -> frozenset[int]:
     tolerated and yields the empty set, and any other non-divisor is rejected.
     """
     _check_kernel(n, d)
-    if n % d != 0 or d > n:
-        raise ValueError(f"{d} is not a divisor of {n} in range")
-    if d == n:
-        return frozenset()
+    if n % d != 0:
+        raise ValueError(f"{d} is not a divisor of {n}")
     return frozenset(k for k in range(1, n) if math.gcd(k, n) == d)
 
 
@@ -175,37 +167,19 @@ def validate_spec(
     return GraphSpec(n=n, B=B, D=D, sigma=sigma or {})
 
 
-def build_connection_set(spec: GraphSpec) -> ConnectionSet:
-    """Assemble the undirected and directed symbol sets from the divisor data."""
-    und: set[int] = set()
-    for b in spec.B:
-        und |= gcd_class(spec.n, b)
-    dirr: set[int] = set()
-    for d in spec.D:
-        dirr |= gcd_class_mod4(spec.n, d, 1 if spec.sigma[d] == 1 else 3)
-    return ConnectionSet(undirected=frozenset(und), directed=frozenset(dirr))
-
-
-def hermitian_adjacency(cs: ConnectionSet, n: int) -> tuple[complex, ...]:
+def hermitian_adjacency(spec: GraphSpec) -> tuple[complex, ...]:
     """Difference row of the Hermitian adjacency: row[c], the entry at (u, u+c),
-    is 1 on undirected edges, +i on arcs, -i on reversed arcs, else 0.
-
-    SpecError unless the residues lie in 1..n-1, the undirected ones are closed
-    under c -> n - c, and no arc c has c or n - c undirected or n - c an arc
-    (so c = n/2 is refused): else entries would overwrite each other."""
-    und, arcs = cs.undirected, cs.directed
-    if not all(0 < c < n for c in und | arcs):
-        raise SpecError(f"residues must lie in 1..{n - 1} (loops forbidden)")
-    if und != {n - c for c in und}:
-        raise SpecError("undirected residues are not closed under c -> n - c")
-    if arcs & (und | {n - c for c in arcs}):
-        raise SpecError("an arc's reverse is undirected or an arc as well")
+    is 1 on G_n(b) for b in B, +i on G_n^r(d) for d in D (r = 1 where
+    sigma(d) = +1, else 3) and -i on its negatives, else 0.  The classes of a
+    valid spec are disjoint, so no entry overwrites another."""
+    n = spec.n
     row = [complex(0)] * n
-    for c in und:
-        row[c] = complex(1)
-    for c in arcs:
-        row[c] = 1j
-        row[n - c] = -1j
+    for b in spec.B:
+        for c in gcd_class(n, b):
+            row[c] = complex(1)
+    for d in spec.D:
+        for c in gcd_class_mod4(n, d, 1 if spec.sigma[d] == 1 else 3):
+            row[c], row[n - c] = 1j, -1j
     return tuple(row)
 
 
@@ -292,19 +266,21 @@ def export_graph(spec: GraphSpec, fmt: str) -> str:
 
 def _to_dot(spec: GraphSpec) -> str:
     n = spec.n
-    cs = build_connection_set(spec)
+    row = hermitian_adjacency(spec)
+    undirected = [c for c in range(n) if row[c] == 1]
+    arcs = [c for c in range(n) if row[c] == 1j]
     lines = [f"digraph mixedcirc_{n} {{"]
     for v in range(n):
         lines.append(f"  {v};")
     edges: set[tuple[int, int]] = set()
     for u in range(n):
-        for c in cs.undirected:
+        for c in undirected:
             v = (u + c) % n
             edges.add((min(u, v), max(u, v)))
     for u, v in sorted(edges):
         lines.append(f"  {u} -> {v} [dir=none];")
     for u in range(n):
-        for c in sorted(cs.directed):
+        for c in arcs:
             lines.append(f"  {u} -> {(u + c) % n};")
     lines.append("}")
     return "\n".join(lines) + "\n"

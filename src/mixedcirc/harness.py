@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .circulant import GraphSpec, SpecError, build_connection_set, hermitian_adjacency
+from .circulant import GraphSpec, SpecError, hermitian_adjacency
 from .circulant import spec_to_json, validate_spec
 from .numthy import divisors
 from .spectrum import _oracle_spectra
@@ -153,7 +153,7 @@ def _class_table(n: int) -> np.ndarray:
     for c, d in enumerate(proper):
         halves = [validate_spec(n, [], [d], {d: s}) for s in (1, -1)] if d in d_pool else []
         for k, spec in enumerate([validate_spec(n, [d]), *halves]):
-            rows[k, c] = hermitian_adjacency(build_connection_set(spec), n)
+            rows[k, c] = hermitian_adjacency(spec)
     return _oracle_spectra(rows.reshape(-1, n))
 
 

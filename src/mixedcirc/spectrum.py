@@ -2,8 +2,9 @@
 
 Routes: a closed form summing the numthy Ramanujan kernels over the divisor
 data, a by-residue-class closed form (even n), and a floating-point inverse
-DFT of the Hermitian difference row that rounds to integers.  All three must
-agree; tests sweep them against each other.
+DFT of the Hermitian difference row, built from the spec's gcd classes, that
+rounds to integers.  All three must agree; tests sweep them against each
+other.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Iterable
 import numpy as np
 
 from .circulant import (
-    ConnectionSet,
     DivisorPartition,
     GraphSpec,
     hermitian_adjacency,
@@ -23,6 +23,7 @@ from .circulant import (
 )
 from .numthy import (
     _check_ints,
+    _is_int,
     _round_checked,
     euler_phi,
     factorize,
@@ -42,7 +43,8 @@ class HypothesesNotMet(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues gamma[0..n-1] of the Hermitian adjacency, all integers."""
+    """Eigenvalues gamma[0..n-1] of the Hermitian adjacency, all integers:
+    ValueError unless each obeys numthy._is_int, so True is not 1."""
 
     n: int
     gamma: tuple[int, ...]
@@ -50,6 +52,9 @@ class Spectrum:
     def __post_init__(self):
         if len(self.gamma) != self.n:
             raise ValueError(f"expected {self.n} eigenvalues, got {len(self.gamma)}")
+        # the type set first: every spectrum a route builds holds plain ints
+        if not (set(map(type, self.gamma)) <= {int} or all(map(_is_int, self.gamma))):
+            raise ValueError("eigenvalues must be integers (numthy._is_int)")
 
     def __getitem__(self, j: int) -> int:
         return self.gamma[j]
@@ -197,10 +202,11 @@ def _oracle_spectra(rows: np.ndarray) -> np.ndarray:
     return _round_checked(rows.shape[1] * np.fft.ifft(rows, axis=1), "row {}: gamma[{}]")
 
 
-def eigenvalues_oracle(cs: ConnectionSet, n: int) -> Spectrum:
-    """Floating-point spectrum of the Hermitian adjacency: _oracle_spectra on its row."""
-    rounded = _oracle_spectra(np.array([hermitian_adjacency(cs, n)]))[0]
-    return Spectrum(n=n, gamma=tuple(int(x) for x in rounded))
+def eigenvalues_oracle(spec: GraphSpec) -> Spectrum:
+    """Floating-point spectrum of the Hermitian adjacency: _oracle_spectra on
+    the spec's row, built from its gcd classes by brute gcd."""
+    rounded = _oracle_spectra(np.array([hermitian_adjacency(spec)]))[0]
+    return Spectrum(n=spec.n, gamma=tuple(int(x) for x in rounded))
 
 
 def spectrum_of(spec: GraphSpec) -> Spectrum:

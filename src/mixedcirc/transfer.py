@@ -433,7 +433,9 @@ def antipodal_verdict(spec: GraphSpec) -> TransferVerdict:
 
 
 def pair_verdict(spec: GraphSpec, a: int, b: int) -> TransferVerdict:
-    """Decide transfer between an arbitrary distinct pair."""
+    """Decide transfer between an arbitrary distinct pair; the vertices are
+    checked before the closed form is built."""
+    _check_ints(a, b)
     n = spec.n
     if not (0 <= a < n and 0 <= b < n):
         raise ValueError(f"vertices must lie in 0..{n - 1}, got {a}, {b}")

@@ -1,5 +1,6 @@
 """Graph construction: gcd classes, validation, adjacency, serialization."""
 
+import hashlib
 import json
 
 import pytest
@@ -16,15 +17,14 @@ from conftest import (
 from mixedcirc import (
     BadDivisor,
     BadModulus,
-    ConnectionSet,
     GraphSpec,
     Overlap,
     SigmaDomainMismatch,
     SpecError,
     UnknownFormat,
-    build_connection_set,
     eigenvalues_closed_form,
     eigenvalues_oracle,
+    enumerate_specs,
     export_graph,
     gcd_class,
     gcd_class_mod4,
@@ -202,7 +202,14 @@ def test_raw_construction_freezes_its_fields():
 
 # --------------------------------------------------------- connection sets
 
+def _residues(row, value):
+    """The residues c whose row entry is value."""
+    return {c for c, entry in enumerate(row) if entry == value}
+
+
 def test_connection_sets_match_printed_examples():
+    # the printed set is the undirected residues and the arc heads; the arc
+    # tails hold -i
     cases = [
         (two_arc_layer_graph(), {1, 4, 5, 6}, {1, 5, 6}),
         (pst_case_i_graph(), {1, 3, 5, 6, 7}, {6}),
@@ -215,42 +222,42 @@ def test_connection_sets_match_printed_examples():
         ),
     ]
     for spec, full, directed in cases:
-        cs = build_connection_set(spec)
-        assert cs.undirected | cs.directed == full
-        assert cs.directed == directed
+        row = hermitian_adjacency(spec)
+        assert _residues(row, 1) | _residues(row, 1j) == full
+        assert _residues(row, 1j) == directed
+        assert _residues(row, -1j) == {spec.n - c for c in directed}
 
 
 def test_connection_set_invariants_hold_everywhere():
     for spec in all_specs(range(2, 17)):
         n = spec.n
-        cs = build_connection_set(spec)
-        assert not (cs.undirected & cs.directed)
-        for c in cs.undirected:
-            assert (-c) % n in cs.undirected
-        for c in cs.directed:
-            assert (-c) % n not in cs.directed
-            assert (-c) % n not in cs.undirected
+        row = hermitian_adjacency(spec)
+        undirected, arcs = _residues(row, 1), _residues(row, 1j)
+        assert not (undirected & arcs)
+        for c in undirected:
+            assert (-c) % n in undirected
+        for c in arcs:
+            assert (-c) % n not in arcs
+            assert (-c) % n not in undirected
 
 
 # ---------------------------------------------------------------- adjacency
 
 def test_empty_connection_set_gives_zero_matrix():
-    row = hermitian_adjacency(ConnectionSet(frozenset(), frozenset()), 5)
+    row = hermitian_adjacency(validate_spec(5))
     assert row == (0,) * 5
 
 
 def test_adjacency_frozen_entries():
     # row[c] is the entry at (u, u + c)
-    undirected = hermitian_adjacency(
-        build_connection_set(validate_spec(8, [4], [], {})), 8
-    )
+    undirected = hermitian_adjacency(validate_spec(8, [4], [], {}))
     assert undirected[4] == 1
 
-    arcs = hermitian_adjacency(
-        build_connection_set(validate_spec(8, [], [1], {1: 1})), 8
-    )
+    arcs = hermitian_adjacency(validate_spec(8, [], [1], {1: 1}))
     assert arcs[1] == 1j
     assert arcs[7] == -1j
+
+    assert hermitian_adjacency(validate_spec(4, [2], [1], {1: 1})) == (0, 1j, 1, -1j)
 
 
 def test_adjacency_hermitian_and_circulant():
@@ -259,31 +266,11 @@ def test_adjacency_hermitian_and_circulant():
     # row[0] = 0 and row[-c] is the conjugate of row[c]
     for spec in all_specs(range(2, 17)):
         n = spec.n
-        row = hermitian_adjacency(build_connection_set(spec), n)
+        row = hermitian_adjacency(spec)
         assert len(row) == n and row[0] == 0
         for c in range(n):
             assert row[(n - c) % n] == row[c].conjugate()
             assert row[c] in (0, 1, 1j, -1j)
-
-
-def test_adjacency_refuses_sets_no_spec_builds():
-    # at n = 4 no spec builds these sets, and each would write one entry over
-    # another or give a non-Hermitian row: residues outside 1..3 (7 and -1
-    # fall on 3), an arc with an undirected or directed reverse, c = n/2 = 2
-    # as an arc
-    bad = [
-        ({0}, ()), ({4}, ()), ((), {4}), ({1, 7}, ()), ((), {-1}),
-        ({1}, ()),  # not closed under c -> n - c
-        ((), {1, 3}), ({1, 3}, {1}), ({1, 3}, {3}), ((), {2}),
-    ]
-    for und, arcs in bad:
-        cs = ConnectionSet(frozenset(und), frozenset(arcs))
-        with pytest.raises(SpecError):
-            hermitian_adjacency(cs, 4)
-        with pytest.raises(SpecError):
-            eigenvalues_oracle(cs, 4)
-    ok = ConnectionSet(frozenset({2}), frozenset({1}))
-    assert hermitian_adjacency(ok, 4) == (0, 1j, 1, -1j)
 
 
 # ---------------------------------------------------------------- partition
@@ -427,7 +414,7 @@ def test_parse_spec_fuzz(text):
         spec = parse_spec(text)
     except SpecError:
         return
-    oracle = eigenvalues_oracle(build_connection_set(spec), spec.n)
+    oracle = eigenvalues_oracle(spec)
     assert eigenvalues_closed_form(spec).gamma == oracle.gamma
 
 
@@ -457,6 +444,19 @@ DOT_GOLDEN = """digraph mixedcirc_8 {
 
 def test_dot_export_golden():
     assert export_graph(validate_spec(8, [4], [], {}), "dot") == DOT_GOLDEN
+
+
+def test_dot_export_digest_through_order_24():
+    # every spec of orders 2..24, directed and mixed ones included: the
+    # sha256 of the concatenated DOT texts is pinned
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(2, 25):
+        for spec in enumerate_specs(n):
+            digest.update(export_graph(spec, "dot").encode())
+            count += 1
+    assert count == 2574
+    assert digest.hexdigest()[:16] == "6691cb43397978ab"
 
 
 def test_dot_export_shapes():

@@ -21,7 +21,6 @@ from mixedcirc import (
     BudgetExceeded,
     SpecError,
     antipodal_verdict,
-    build_connection_set,
     classify_mst,
     classify_pst,
     count_specs,
@@ -258,7 +257,7 @@ def _check_rows_against_oracle(shapes, shape, flips, gammas):
     assert gammas.dtype == np.int64
     assert gammas.shape == (len(shape), n)
     for spec, row in zip(shapes.specs(shape, flips), gammas):
-        whole = eigenvalues_oracle(build_connection_set(spec), n)
+        whole = eigenvalues_oracle(spec)
         assert tuple(row.tolist()) == whole.gamma, spec_to_json(spec)
 
 

@@ -14,12 +14,10 @@ from conftest import (
     two_arc_layer_graph,
 )
 from mixedcirc import (
-    ConnectionSet,
     HypothesesNotMet,
     NonIntegerResidual,
     Spectrum,
     WrongResidueClass,
-    build_connection_set,
     classify_pst,
     delta,
     eigenvalues_by_class,
@@ -74,6 +72,16 @@ def test_spectrum_container_checks_length():
     assert sp[1] == -1 and len(sp) == 2
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, 2.5], ids=repr)
+def test_spectrum_container_refuses_bools_and_floats(bad):
+    # the integer rule holds before any reader sees the entries: an int64
+    # cast would turn True into 1 and 2.0 into 2
+    with pytest.raises(ValueError):
+        Spectrum(n=2, gamma=(0, bad))
+    with pytest.raises(ValueError):
+        Spectrum(n=2, gamma=(bad, 1))
+
+
 def test_spectrum_of_is_the_closed_form():
     spec = pst_case_ii_graph()
     assert spectrum_of(spec).gamma == eigenvalues_closed_form(spec).gamma
@@ -84,8 +92,8 @@ def test_spectrum_of_is_the_closed_form():
 def test_degree_and_trace_everywhere():
     for spec in all_specs(range(2, 17)):
         sp = eigenvalues_closed_form(spec)
-        cs = build_connection_set(spec)
-        assert sp.gamma[0] == len(cs.undirected) == undirected_degree(spec)
+        row = hermitian_adjacency(spec)
+        assert sp.gamma[0] == row.count(1) == undirected_degree(spec)
         assert sum(sp.gamma) == 0
 
 
@@ -96,7 +104,7 @@ def test_three_routes_agree_exhaustively():
         for spec in enumerate_specs(n):
             closed = eigenvalues_closed_form(spec).gamma
             by_class = eigenvalues_by_class(spec).gamma
-            oracle = eigenvalues_oracle(build_connection_set(spec), n).gamma
+            oracle = eigenvalues_oracle(spec).gamma
             assert closed == by_class == oracle
 
 
@@ -104,7 +112,7 @@ def test_closed_form_matches_oracle_for_odd_orders():
     for n in (3, 5, 9, 15):
         for spec in enumerate_specs(n):
             closed = eigenvalues_closed_form(spec).gamma
-            oracle = eigenvalues_oracle(build_connection_set(spec), n).gamma
+            oracle = eigenvalues_oracle(spec).gamma
             assert closed == oracle
 
 
@@ -123,7 +131,7 @@ def test_routes_agree_on_random_large_specs():
         d = frozenset(x for x in d_pool if rng.random() < 0.4)
         spec = validate_spec(n, b, d, {x: rng.choice((1, -1)) for x in d})
         closed = eigenvalues_closed_form(spec).gamma
-        assert closed == eigenvalues_oracle(build_connection_set(spec), n).gamma
+        assert closed == eigenvalues_oracle(spec).gamma
         if n % 2 == 0:
             assert closed == eigenvalues_by_class(spec).gamma
 
@@ -137,7 +145,7 @@ def test_all_routes_agree_at_orders_32_and_64():
     for spec in specs:
         closed = eigenvalues_closed_form(spec).gamma
         assert eigenvalues_by_class(spec).gamma == closed
-        assert eigenvalues_oracle(build_connection_set(spec), spec.n).gamma == closed
+        assert eigenvalues_oracle(spec).gamma == closed
         try:
             assert reduced_eigenvalues(spec).gamma == closed
             reduced += 1
@@ -166,9 +174,10 @@ def test_closed_form_equals_class_table_on_every_single_class_spec():
 
 
 def test_oracle_rejects_non_integral_graph():
-    # a single unpaired arc on a triangle has non-integer character sums
+    # a single unpaired arc on a triangle has non-integer character sums; no
+    # spec builds it, so its row is written out
     with pytest.raises(NonIntegerResidual):
-        eigenvalues_oracle(ConnectionSet(frozenset(), frozenset({1})), 3)
+        _oracle_spectra(np.array([(0, 1j, -1j)]))
 
 
 def test_one_non_integral_row_fails_a_batched_oracle_pass():
@@ -177,16 +186,12 @@ def test_one_non_integral_row_fails_a_batched_oracle_pass():
     # union of divisor classes (gamma_1 = 2*cos(pi/6) = sqrt(3)), placed
     # among them raises NonIntegerResidual naming its row
     n = 12
-    rows = [
-        hermitian_adjacency(build_connection_set(validate_spec(n, [d])), n)
-        for d in divisors(n)[:-1]
-    ]
+    rows = [hermitian_adjacency(validate_spec(n, [d])) for d in divisors(n)[:-1]]
     spectra = _oracle_spectra(np.array(rows))
     assert spectra.tolist() == [
-        list(eigenvalues_oracle(build_connection_set(validate_spec(n, [d])), n).gamma)
-        for d in divisors(n)[:-1]
+        list(eigenvalues_oracle(validate_spec(n, [d])).gamma) for d in divisors(n)[:-1]
     ]
-    bad = hermitian_adjacency(ConnectionSet(frozenset({1, 11}), frozenset()), n)
+    bad = tuple(1 if c in (1, 11) else 0 for c in range(n))
     with pytest.raises(NonIntegerResidual, match="row 2: gamma"):
         _oracle_spectra(np.array(rows[:2] + [bad] + rows[2:]))
 

@@ -213,6 +213,19 @@ def test_vertex_arguments_refuse_bools_and_floats(fn, args, i, bad):
         fn(*args[:i], bad, *args[i + 1:])
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, 2.5], ids=repr)
+def test_pair_verdict_refuses_vertices_before_the_closed_form(monkeypatch, bad):
+    import mixedcirc.transfer
+
+    def unreachable(spec):
+        raise AssertionError("closed form built before the vertices were checked")
+
+    monkeypatch.setattr(mixedcirc.transfer, "eigenvalues_closed_form", unreachable)
+    for a, b in ((bad, 8), (0, bad)):
+        with pytest.raises(ValueError):
+            pair_verdict(_SPEC16, a, b)
+
+
 def test_the_refused_pair_calls_are_valid_with_integers():
     for fn, args in _VALID_PAIR_CALLS:
         fn(*args)
