@@ -273,6 +273,30 @@ def test_adjacency_hermitian_and_circulant():
             assert row[c] in (0, 1, 1j, -1j)
 
 
+def test_adjacency_refuses_sets_no_spec_builds():
+    # hermitian_adjacency takes a GraphSpec, so the refusal is at construction:
+    # at n = 4 these would put a class outside 1..3, give an arc to c = n/2 = 2,
+    # or lay an arc over an undirected edge, and no spec is built from them
+    bad = [
+        ([0], [], {}), ([4], [], {}), ([-1], [], {}), ([], [2], {2: 1}),
+        ([], [4], {4: 1}), ([], [-1], {-1: 1}), ([1], [1], {1: 1}),
+        ([2], [1], {}), ([], [1], {1: 2}),
+    ]
+    for B, D, sigma in bad:
+        with pytest.raises(SpecError):
+            validate_spec(4, B, D, sigma)
+    # every spec that builds writes each entry once: the nonzero count is the
+    # sum of its class sizes, arcs counted with their reverses
+    for spec in all_specs(range(2, 17)):
+        n = spec.n
+        row = hermitian_adjacency(spec)
+        size = sum(len(gcd_class(n, b)) for b in spec.B)
+        size += sum(2 * len(gcd_class_mod4(n, d, 1)) for d in spec.D)
+        assert sum(1 for x in row if x != 0) == size
+    ok = validate_spec(4, [2], [1], {1: 1})
+    assert hermitian_adjacency(ok) == (0, 1j, 1, -1j)
+
+
 # ---------------------------------------------------------------- partition
 
 def test_partition_frozen_layerings():
