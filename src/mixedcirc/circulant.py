@@ -5,7 +5,10 @@ G_n(d) = {1 <= k < n : gcd(k, n) = d} for d in B; arcs come from the half
 classes G_n^r(d) = {k in G_n(d) : k/d = r (mod 4)} (r = 1 or 3) for d in D,
 with sigma(d) = +1 picking r = 1 and sigma(d) = -1 picking r = 3.  The
 connection set is always such a union of classes, so the Hermitian row is
-built from a validated spec and no other set can be written down.
+built from a validated spec and no other set can be written down.  A spec
+also answers for its divisor layers, over which the paper states its
+criteria: B_i and D_i hold the members d with v2(n/d) = i, and the starred
+B_i* drops n/2**i from B_i.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .numthy import MAX_N, _check_kernel, _is_int
+from .numthy import MAX_N, _check_kernel, _is_int, two_adic_valuation
 
 
 class SpecError(ValueError):
@@ -92,29 +95,22 @@ class GraphSpec:
 
     __hash__ = None  # type: ignore[assignment]
 
-
-@dataclass(frozen=True)
-class DivisorPartition:
-    """B and D split into layers by the 2-adic valuation of n/d."""
-
-    n: int
-    b_layers: Mapping[int, frozenset[int]]
-    d_layers: Mapping[int, frozenset[int]]
+    def _layer(self, members: frozenset[int], i: int) -> frozenset[int]:
+        return frozenset(d for d in members if two_adic_valuation(self.n // d) == i)
 
     def b_layer(self, i: int) -> frozenset[int]:
-        return self.b_layers.get(i, frozenset())
+        """B_i: the members b of B with v2(n/b) = i."""
+        return self._layer(self.B, i)
 
     def d_layer(self, i: int) -> frozenset[int]:
-        return self.d_layers.get(i, frozenset())
+        """D_i: the members d of D with v2(n/d) = i (empty below 2)."""
+        return self._layer(self.D, i)
 
     def b_star(self, i: int) -> frozenset[int]:
-        """Layer i of B with the distinguished divisor n/2**i removed."""
+        """B_i*: layer i of B less n/2**i (layer i is empty unless 2**i | n)."""
         if i < 1:
             raise ValueError(f"starred layers start at 1, got {i}")
-        layer = self.b_layer(i)
-        if self.n % (1 << i) == 0:
-            layer = layer - {self.n >> i}
-        return layer
+        return self.b_layer(i) - {self.n >> i}
 
     def scaled_chain(self, depth: int) -> bool:
         """The scaled-set chain B0 = 2*B1star = ... = 2**depth * B_depth star."""
@@ -181,23 +177,6 @@ def hermitian_adjacency(spec: GraphSpec) -> tuple[complex, ...]:
         for c in gcd_class_mod4(n, d, 1 if spec.sigma[d] == 1 else 3):
             row[c], row[n - c] = 1j, -1j
     return tuple(row)
-
-
-def partition_divisors(spec: GraphSpec) -> DivisorPartition:
-    """Split B (layers 0..v2(n)) and D (2..v2(n)) by v2(n/d); empty layers are not stored.
-
-    A GraphSpec is validated, so n and every n // d are positive ints and
-    each valuation is read off the lowest set bit without further checks.
-    """
-    n = spec.n
-    b_layers: dict[int, frozenset[int]] = {}
-    d_layers: dict[int, frozenset[int]] = {}
-    for layers, members in ((b_layers, spec.B), (d_layers, spec.D)):
-        for d in members:
-            m = n // d
-            i = (m & -m).bit_length() - 1
-            layers[i] = layers.get(i, frozenset()) | {d}
-    return DivisorPartition(n=n, b_layers=b_layers, d_layers=d_layers)
 
 
 def spec_to_dict(spec: GraphSpec) -> dict:

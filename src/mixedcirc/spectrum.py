@@ -4,7 +4,10 @@ Routes: a closed form summing the numthy Ramanujan kernels over the divisor
 data, a by-residue-class closed form (even n), and a floating-point inverse
 DFT of the Hermitian difference row, built from the spec's gcd classes, that
 rounds to integers.  All three must agree; tests sweep them against each
-other.
+other.  The by-class route and the reduced form under the classification
+hypotheses add the auxiliary terms lambda1, lambda2, lambda3 and delta, one
+function each, which read the spec's divisor layers (GraphSpec.b_layer,
+d_layer, b_star).
 """
 
 from __future__ import annotations
@@ -15,12 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .circulant import (
-    DivisorPartition,
-    GraphSpec,
-    hermitian_adjacency,
-    partition_divisors,
-)
+from .circulant import GraphSpec, hermitian_adjacency
 from .numthy import (
     _check_ints,
     _is_int,
@@ -44,12 +42,15 @@ class HypothesesNotMet(ValueError):
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues gamma[0..n-1] of the Hermitian adjacency, all integers:
-    ValueError unless each obeys numthy._is_int, so True is not 1."""
+    ValueError unless n and each eigenvalue obey numthy._is_int, so True is
+    not 1."""
 
     n: int
     gamma: tuple[int, ...]
 
     def __post_init__(self):
+        if not _is_int(self.n):
+            raise ValueError(f"order must be an integer (numthy._is_int), got {self.n!r}")
         if len(self.gamma) != self.n:
             raise ValueError(f"expected {self.n} eigenvalues, got {len(self.gamma)}")
         # the type set first: every spectrum a route builds holds plain ints
@@ -112,32 +113,12 @@ def _kernel_sum(
 # A kernel on layer i carries the factor 2**(i-1), so the scaled-down sums
 # below are exact.
 
-def _lambda1(spec: GraphSpec, dp: DivisorPartition, j: int) -> int:
-    return _kernel_sum(spec, (), dp.d_layer(2), j) // 2
-
-
-def _lambda2(spec: GraphSpec, dp: DivisorPartition, j: int) -> int:
-    return _kernel_sum(spec, (), dp.d_layer(3), j) // 4
-
-
-def _lambda3(spec: GraphSpec, dp: DivisorPartition, j: int) -> int:
-    # Tail of the kernel sum over layers >= 4, scaled down by 8.
-    layers = range(4, two_adic_valuation(spec.n) + 1)
-    return sum(_kernel_sum(spec, dp.b_layer(i), dp.d_layer(i), j) for i in layers) // 8
-
-
-def _delta(spec: GraphSpec, dp: DivisorPartition, j: int) -> int:
-    total = _kernel_sum(spec, dp.b_star(2), (), j) // 2
-    total += _kernel_sum(spec, dp.b_layer(3), (), j) // 4
-    return total + 2 * _lambda3(spec, dp, j)
-
-
 def lambda1(spec: GraphSpec, j: int) -> int:
     """Directed correction for odd j (layer-2 classes only)."""
     _check_ints(j)
     if j % 2 == 0:
         raise WrongResidueClass(f"lambda1 needs odd j, got {j}")
-    return _lambda1(spec, partition_divisors(spec), j)
+    return _kernel_sum(spec, (), spec.d_layer(2), j) // 2
 
 
 def lambda2(spec: GraphSpec, j: int) -> int:
@@ -145,15 +126,17 @@ def lambda2(spec: GraphSpec, j: int) -> int:
     _check_ints(j)
     if j % 4 != 2:
         raise WrongResidueClass(f"lambda2 needs j = 2 (mod 4), got {j}")
-    return _lambda2(spec, partition_divisors(spec), j)
+    return _kernel_sum(spec, (), spec.d_layer(3), j) // 4
 
 
 def lambda3(spec: GraphSpec, j: int) -> int:
-    """High-layer tail for j = 0 (mod 4)."""
+    """High-layer tail for j = 0 (mod 4): the kernel sum over layers >= 4,
+    scaled down by 8."""
     _check_ints(j)
     if j % 4:
         raise WrongResidueClass(f"lambda3 needs j = 0 (mod 4), got {j}")
-    return _lambda3(spec, partition_divisors(spec), j)
+    layers = range(4, two_adic_valuation(spec.n) + 1)
+    return sum(_kernel_sum(spec, spec.b_layer(i), spec.d_layer(i), j) for i in layers) // 8
 
 
 def delta(spec: GraphSpec, j: int) -> int:
@@ -161,7 +144,9 @@ def delta(spec: GraphSpec, j: int) -> int:
     _check_ints(j)
     if j % 4:
         raise WrongResidueClass(f"delta needs j = 0 (mod 4), got {j}")
-    return _delta(spec, partition_divisors(spec), j)
+    total = _kernel_sum(spec, spec.b_star(2), (), j) // 2
+    total += _kernel_sum(spec, spec.b_layer(3), (), j) // 4
+    return total + 2 * lambda3(spec, j)
 
 
 def eigenvalues_by_class(spec: GraphSpec) -> Spectrum:
@@ -169,27 +154,27 @@ def eigenvalues_by_class(spec: GraphSpec) -> Spectrum:
     n = spec.n
     if n % 2:
         raise ValueError(f"by-class route needs even n, got {n}")
-    dp = partition_divisors(spec)
+    b0, b1, b2, b3 = (spec.b_layer(i) for i in range(4))
     gamma = [undirected_degree(spec)]
     for j in range(1, n):
         if j % 2:
-            val = sum(ramanujan_sum(n // d, j) for d in dp.b_layer(0))
-            val -= sum(ramanujan_sum(n // (2 * d), j) for d in dp.b_layer(1))
-            val += 2 * _lambda1(spec, dp, j)
+            val = sum(ramanujan_sum(n // d, j) for d in b0)
+            val -= sum(ramanujan_sum(n // (2 * d), j) for d in b1)
+            val += 2 * lambda1(spec, j)
         elif j % 4 == 2:
             h = j // 2
-            val = sum(ramanujan_sum(n // d, h) for d in dp.b_layer(0))
-            val += sum(ramanujan_sum(n // (2 * d), h) for d in dp.b_layer(1))
-            val -= 2 * sum(ramanujan_sum(n // (4 * d), h) for d in dp.b_layer(2))
-            val += 4 * _lambda2(spec, dp, j)
+            val = sum(ramanujan_sum(n // d, h) for d in b0)
+            val += sum(ramanujan_sum(n // (2 * d), h) for d in b1)
+            val -= 2 * sum(ramanujan_sum(n // (4 * d), h) for d in b2)
+            val += 4 * lambda2(spec, j)
         else:
             jp = j >> two_adic_valuation(j)
             q_sign = (-1) ** ((j // 4) & 1)
-            val = sum(ramanujan_sum(n // d, jp) for d in dp.b_layer(0))
-            val += sum(ramanujan_sum(n // (2 * d), jp) for d in dp.b_layer(1))
-            val += 2 * sum(ramanujan_sum(n // (4 * d), jp) for d in dp.b_layer(2))
-            val += 4 * sum(q_sign * ramanujan_sum(n // (8 * d), jp) for d in dp.b_layer(3))
-            val += 8 * _lambda3(spec, dp, j)
+            val = sum(ramanujan_sum(n // d, jp) for d in b0)
+            val += sum(ramanujan_sum(n // (2 * d), jp) for d in b1)
+            val += 2 * sum(ramanujan_sum(n // (4 * d), jp) for d in b2)
+            val += 4 * sum(q_sign * ramanujan_sum(n // (8 * d), jp) for d in b3)
+            val += 8 * lambda3(spec, j)
         gamma.append(val)
     return Spectrum(n=n, gamma=tuple(gamma))
 
@@ -223,10 +208,9 @@ def reduced_eigenvalues(spec: GraphSpec) -> Spectrum:
     n = spec.n
     if n % 4:
         raise HypothesesNotMet(f"need 4 | n, got n = {n}")
-    dp = partition_divisors(spec)
-    if dp.d_layer(2) - {n // 4}:
+    if spec.d_layer(2) - {n // 4}:
         raise HypothesesNotMet("directed layer 2 must be contained in {n/4}")
-    if not dp.scaled_chain(2):
+    if not spec.scaled_chain(2):
         raise HypothesesNotMet("scaled-set chain B0 = 2*B1star = 4*B2star fails")
     half = 1 if n // 2 in spec.B else 0
     quarter = 1 if n // 4 in spec.B else 0
@@ -238,7 +222,7 @@ def reduced_eigenvalues(spec: GraphSpec) -> Spectrum:
         elif j % 4 == 3:
             gamma.append(-half + 2 * turn)
         elif j % 4 == 2:
-            gamma.append(half - 2 * quarter + 4 * _lambda2(spec, dp, j))
+            gamma.append(half - 2 * quarter + 4 * lambda2(spec, j))
         else:
-            gamma.append(half + 2 * quarter + 4 * _delta(spec, dp, j))
+            gamma.append(half + 2 * quarter + 4 * delta(spec, j))
     return Spectrum(n=n, gamma=tuple(gamma))

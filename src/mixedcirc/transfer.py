@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circulant import GraphSpec, partition_divisors
+from .circulant import GraphSpec
 from .numthy import _check_ints, divisors, two_adic_valuation
 from .spectrum import Spectrum, eigenvalues_closed_form
 
@@ -279,7 +279,7 @@ def undirected_pst_criterion(spec: GraphSpec) -> bool:
     n = spec.n
     if n % 4:
         return False
-    if not partition_divisors(spec).scaled_chain(2):
+    if not spec.scaled_chain(2):
         return False
     return (n // 4 in spec.B) != (n // 2 in spec.B)
 
@@ -291,8 +291,7 @@ def oriented_pst_criterion(spec: GraphSpec) -> bool:
     n = spec.n
     if n % 4:
         return False
-    dp = partition_divisors(spec)
-    return dp.d_layer(2) == frozenset({n // 4})
+    return spec.d_layer(2) == frozenset({n // 4})
 
 
 def pst_feasible_pair(spectrum: Spectrum, a: int, b: int) -> Optional[Fraction]:
@@ -387,49 +386,47 @@ def transfer_rows(gammas: np.ndarray, targets: list[int]) -> np.ndarray:
     return np.array([common, quarter, numeric])
 
 
-def _verified(spectrum: Spectrum, targets: list[int]):
-    """_witnesses on one spectrum, as _row_values and either None or (t', unit
-    phase at the first target, worst residual) of its witness for every
-    target; a witness that fails the numeric check is a ConsistencyError."""
-    columns, _, ks, checked = _witnesses(np.array([spectrum.gamma]), targets)
+def _verdict(spectrum: Spectrum, orbit: tuple[int, ...]) -> TransferVerdict:
+    """Transfer from orbit[0] to every later vertex of orbit, read off
+    _witnesses on one spectrum.  A 4-vertex orbit is "mst" where the quarter
+    flag holds; one target is "antipodal_pst" at 2w = 0 and "quarter_pst" at
+    4w = 0 (mod n), w its difference; else "none".  A witness that fails the
+    numeric check, or one to a single target off the quarter points, is a
+    ConsistencyError."""
+    n = spectrum.n
+    diffs = [_difference(n, orbit[0], b) for b in orbit[1:]]
+    columns, _, ks, checked = _witnesses(np.array([spectrum.gamma]), diffs)
     _, g, m, quarter = _row_values(columns)
     if checked is None:
-        return m, quarter, None
+        return TransferVerdict(kind="none", pair=orbit)
     ok, amps, residuals = checked
     t, worst = Fraction(ks[0][0], g), residuals.max().item()
     if not ok.all():
         raise ConsistencyError(
-            f"witness t'={t} to {targets} failed numeric check: residual {worst}"
+            f"witness t'={t} to {diffs} failed numeric check: residual {worst}"
         )
-    amp = amps[0, 0].item()  # ok, so |amp| is near 1
-    return m, quarter, (t, amp / abs(amp), worst)
-
-
-def _decide_pair(spectrum: Spectrum, a: int, b: int) -> TransferVerdict:
-    n = spectrum.n
-    w = _difference(n, a, b)
-    pair = (a % n, b % n)
-    m, _, found = _verified(spectrum, [w])
-    if found is None:
-        return TransferVerdict(kind="none", pair=pair)
-    t, phase, residual = found
-    if 2 * w % n == 0:
+    if len(orbit) == 4:
+        if not quarter:
+            return TransferVerdict(kind="none", pair=orbit)
+        kind = "mst"
+    elif 2 * diffs[0] % n == 0:
         kind = "antipodal_pst"
-    elif n % 4 == 0 and w in (n // 4, 3 * n // 4):
+    elif 4 * diffs[0] % n == 0:
         kind = "quarter_pst"
     else:
-        raise ConsistencyError(f"feasible difference {w} outside quarter points")
+        raise ConsistencyError(f"feasible difference {diffs[0]} outside quarter points")
+    amp = amps[0, 0].item()  # ok, so |amp| is near 1
     return TransferVerdict(
-        kind=kind, pair=pair, m=m, t_prime=t, phase=phase, residual=residual
+        kind=kind, pair=orbit, m=m, t_prime=t, phase=amp / abs(amp), residual=worst
     )
 
 
 def antipodal_verdict(spec: GraphSpec) -> TransferVerdict:
     """Decide transfer between 0 and n/2 from the exact spectrum."""
     n = spec.n
-    if n % 2 or n < 2:
+    if n % 2:
         return TransferVerdict(kind="none", pair=())
-    return _decide_pair(eigenvalues_closed_form(spec), 0, n // 2)
+    return _verdict(eigenvalues_closed_form(spec), (0, n // 2))
 
 
 def pair_verdict(spec: GraphSpec, a: int, b: int) -> TransferVerdict:
@@ -439,7 +436,7 @@ def pair_verdict(spec: GraphSpec, a: int, b: int) -> TransferVerdict:
     n = spec.n
     if not (0 <= a < n and 0 <= b < n):
         raise ValueError(f"vertices must lie in 0..{n - 1}, got {a}, {b}")
-    return _decide_pair(eigenvalues_closed_form(spec), a, b)
+    return _verdict(eigenvalues_closed_form(spec), (a, b))
 
 
 def mst_verdict(spec: GraphSpec) -> TransferVerdict:
@@ -447,11 +444,4 @@ def mst_verdict(spec: GraphSpec) -> TransferVerdict:
     n = spec.n
     if n % 4:
         return TransferVerdict(kind="none", pair=())
-    orbit = (0, n // 4, n // 2, 3 * n // 4)
-    m, quarter, found = _verified(eigenvalues_closed_form(spec), list(orbit[1:]))
-    if not quarter or found is None:
-        return TransferVerdict(kind="none", pair=orbit)
-    t, phase, worst = found
-    return TransferVerdict(
-        kind="mst", pair=orbit, m=m, t_prime=t, phase=phase, residual=worst
-    )
+    return _verdict(eigenvalues_closed_form(spec), (0, n // 4, n // 2, 3 * n // 4))

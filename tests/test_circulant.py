@@ -30,7 +30,6 @@ from mixedcirc import (
     gcd_class_mod4,
     hermitian_adjacency,
     parse_spec,
-    partition_divisors,
     spec_to_dict,
     spec_to_json,
     validate_spec,
@@ -300,45 +299,44 @@ def test_adjacency_refuses_sets_no_spec_builds():
 # ---------------------------------------------------------------- partition
 
 def test_partition_frozen_layerings():
-    dp = partition_divisors(mst_example_graph())
-    assert dp.b_layer(4) == {1}
-    assert dp.d_layer(3) == {2}
-    assert dp.d_layer(2) == {4}
+    spec = mst_example_graph()
+    assert spec.b_layer(4) == {1}
+    assert spec.d_layer(3) == {2}
+    assert spec.d_layer(2) == {4}
 
-    dp = partition_divisors(validate_spec(8, [2, 4], [1], {1: 1}))
-    assert dp.b_layer(2) == {2}
-    assert dp.b_layer(1) == {4}
-    assert dp.d_layer(3) == {1}
+    spec = validate_spec(8, [2, 4], [1], {1: 1})
+    assert spec.b_layer(2) == {2}
+    assert spec.b_layer(1) == {4}
+    assert spec.d_layer(3) == {1}
 
 
 def test_partition_reunites_to_inputs():
     for spec in all_specs(range(2, 17)):
-        dp = partition_divisors(spec)
-        assert frozenset().union(*dp.b_layers.values()) == spec.B
-        d_all = frozenset().union(*dp.d_layers.values()) if dp.d_layers else frozenset()
-        assert d_all == spec.D
+        depths = range(spec.n.bit_length())  # v2(n/d) < bit_length(n)
+        b_layers = [spec.b_layer(i) for i in depths]
+        d_layers = [spec.d_layer(i) for i in depths]
+        assert frozenset().union(*b_layers) == spec.B
+        assert frozenset().union(*d_layers) == spec.D
         # layers are disjoint by construction of the valuation key
-        assert sum(len(v) for v in dp.b_layers.values()) == len(spec.B)
-        # only nonempty layers are stored
-        assert all(dp.b_layers.values()) and all(dp.d_layers.values())
+        assert sum(len(v) for v in b_layers) == len(spec.B)
+        assert sum(len(v) for v in d_layers) == len(spec.D)
 
 
 def test_starred_layers_drop_distinguished_divisor():
-    dp = partition_divisors(validate_spec(16, [8, 4, 2], [], {}))
-    assert dp.b_layer(1) == {8}
-    assert dp.b_star(1) == frozenset()  # 16/2 = 8 removed
-    assert dp.b_layer(2) == {4}
-    assert dp.b_star(2) == frozenset()
-    assert dp.b_star(3) == frozenset()
+    spec = validate_spec(16, [8, 4, 2], [], {})
+    assert spec.b_layer(1) == {8}
+    assert spec.b_star(1) == frozenset()  # 16/2 = 8 removed
+    assert spec.b_layer(2) == {4}
+    assert spec.b_star(2) == frozenset()
+    assert spec.b_star(3) == frozenset()
     with pytest.raises(ValueError):
-        dp.b_star(0)
+        spec.b_star(0)
 
 
 def test_empty_divisor_sets_make_empty_layers():
-    dp = partition_divisors(validate_spec(12, [], [], {}))
-    assert all(not v for v in dp.b_layers.values())
-    assert all(not v for v in dp.d_layers.values())
-    assert dp.b_layer(0) == dp.b_layer(2) == dp.d_layer(2) == frozenset()
+    spec = validate_spec(12, [], [], {})
+    assert all(not spec.b_layer(i) and not spec.d_layer(i) for i in range(4))
+    assert spec.b_star(1) == spec.b_star(3) == frozenset()
 
 
 # ------------------------------------------------------------ serialization

@@ -1,5 +1,6 @@
 """Spectra: frozen eigenvalue tuples, route agreement, auxiliary terms."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -32,10 +33,10 @@ from mixedcirc import (
     undirected_degree,
     validate_spec,
 )
-from mixedcirc.circulant import hermitian_adjacency, partition_divisors
+from mixedcirc.circulant import hermitian_adjacency
 from mixedcirc.harness import _class_table
 from mixedcirc.numthy import divisors
-from mixedcirc.spectrum import _delta, _oracle_spectra
+from mixedcirc.spectrum import _oracle_spectra
 
 
 def scaled(s, k):
@@ -80,6 +81,9 @@ def test_spectrum_container_refuses_bools_and_floats(bad):
         Spectrum(n=2, gamma=(0, bad))
     with pytest.raises(ValueError):
         Spectrum(n=2, gamma=(bad, 1))
+    # and so does the order, even where the length would match it
+    with pytest.raises(ValueError):
+        Spectrum(n=bad, gamma=tuple(range(int(bad))))
 
 
 def test_spectrum_of_is_the_closed_form():
@@ -266,6 +270,31 @@ def test_aux_terms_frozen_values(args, l1, l2, l3, dl):
     assert tuple(delta(spec, j) for j in range(0, n, 4)) == dl
 
 
+def test_aux_terms_and_paper_routes_digest_through_order_24():
+    # every spec with 4 | n <= 24: each auxiliary term at every j < n of its
+    # class, the by-class gammas and the reduced gammas (None where the
+    # hypotheses fail), one repr per spec; the sha256 is pinned
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(4, 25, 4):
+        for spec in enumerate_specs(n):
+            try:
+                reduced = reduced_eigenvalues(spec).gamma
+            except HypothesesNotMet:
+                reduced = None
+            digest.update(repr((
+                tuple(lambda1(spec, j) for j in range(1, n, 2)),
+                tuple(lambda2(spec, j) for j in range(2, n, 4)),
+                tuple(lambda3(spec, j) for j in range(0, n, 4)),
+                tuple(delta(spec, j) for j in range(0, n, 4)),
+                eigenvalues_by_class(spec).gamma,
+                reduced,
+            )).encode())
+            count += 1
+    assert count == 2472
+    assert digest.hexdigest()[:16] == "dc995e67bef3935c"
+
+
 @pytest.mark.parametrize("term, j", [(lambda1, 1), (lambda2, 2), (lambda3, 4), (delta, 4)])
 @pytest.mark.parametrize("bad", [True, 2.0, 2.5], ids=repr)
 def test_aux_terms_refuse_bools_and_floats(term, j, bad):
@@ -296,9 +325,8 @@ def test_odd_index_parity_iff_layer_chain():
     for spec in all_specs(range(2, 17)):
         n = spec.n
         g = eigenvalues_closed_form(spec).gamma
-        dp = partition_divisors(spec)
         parities = {g[j % n] & 1 for j in range(1, 2 * n, 2)}
-        chain = dp.b_layer(0) == scaled(dp.b_star(1), 2)
+        chain = spec.b_layer(0) == scaled(spec.b_star(1), 2)
         assert (len(parities) == 1) == chain
 
 
@@ -321,9 +349,8 @@ def test_quarter_term_parity_iff_deep_chain():
                 reduced_eigenvalues(spec)
             except HypothesesNotMet:
                 continue
-            dp = partition_divisors(spec)
-            vals = {_delta(spec, dp, j) & 1 for j in range(0, 4 * n, 4)}
-            chain = dp.b_star(2) == scaled(dp.b_star(3), 2)
+            vals = {delta(spec, j) & 1 for j in range(0, 4 * n, 4)}
+            chain = spec.b_star(2) == scaled(spec.b_star(3), 2)
             assert (len(vals) == 1) == chain
 
 
@@ -372,7 +399,6 @@ def test_quarter_case_formula_extends_to_index_zero():
                 reduced_eigenvalues(spec)
             except HypothesesNotMet:
                 continue
-            dp = partition_divisors(spec)
             half = 1 if n // 2 in spec.B else 0
             quarter = 1 if n // 4 in spec.B else 0
-            assert half + 2 * quarter + 4 * _delta(spec, dp, 0) == undirected_degree(spec)
+            assert half + 2 * quarter + 4 * delta(spec, 0) == undirected_degree(spec)

@@ -43,7 +43,6 @@ from mixedcirc import (
     validate_spec,
     verify_numeric,
 )
-from mixedcirc.circulant import partition_divisors
 from mixedcirc.harness import _judged_chunks, _shapes
 from mixedcirc.numthy import divisors
 from mixedcirc.transfer import (
@@ -557,16 +556,15 @@ def test_sufficient_condition_implies_classifier():
 
 
 def reference_classify_pst(spec):
-    """The antipodal divisor-set test as one scalar pass over
-    partition_divisors: the reference for classify_pst_rows."""
+    """The antipodal divisor-set test as one scalar pass over the spec's
+    divisor layers: the reference for classify_pst_rows."""
     n = spec.n
     if n % 4:
         return None
-    dp = partition_divisors(spec)
-    if not dp.scaled_chain(2):
+    if not spec.scaled_chain(2):
         return None
     half, quarter = n // 2, n // 4
-    d2 = dp.d_layer(2)
+    d2 = spec.d_layer(2)
     if d2 == frozenset({quarter}):
         return "i" if half not in spec.B else None
     if d2:
@@ -574,7 +572,7 @@ def reference_classify_pst(spec):
     has_half = half in spec.B
     has_quarter = quarter in spec.B
     if has_half and has_quarter:
-        if n % 8 == 0 and dp.d_layer(3) == frozenset({n // 8}) and dp.scaled_chain(3):
+        if n % 8 == 0 and spec.d_layer(3) == frozenset({n // 8}) and spec.scaled_chain(3):
             return "iii"
         return None
     if has_half or has_quarter:
@@ -582,27 +580,27 @@ def reference_classify_pst(spec):
     return None
 
 
-def reference_quarter_orbit_layers(spec):
-    """Partition of spec when the conditions shared by both quarter-orbit
-    references hold; None otherwise."""
+def reference_quarter_orbit_shared(spec):
+    """Whether the conditions shared by both quarter-orbit references hold."""
     n = spec.n
     if n % 8 or n // 2 in spec.B:
-        return None
-    dp = partition_divisors(spec)
-    return dp if dp.scaled_chain(3) and dp.d_layer(2) == frozenset({n // 4}) else None
+        return False
+    return spec.scaled_chain(3) and spec.d_layer(2) == frozenset({n // 4})
 
 
 def reference_classify_mst(spec):
     """Scalar reference for classify_mst_rows."""
-    dp = reference_quarter_orbit_layers(spec)
     eighth = spec.n // 8
-    return dp is not None and dp.d_layer(3) <= {eighth} and eighth in spec.B | spec.D
+    return (
+        reference_quarter_orbit_shared(spec)
+        and spec.d_layer(3) <= {eighth}
+        and eighth in spec.B | spec.D
+    )
 
 
 def reference_mst_sufficient_condition(spec):
     """Scalar reference for mst_sufficient_rows."""
-    dp = reference_quarter_orbit_layers(spec)
-    return dp is not None and dp.d_layer(3) == frozenset({spec.n // 8})
+    return reference_quarter_orbit_shared(spec) and spec.d_layer(3) == frozenset({spec.n // 8})
 
 
 def row_classifier_disagreements(orders):
