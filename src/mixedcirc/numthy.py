@@ -1,4 +1,4 @@
-"""Exact number-theoretic kernels: totient, Moebius, divisors, Ramanujan sums.
+"""Exact number-theoretic kernels: totient, divisors, Ramanujan sums.
 
 Every closed form here returns a plain Python int, and every integer argument
 must obey _is_int.  The *_oracle companions evaluate the defining trigonometric
@@ -93,14 +93,6 @@ def euler_phi(n: int) -> int:
     for p, e in factorize(n).items():
         phi *= (p - 1) * p ** (e - 1)
     return phi
-
-
-def moebius(n: int) -> int:
-    """Moebius function: 0 on square factors, else (-1)**(number of primes)."""
-    fac = factorize(n)
-    if any(e > 1 for e in fac.values()):
-        return 0
-    return -1 if len(fac) % 2 else 1
 
 
 def divisors(n: int) -> list[int]:

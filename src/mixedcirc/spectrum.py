@@ -135,8 +135,9 @@ def lambda3(spec: GraphSpec, j: int) -> int:
     _check_ints(j)
     if j % 4:
         raise WrongResidueClass(f"lambda3 needs j = 0 (mod 4), got {j}")
-    layers = range(4, two_adic_valuation(spec.n) + 1)
-    return sum(_kernel_sum(spec, spec.b_layer(i), spec.d_layer(i), j) for i in layers) // 8
+    classes = spec.B.difference(*(spec.b_layer(i) for i in range(4)))
+    arcs = spec.D - spec.d_layer(2) - spec.d_layer(3)  # D has no layer below 2
+    return _kernel_sum(spec, classes, arcs, j) // 8
 
 
 def delta(spec: GraphSpec, j: int) -> int:

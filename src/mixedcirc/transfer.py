@@ -40,7 +40,7 @@ class ConsistencyError(RuntimeError):
 def _witness_ks(n: int, d0: int, g: int, diffs: list[int]) -> list[int]:
     """Numerators k of the least witness times k/g in (0, 1] of transfer
     across each nonzero difference w in diffs, for a spectrum with first gap
-    d0 and gap gcd g (_gap_columns) that has a witness for each (_solvable).
+    d0 and gap gcd g (_gap_columns) that has a witness for each (_step).
     A time s/q in lowest terms makes every delta_j * s/q - w/n integral only
     if each (delta_j - delta_0) * s/q is, so q | g; the gap congruences then
     collapse to the one at delta_0, n*d0*k = w*g (mod n*g), solvable iff
@@ -52,11 +52,13 @@ def _witness_ks(n: int, d0: int, g: int, diffs: list[int]) -> list[int]:
     return [w * g // (n * h) * inverse % m for w in diffs]
 
 
-def _solvable(n, g, h, w):
-    """Whether there is a witness (_witness_ks), given h = gcd(d0, g),
-    on ints or int64 arrays alike: g != 0 and n | (w mod n)*((g/h) mod n),
-    which is n*h | w*g with a product below n**2, exact in int64 for n <= 2**30."""
-    return (g != 0) & (w % n * (g // (h | (g == 0)) % n) % n == 0)  # h | 1 where g = 0
+def _step(n, g, h):
+    """The step s of the feasible differences, given h = gcd(d0, g), on ints
+    or int64 arrays alike: there is a witness across w (_witness_ks) iff
+    n*h | w*g, that is iff s = n / gcd(n, g/h) divides w; s = n where g = 0,
+    so that no w in 1..n-1 has one."""
+    zero = g == 0  # h | 1 and g/h | 1 where g = 0: no division by zero, gcd 1
+    return n // np.gcd(n, g // (h | zero) | zero)
 
 
 @dataclass(frozen=True)
@@ -296,11 +298,12 @@ def oriented_pst_criterion(spec: GraphSpec) -> bool:
 
 def pst_feasible_pair(spectrum: Spectrum, a: int, b: int) -> Optional[Fraction]:
     """Minimal t' in (0, 1] with every delta_j * t' + (a-b)/n integral, read
-    off the spectrum's gap columns (_witness_ks), or None.
+    off the spectrum's gap columns (_witness_ks), or None where the spectrum's
+    _step does not divide the difference.
     """
     n, (d0, g, _, _) = spectrum.n, _profile(spectrum)
     w = _difference(n, a, b)
-    if not _solvable(n, g, math.gcd(d0, g), w):
+    if w % _step(n, g, math.gcd(d0, g)):
         return None
     return Fraction(_witness_ks(n, d0, g, [w])[0], g)
 
@@ -338,25 +341,24 @@ def verify_numeric(spectrum: Spectrum, a: int, b: int, t_prime) -> tuple[bool, c
 
 
 def pair_restriction_check(spectrum: Spectrum) -> frozenset[int]:
-    """Differences w with transfer 0 -> w feasible; theory confines these
-    to {n/4, n/2, 3n/4}.  One row of gap columns serves every w: one
-    _solvable array over w = 1..n-1."""
+    """Differences w with transfer 0 -> w feasible: the multiples below n of
+    the spectrum's _step, which theory confines to {n/4, n/2, 3n/4}."""
     n = spectrum.n
     if n % 4:
         raise ValueError(f"quarter-point differences need 4 | n, got {n}")
-    d0, gcds, _, _ = _gap_columns(np.array([spectrum.gamma]))
-    w = np.arange(1, n)
-    return frozenset(w[_solvable(n, gcds, np.gcd(d0, gcds), w)].tolist())
+    d0, g, _, _ = _profile(spectrum)
+    s = _step(n, g, math.gcd(d0, g))
+    return frozenset(range(s, n, s))
 
 
 def _witnesses(gammas: np.ndarray, targets: list[int]):
     """The one route from spectra to checked witnesses of transfer from
     vertex 0 to every one of targets, on a matrix of spectra that
-    _gap_columns accepts: its gap columns; the indices of the rows with a
-    witness for every target; their numerators k, one list per row, each
-    time being k/g with g the row's gap gcd (_witness_ks); and verify_rows'
-    (ok, amplitude, residual) arrays on those rows at those times, None when
-    no row has one.  An empty target list is a ValueError, a target = 0
+    _gap_columns accepts: its gap columns; the indices of the rows whose
+    _step divides every target's difference; their numerators k, one list
+    per row, each time being k/g with g the row's gap gcd (_witness_ks); and
+    verify_rows' (ok, amplitude, residual) arrays on those rows at those
+    times, None when no row has one.  An empty target list is a ValueError, a target = 0
     (mod n) SamePair."""
     gammas = np.asarray(gammas)
     columns = d0, gcds, _, _ = _gap_columns(gammas)
@@ -364,8 +366,8 @@ def _witnesses(gammas: np.ndarray, targets: list[int]):
     if not targets:
         raise ValueError("transfer needs at least one target")
     diffs = [_difference(n, 0, b) for b in targets]
-    h = np.gcd(d0, gcds)
-    feasible = np.flatnonzero(np.logical_and.reduce([_solvable(n, gcds, h, w) for w in diffs]))
+    step = _step(n, gcds, np.gcd(d0, gcds))
+    feasible = np.flatnonzero(np.logical_and.reduce([w % step == 0 for w in diffs]))
     rows = list(zip(d0[feasible].tolist(), gcds[feasible].tolist()))
     ks = [_witness_ks(n, d, g, diffs) for d, g in rows]
     times = [[k / g for k in row] for row, (_, g) in zip(ks, rows)]

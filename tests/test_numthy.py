@@ -13,7 +13,6 @@ from mixedcirc import (
     factorize,
     gcd_class,
     gcd_class_mod4,
-    moebius,
     ramanujan_sine_sum,
     ramanujan_sine_sum_oracle,
     ramanujan_sum,
@@ -31,7 +30,7 @@ from mixedcirc.numthy import MAX_N
 # refused, although True == 1 and 2.0 == 2 in Python
 _VALID_CALLS = [
     (two_adic_valuation, (8,)), (factorize, (8,)), (euler_phi, (8,)),
-    (moebius, (8,)), (divisors, (8,)), (ramanujan_sum, (8, 2)),
+    (divisors, (8,)), (ramanujan_sum, (8, 2)),
     (ramanujan_sum_oracle, (8, 2)), (ramanujan_sum_two_adic, (8, 2)),
     (ramanujan_sine_sum, (8, 2)), (ramanujan_sine_sum_oracle, (8, 2)),
     (gcd_class, (8, 2)), (gcd_class_mod4, (8, 1, 1)),
@@ -81,7 +80,7 @@ def test_valuation_divides_exactly(n):
     assert (n >> v) % 2 == 1
 
 
-# ------------------------------------------------------- totient and moebius
+# ------------------------------------------------------------------ totient
 
 def test_euler_phi_frozen_values():
     assert euler_phi(1) == 1
@@ -93,21 +92,6 @@ def test_euler_phi_frozen_values():
 @given(st.integers(min_value=1, max_value=2000))
 def test_euler_phi_counts_coprimes(n):
     assert euler_phi(n) == sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
-
-
-def test_moebius_frozen_values():
-    assert moebius(1) == 1
-    assert moebius(12) == 0
-    assert moebius(6) == 1
-
-
-@given(st.integers(min_value=1, max_value=2000))
-def test_moebius_by_definition(n):
-    fac = factorize(n)
-    if any(e > 1 for e in fac.values()):
-        assert moebius(n) == 0
-    else:
-        assert moebius(n) == (-1) ** len(fac)
 
 
 def test_factorize_reassembles():
@@ -200,12 +184,17 @@ def test_ramanujan_sum_matches_oracle(n, q):
 
 
 def test_ramanujan_sum_equals_hoelder_form():
-    # mu(k) * phi(n) / phi(k) with k = n / gcd(n, q), from moebius and euler_phi
+    # mu(k) * phi(n) / phi(k) with k = n / gcd(n, q), mu(k) read off factorize:
+    # 0 on a square factor, else -1 to the number of primes
+    def mu(k):
+        exponents = factorize(k).values()
+        return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+
     for n in range(1, 401):
         phi_n = euler_phi(n)
         for q in range(1, 2 * n + 1):
             k = n // math.gcd(n, q)
-            assert ramanujan_sum(n, q) == moebius(k) * phi_n // euler_phi(k), (n, q)
+            assert ramanujan_sum(n, q) == mu(k) * phi_n // euler_phi(k), (n, q)
 
 
 def _rad(m):

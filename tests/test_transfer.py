@@ -49,7 +49,7 @@ from mixedcirc.transfer import (
     PST_CASES,
     _gap_columns,
     _profile,
-    _solvable,
+    _step,
     _witness_ks,
     classify_mst_rows,
     classify_pst_rows,
@@ -172,8 +172,8 @@ def column_rows(gammas):
 
 def assert_columns_agree(row, ref, label):
     """One row of gap columns against the loop profile: every field, the
-    valuation of d0 where it is common, and every witness k/g: _solvable
-    says whether there is one and _witness_ks gives k."""
+    valuation of d0 where it is common, and every witness k/g: there is one
+    across each multiple of _step and _witness_ks gives k."""
     d0, g, common, quarter = row
     n = len(ref.deltas)
     assert d0 == ref.deltas[0], label
@@ -182,7 +182,8 @@ def assert_columns_agree(row, ref, label):
     if common:
         assert (d0 & -d0).bit_length() - 1 == ref.common_valuation(), label
     assert quarter is ref.quarter_orbit(), label
-    diffs = [w for w in range(1, n) if _solvable(n, g, math.gcd(d0, g), w)]
+    step = _step(n, g, math.gcd(d0, g))
+    diffs = list(range(step, n, step))
     assert diffs == [w for w in range(1, n) if ref.witness(w) is not None], label
     if diffs:
         times = [Fraction(k, g) for k in _witness_ks(n, d0, g, diffs)]
@@ -441,16 +442,16 @@ def test_kernel_refuses_what_int64_cannot_hold():
 
 
 def test_solvability_helper_equals_witness():
-    # every chunk row with 4 | n <= 32 and every w: the array test on the
-    # kernel's columns says exactly when the loop solve finds a time
+    # every chunk row with 4 | n <= 32 and every w: the array step on the
+    # kernel's columns divides w exactly when the loop solve finds a time
     rows = feasible = 0
     for n in range(4, 33, 4):
         for _, _, gammas, _ in _judged_chunks(_shapes(n), "pst"):
             d0, gcds, _, _ = _gap_columns(gammas)
-            h = np.gcd(d0, gcds)
+            step = _step(n, gcds, np.gcd(d0, gcds))
             pairs = list(zip(d0.tolist(), gcds.tolist()))
             for w in range(1, n):
-                got = _solvable(n, gcds, h, w).tolist()
+                got = (w % step == 0).tolist()
                 assert got == [loop_witness(n, d, g, w) is not None for d, g in pairs], (n, w)
                 feasible += sum(got)
             rows += len(pairs)
@@ -459,8 +460,8 @@ def test_solvability_helper_equals_witness():
 
 
 def test_solvability_helper_is_exact_at_the_int64_extremes():
-    # w*g overflows int64 here; the helper, on ints and on int64 arrays,
-    # must still agree with the exact test n*gcd(d0, g) | w*g on Python ints
+    # w*g overflows int64 here; the step, on ints and on int64 arrays, must
+    # divide w exactly when n*gcd(d0, g) | w*g on Python ints
     for n in (2**30, 3 * 2**28, 12):
         cases = [
             (d0, g, w)
@@ -470,13 +471,13 @@ def test_solvability_helper_is_exact_at_the_int64_extremes():
         ]
         exact = [w * g % (n * math.gcd(d0, g)) == 0 for d0, g, w in cases]
         assert 0 < sum(exact) < len(cases)
-        assert [bool(_solvable(n, g, math.gcd(d0, g), w)) for d0, g, w in cases] == exact
+        assert [w % _step(n, g, math.gcd(d0, g)) == 0 for d0, g, w in cases] == exact
         d0, g, w = (np.array(column, dtype=np.int64) for column in zip(*cases))
-        assert _solvable(n, g, np.gcd(d0, g), w).tolist() == exact
-    # g = 0 has no witness, whatever d0, and never divides by zero
+        assert (w % _step(n, g, np.gcd(d0, g)) == 0).tolist() == exact
+    # g = 0 has no witness, whatever d0: the step is n, and nothing divides by zero
     zero = np.zeros(3, dtype=np.int64)
-    assert _solvable(8, zero, np.gcd(np.array([0, -4, 4]), zero), 4).tolist() == [False] * 3
-    assert not _solvable(8, 0, 0, 4)
+    assert _step(8, zero, np.gcd(np.array([0, -4, 4]), zero)).tolist() == [8] * 3
+    assert _step(8, 0, 0) == 8
 
 
 # -------------------------------------------------------- valuation criteria
@@ -852,6 +853,23 @@ def test_pair_restriction_frozen_values():
     ) == {4, 8, 12}
     with pytest.raises(ValueError):
         pair_restriction_check(eigenvalues_closed_form(validate_spec(6, [3], [], {})))
+
+
+def test_pair_restriction_holds_on_every_sweep_row():
+    # every spec with 4 | n <= 64, as the sweep's chunks hold them: the
+    # feasible differences are the multiples of _step, so the restriction to
+    # {n/4, n/2, 3n/4} is a step of n/4, n/2, or n where none is feasible
+    rows, seen = 0, set()
+    for n in range(4, 65, 4):
+        for _, _, gammas, _ in _judged_chunks(_shapes(n), "pst"):
+            d0, gcds, _, _ = _gap_columns(gammas)
+            ratio = n // _step(n, gcds, np.gcd(d0, gcds))
+            outside = ~np.isin(ratio, (1, 2, 4))
+            assert not outside.any(), (n, gammas[outside][:1].tolist())
+            seen.update(ratio.tolist())
+            rows += len(gammas)
+    assert rows == sum(count_specs(n) for n in range(4, 65, 4))
+    assert seen == {1, 2, 4}
 
 
 # -------------------------------------------------------------- verdict API
