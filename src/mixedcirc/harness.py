@@ -17,8 +17,8 @@ import numpy as np
 from .circulant import GraphSpec, SpecError, hermitian_adjacency
 from .circulant import spec_to_json, validate_spec
 from .numthy import divisors
-from .spectrum import _oracle_spectra
-from .transfer import classify_mst_rows, classify_pst_rows, transfer_rows
+from .spectrum import _oracle_spectra, index_classes
+from .transfer import ConsistencyError, classify_mst_rows, classify_pst_rows, transfer_rows
 
 DEFAULT_BUDGET = 10**6
 
@@ -107,23 +107,30 @@ def _shapes(n: int) -> _Shapes:
     return _Shapes(n, tuple(proper), sets[b_of], D, np.cumsum(1 << D.sum(axis=1)))
 
 
-CHUNK_ENTRIES = 2**14  # spectrum entries per chunk: crosscheck memory stays flat in the order
+# rows per chunk times n: a chunk holds its rows' values on the index classes,
+# fewer entries, and expands to n only the rows it verifies, so crosscheck
+# memory stays flat in the order
+CHUNK_ENTRIES = 2**14
 
 
 def _row_chunks(shapes: _Shapes) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Shape index and flip matrix (True where the sign is -1) of each row of
-    an order, max(1, CHUNK_ENTRIES // n) rows at a time: a chunk of spectra has
-    about CHUNK_ENTRIES entries at any order.  A shape's rows take its sign
-    choices in product order, +1 before -1 and the smallest divisor slowest:
-    bit r of a row's offset in its block flips the D member r from the right."""
+    an order, max(1, CHUNK_ENTRIES // n) rows at a time: a chunk's full-width
+    spectra have about CHUNK_ENTRIES entries at any order.  A shape's rows
+    take its sign choices in product order, +1 before -1 and the smallest
+    divisor slowest: bit r of a row's offset in its block flips the D member
+    r from the right.  A chunk's shapes are one run of consecutive shapes,
+    so each one's first row and bit positions are found once per chunk."""
     total, size = int(shapes.ends[-1]), max(1, CHUNK_ENTRIES // shapes.n)
     for start in range(0, total, size):
         rows = np.arange(start, min(start + size, total))
         shape = np.searchsorted(shapes.ends, rows, side="right")
-        D = shapes.D[shape]
-        offset = rows - shapes.ends[shape] + (1 << D.sum(axis=1))
-        right = np.cumsum(D[:, ::-1], axis=1)[:, ::-1] - D
-        yield shape, D & (offset[:, None] >> right & 1).astype(bool)
+        first, last = shape[0], shape[-1] + 1
+        run, local = shapes.D[first:last], shape - first
+        firsts = shapes.ends[first:last] - (1 << run.sum(axis=1))
+        right = np.cumsum(run[:, ::-1], axis=1)[:, ::-1] - run
+        offset = rows - firsts[local]
+        yield shape, run[local] & (offset[:, None] >> right[local] & 1).astype(bool)
 
 
 def enumerate_specs(n: int) -> Iterator[GraphSpec]:
@@ -158,21 +165,29 @@ def _class_table(n: int) -> np.ndarray:
 
 
 def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...]]:
-    """_row_chunks with the rows' int64 oracle spectra and a (3, rows) bool
-    matrix of their classifier, valuation and numeric answers.  The DFT is
-    linear and the classes of a valid spec are disjoint, so a spectrum is its
-    row's incidence (B, D less the flips, the flips) times the class table.
-    The classifier reads B and D only, so it runs once per order; the other
-    two legs are transfer_rows on each chunk."""
+    """_row_chunks with the rows' int64 oracle spectra held on the order's
+    index classes (spectrum.index_classes), a row being gamma[reps], and a
+    (4, rows) bool matrix of their classifier, valuation and numeric answers
+    and whether each keeps to the pair restriction.  The DFT is linear and
+    the classes of a valid spec are disjoint, so a spectrum is its row's
+    incidence (B, D less the flips, the flips) times the class table, whose
+    representative columns are all it needs once the table is checked
+    constant on every class: ConsistencyError where it is not.  The
+    classifier reads B and D only, so it runs once per order; the other legs
+    are transfer_rows on each chunk, which takes each gap once per class
+    pair and expands to all n indices only the rows it verifies."""
     n = shapes.n
     _, quarters, classifier, valuation = _mode(mode)
     targets = [k * n // 4 for k in quarters]
-    judged, table = classifier(n, shapes.B, shapes.D), _class_table(n)
+    judged, full, classes = classifier(n, shapes.B, shapes.D), _class_table(n), index_classes(n)
+    table = full[:, classes.reps]
+    if not (full == table[:, classes.of]).all():
+        raise ConsistencyError(f"class table of order {n} not constant on its index classes")
     for shape, flips in _row_chunks(shapes):
         incidence = np.hstack([shapes.B[shape], shapes.D[shape] & ~flips, flips])
-        gammas = (incidence @ table).astype(np.int64)
-        legs = transfer_rows(gammas, targets)
-        yield shape, flips, gammas, np.array([judged[shape], legs[valuation], legs[2]])
+        values = (incidence @ table).astype(np.int64)
+        legs = transfer_rows(values, targets, classes)
+        yield shape, flips, values, np.array([judged[shape], legs[valuation], *legs[2:]])
 
 
 def crosscheck(n_max: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> SweepReport:
@@ -183,8 +198,10 @@ def crosscheck(n_max: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> S
     Legs per spec: the divisor-set classifier, the gap-valuation test on the
     oracle (FFT) spectrum, and exact witness feasibility verified
     numerically at the fixed NUMERIC_TOL (transfer_rows).  Any disagreement,
-    a witness failing the numeric check included, is recorded.  Orders are
-    checked as arrays (_judged_chunks): only a mismatch gets a GraphSpec."""
+    a witness failing the numeric check included, is recorded, and so is a
+    spec whose feasible differences stray from the quarter points (the
+    "restriction" key).  Orders are checked as arrays (_judged_chunks): only
+    a mismatch gets a GraphSpec."""
     step = _mode(mode)[0]
     report = SweepReport(mode=mode, n_range=_budgeted(range(step, n_max + 1, step), budget))
     positive, start = 0, time.perf_counter()
@@ -193,11 +210,11 @@ def crosscheck(n_max: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> S
         for shape, flips, _, votes in _judged_chunks(shapes, mode):
             report.specs_checked += len(shape)
             positive += int(votes[0].sum())
-            bad = (votes != votes[0]).any(axis=0)
+            bad = (votes[:3] != votes[0]).any(axis=0) | ~votes[3]
             if not bad.any():  # only a chunk with a mismatch builds specs
                 continue
             for spec, legs in zip(shapes.specs(shape[bad], flips[bad]), votes[:, bad].T.tolist()):
-                row = zip(("classifier", "valuation", "numeric"), legs)
+                row = zip(("classifier", "valuation", "numeric", "restriction"), legs)
                 report.mismatches.append({"spec": spec_to_json(spec), **dict(row)})
     setattr(report, f"{mode}_positive", positive)
     report.wall_time = time.perf_counter() - start

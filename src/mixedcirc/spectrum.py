@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -62,6 +62,52 @@ class Spectrum:
 
     def __len__(self) -> int:
         return self.n
+
+
+class IndexClasses(NamedTuple):
+    """A partition of the indices 0..n-1 of order-n spectra into classes, and
+    the class pairs the gap kernel (transfer._gap_columns) reads: of[j] is
+    the class of j, reps[c] one index of class c, and gaps and doubles the
+    distinct cyclic pairs (of[j], of[j+1]) and (of[j], of[j+2]) as (2, P)
+    arrays, the pair of d0 = gamma_1 - gamma_0 first among the gaps."""
+
+    of: np.ndarray
+    reps: np.ndarray
+    gaps: np.ndarray
+    doubles: np.ndarray
+
+
+def _distinct_pairs(of: np.ndarray, count: int, step: int) -> np.ndarray:
+    """The distinct pairs (of[j], of[j+step]), cyclically, as a (2, P) array:
+    ascending, save that the pair at j = 0 comes first; a bool table over the
+    count**2 pair keys marks them, so nothing is sorted."""
+    key = of * count + of[(np.arange(len(of)) + step) % len(of)]
+    seen = np.zeros(count * count, dtype=bool)
+    seen[key] = True
+    keys = np.flatnonzero(seen)
+    keys = np.concatenate((key[:1], keys[keys != key[0]]))
+    return np.array([keys // count, keys % count])
+
+
+def index_classes(n: int) -> IndexClasses:
+    """The index classes of order n: j and j' share one when g = gcd(j, n) =
+    gcd(j', n) and, where 4 | n/g, j/g = j'/g (mod 4).  They are the orbits
+    of the units u = 1 (mod 4) of Z_n, which map every gcd class and half
+    class of a spec onto itself, so the spectrum of any integral mixed
+    circulant of order n is constant on each; there are at most 2*tau(n)
+    (W. So, Discrete Math. 306 (2006)).  The sweep checks the constancy on
+    its class table."""
+    j = np.arange(n)
+    g = np.gcd(j, n)
+    key = 4 * g + ((j // g) & 3) * (n // g % 4 == 0)
+    seen = np.zeros(4 * n + 4, dtype=bool)
+    seen[key] = True
+    keys = np.flatnonzero(seen)
+    of = np.searchsorted(keys, key)
+    reps = np.zeros(len(keys), dtype=of.dtype)
+    reps[of] = j
+    pairs = (_distinct_pairs(of, len(keys), step) for step in (1, 2))
+    return IndexClasses(of, reps, *pairs)
 
 
 def undirected_degree(spec: GraphSpec) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .circulant import GraphSpec
 from .numthy import _check_ints, divisors, two_adic_valuation
-from .spectrum import Spectrum, eigenvalues_closed_form
+from .spectrum import IndexClasses, Spectrum, eigenvalues_closed_form
 
 NUMERIC_TOL = 1e-9
 GAMMA_BOUND = 2**60  # |gamma| bound under which the gap kernel is exact in int64
@@ -79,45 +79,57 @@ def transition_amplitude(spectrum: Spectrum, a: int, b: int, t_prime) -> complex
     return verify_rows(spectrum.gamma, [[float(t_prime)]], [_offset(spectrum.n, a, b)])[1].item()
 
 
-def _gaps(gammas: np.ndarray, step: int) -> np.ndarray:
-    """Cyclic differences gamma[j+step] - gamma[j] along the last axis."""
-    return np.concatenate((gammas[..., step:], gammas[..., :step]), axis=-1) - gammas
+def _differences(values: np.ndarray, pairs: Optional[np.ndarray], step: int) -> np.ndarray:
+    """values[:, b] - values[:, a] for each class pair (a, b) of pairs, or
+    where pairs is None, every index being its own class, the cyclic
+    differences gamma[j+step] - gamma[j] for every j, taken by slicing."""
+    if pairs is None:
+        return np.concatenate((values[:, step:], values[:, :step]), axis=1) - values
+    return values[:, pairs[1]] - values[:, pairs[0]]
 
 
-def _gap_columns(gammas: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Columns of the gap data of each row of a (k, n) matrix of spectra: d0,
-    the gap gcd (np.gcd.reduce of delta_j - delta_0), whether the lowest set
-    bits d & -d of all gaps are equal and nonzero (a common valuation, that
-    of d0), and whether every gap is 2 (mod 4) and every double gap 4 (mod
-    8): v2 = 1 and v2 = 2 for either sign, false on 0 (double gaps are formed
-    only on rows whose common valuation is d0's, 1).  Entries must be
-    integers with |gamma| < 2**60, so that gaps, double gaps and
-    delta_j - delta_0 stay exact in int64; anything else raises ValueError
-    rather than being truncated or wrapped.  The columns are new arrays, so
-    a later write to the matrix leaves them as they are.
+def _gap_columns(
+    values: np.ndarray, classes: Optional[IndexClasses] = None
+) -> tuple[np.ndarray, ...]:
+    """Columns of the gap data of each row of a (k, C) matrix of spectra held
+    as values on the index classes (spectrum.IndexClasses), a row being
+    gamma[reps], or of a (k, n) matrix of whole spectra where classes is
+    None, the singleton partition: d0, the gap gcd (np.gcd.reduce of
+    delta_j - delta_0), whether the lowest set bits d & -d of all gaps are
+    equal and nonzero (a common valuation, that of d0), and whether every
+    gap is 2 (mod 4) and every double gap 4 (mod 8): v2 = 1 and v2 = 2 for
+    either sign, false on 0 (double gaps are formed only on rows whose
+    common valuation is d0's, 1).  Each gap and double gap is formed once
+    per distinct class pair: the gcd, the equality and the residues over the
+    pairs are those over every j.  Entries must be integers with
+    |gamma| < 2**60, so that gaps, double gaps and delta_j - delta_0 stay
+    exact in int64; anything else raises ValueError rather than being
+    truncated or wrapped.  The columns are new arrays, so a later write to
+    the matrix leaves them as they are.
     """
-    gammas = np.asarray(gammas)
-    if not (
-        gammas.dtype.kind in "iu"
-        and gammas.ndim == 2
-        and gammas.shape[1] > 0
-        and (
-            gammas.size == 0
-            or -GAMMA_BOUND < int(gammas.min()) <= int(gammas.max()) < GAMMA_BOUND
-        )
-    ):
+    values = np.asarray(values)
+    shaped = (
+        values.dtype.kind in "iu"
+        and values.ndim == 2
+        and values.shape[1] > 0
+        and (classes is None or values.shape[1] == len(classes.reps))
+    )
+    top = max(-int(values.min()), int(values.max())) if shaped and values.size else 0
+    if not shaped or top >= GAMMA_BOUND:
         raise ValueError(
-            "spectra must form a (k, n) integer matrix with n >= 1 and every "
-            f"|gamma| < 2**60, got dtype {gammas.dtype} and shape {gammas.shape}"
+            "spectra must form a (k, C) integer matrix with C >= 1 classes and "
+            f"every |gamma| < 2**60, got dtype {values.dtype} and shape {values.shape}"
         )
-    gammas = gammas.astype(np.int64, copy=False)
-    deltas = _gaps(gammas, 1)
+    # every difference formed below is under 4 * top: int32 holds it where top < 2**29
+    values = values.astype(np.int32 if top < 2**29 else np.int64, copy=False)
+    gaps, doubles = (None, None) if classes is None else (classes.gaps, classes.doubles)
+    deltas = _differences(values, gaps, 1)
     d0 = deltas[:, 0]
     gcds = np.gcd.reduce(deltas - d0[:, None], axis=1)
     low = deltas & -deltas
     common = (low[:, 0] != 0) & (low == low[:, :1]).all(axis=1)
     quarter = common & (d0 & 3 == 2)  # every gap 2 (mod 4): the rows worth a double-gap test
-    quarter[quarter] = ((_gaps(gammas[quarter], 2) & 7) == 4).all(axis=1)
+    quarter[quarter] = ((_differences(values[quarter], doubles, 2) & 7) == 4).all(axis=1)
     return d0, gcds, common, quarter
 
 
@@ -351,18 +363,20 @@ def pair_restriction_check(spectrum: Spectrum) -> frozenset[int]:
     return frozenset(range(s, n, s))
 
 
-def _witnesses(gammas: np.ndarray, targets: list[int]):
+def _witnesses(values: np.ndarray, targets: list[int], classes: Optional[IndexClasses] = None):
     """The one route from spectra to checked witnesses of transfer from
-    vertex 0 to every one of targets, on a matrix of spectra that
-    _gap_columns accepts: its gap columns; the indices of the rows whose
-    _step divides every target's difference; their numerators k, one list
-    per row, each time being k/g with g the row's gap gcd (_witness_ks); and
-    verify_rows' (ok, amplitude, residual) arrays on those rows at those
-    times, None when no row has one.  An empty target list is a ValueError, a target = 0
-    (mod n) SamePair."""
-    gammas = np.asarray(gammas)
-    columns = d0, gcds, _, _ = _gap_columns(gammas)
-    n = gammas.shape[1]
+    vertex 0 to every one of targets, on a matrix of spectra held on classes
+    as _gap_columns reads it (the singleton partition where classes is
+    None): its gap columns; the order n/s of each row's group of feasible
+    differences, s its _step; the indices of the rows whose step divides
+    every target's difference; their numerators k, one list per row, each
+    time being k/g with g the row's gap gcd (_witness_ks); and verify_rows'
+    (ok, amplitude, residual) arrays on those rows, expanded to all n
+    indices by classes.of, at those times, None when no row has one.  An
+    empty target list is a ValueError, a target = 0 (mod n) SamePair."""
+    values = np.asarray(values)
+    columns = d0, gcds, _, _ = _gap_columns(values, classes)
+    n = values.shape[1] if classes is None else len(classes.of)
     if not targets:
         raise ValueError("transfer needs at least one target")
     diffs = [_difference(n, 0, b) for b in targets]
@@ -371,21 +385,28 @@ def _witnesses(gammas: np.ndarray, targets: list[int]):
     rows = list(zip(d0[feasible].tolist(), gcds[feasible].tolist()))
     ks = [_witness_ks(n, d, g, diffs) for d, g in rows]
     times = [[k / g for k in row] for row, (_, g) in zip(ks, rows)]
-    checked = verify_rows(gammas[feasible], times, diffs) if ks else None
-    return columns, feasible, ks, checked
+    # expanded by one gather in C order: verify_rows then sums each row as
+    # it would a full-width matrix's, residual bits included
+    full = values[feasible] if classes is None else values[feasible[:, None], classes.of]
+    checked = verify_rows(full, times, diffs) if ks else None
+    return columns, n // step, feasible, ks, checked
 
 
-def transfer_rows(gammas: np.ndarray, targets: list[int]) -> np.ndarray:
-    """A (3, k) bool matrix of answers on transfer from vertex 0 to every one
-    of targets, for each row of a matrix of spectra that _gap_columns
-    accepts: the common-valuation flag, the quarter flag and the numeric
-    answer, read off _witnesses, a failed check being a numeric False for
-    the caller."""
-    (_, _, common, quarter), feasible, _, checked = _witnesses(gammas, targets)
+def transfer_rows(
+    values: np.ndarray, targets: list[int], classes: Optional[IndexClasses] = None
+) -> np.ndarray:
+    """A (4, k) bool matrix of answers on transfer from vertex 0 to every one
+    of targets, for each row of a matrix of spectra held on classes as
+    _gap_columns reads it: the common-valuation flag, the quarter flag and
+    the numeric answer, read off _witnesses, a failed check being a numeric
+    False for the caller; and whether the row keeps to the pair restriction,
+    its feasible differences and 0 forming a group of order 1, 2 or 4, so
+    that each is a quarter point."""
+    (_, _, common, quarter), order, feasible, _, checked = _witnesses(values, targets, classes)
     numeric = np.zeros_like(common)
     if checked is not None:
         numeric[feasible] = checked[0].all(axis=1)
-    return np.array([common, quarter, numeric])
+    return np.array([common, quarter, numeric, 4 % order == 0])
 
 
 def _verdict(spectrum: Spectrum, orbit: tuple[int, ...]) -> TransferVerdict:
@@ -397,7 +418,7 @@ def _verdict(spectrum: Spectrum, orbit: tuple[int, ...]) -> TransferVerdict:
     ConsistencyError."""
     n = spectrum.n
     diffs = [_difference(n, orbit[0], b) for b in orbit[1:]]
-    columns, _, ks, checked = _witnesses(np.array([spectrum.gamma]), diffs)
+    columns, _, _, ks, checked = _witnesses(np.array([spectrum.gamma]), diffs)
     _, g, m, quarter = _row_values(columns)
     if checked is None:
         return TransferVerdict(kind="none", pair=orbit)

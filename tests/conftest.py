@@ -7,7 +7,8 @@ around the whole quarter orbit.  reference_shapes and reference_specs are
 the tuple generators of the frozen enumeration order, which the shape
 matrices of mixedcirc.harness must reproduce.  failing_verify_rows stands
 in for mixedcirc.transfer.verify_rows, the one numeric check, to inject a
-failed amplitude check.
+failed amplitude check; unit_step stands in for mixedcirc.transfer._step to
+inject rows whose feasible differences stray off the quarter points.
 """
 
 from itertools import chain, combinations, product
@@ -16,6 +17,7 @@ import numpy as np
 
 from mixedcirc import GraphSpec, validate_spec
 from mixedcirc.numthy import divisors
+from mixedcirc.transfer import _step
 
 
 def two_arc_layer_graph() -> GraphSpec:
@@ -74,3 +76,11 @@ def failing_verify_rows(gammas, times, diffs):
     """verify_rows with every entry failing: ok False, amplitude 1, residual 0.5."""
     shape = np.shape(times)
     return np.zeros(shape, dtype=bool), np.ones(shape, dtype=complex), np.full(shape, 0.5)
+
+
+def unit_step(n, g, h):
+    """transfer._step with 1 wherever the true step is below n: every
+    difference is feasible on those rows, off the quarter points once 8 | n,
+    while the witness across n/2, a multiple of the true step, is kept."""
+    step = _step(n, g, h)
+    return np.where(step < n, 1, step)

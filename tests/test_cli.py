@@ -10,6 +10,7 @@ from conftest import (
     pst_case_i_graph,
     pst_case_ii_graph,
     two_arc_layer_graph,
+    unit_step,
 )
 import mixedcirc.cli
 import mixedcirc.harness
@@ -258,6 +259,18 @@ def test_crosscheck_failed_numeric_check_exits_one(capsys, monkeypatch):
     assert len(payload["mismatches"]) == payload["mst_positive"] > 0
     for row in payload["mismatches"]:
         assert row["numeric"] is False
+
+
+def test_crosscheck_row_off_the_pair_restriction_exits_one(capsys, monkeypatch):
+    # a spec whose feasible differences stray off the quarter points is a
+    # mismatch row with "restriction": false, not a traceback
+    monkeypatch.setattr(mixedcirc.transfer, "_step", unit_step)
+    code, out, _ = run(capsys, ["crosscheck", "--n-max", "8", "--mode", "pst"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["mismatches"]
+    for row in payload["mismatches"]:
+        assert (row["numeric"], row["restriction"]) == (True, False)
 
 
 def test_crosscheck_budget_error(capsys):

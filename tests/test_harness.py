@@ -16,6 +16,7 @@ from conftest import (
     pst_case_iii_graph,
     reference_shapes,
     reference_specs,
+    unit_step,
 )
 from mixedcirc import (
     BudgetExceeded,
@@ -38,8 +39,10 @@ from mixedcirc import (
 from mixedcirc.circulant import GraphSpec
 from mixedcirc.harness import CHUNK_ENTRIES, _judged_chunks, _row_chunks, _shapes
 from mixedcirc.numthy import MAX_N, divisors
+from mixedcirc.spectrum import index_classes
 from mixedcirc.transfer import (
     PST_CASES,
+    ConsistencyError,
     classify_mst_rows,
     classify_pst_rows,
     mst_sufficient_rows,
@@ -193,8 +196,48 @@ def test_one_failed_row_is_one_mismatch(monkeypatch):
     report = crosscheck(8, "pst")
     assert hits == [(4, []), (18, [14])]
     assert report.mismatches == [
-        {"spec": spec_to_json(chosen), "classifier": True, "valuation": True, "numeric": False}
+        {
+            "spec": spec_to_json(chosen),
+            "classifier": True,
+            "valuation": True,
+            "numeric": False,
+            "restriction": True,
+        }
     ]
+
+
+def test_crosscheck_reports_rows_off_the_pair_restriction(monkeypatch):
+    # a row whose step is not n/4, n/2 or n is a mismatch though its three
+    # votes agree: with step 1 on every row that has a witness, each
+    # transfer-positive spec of order 8 is reported, and none of order 4,
+    # where a step of 1 is n/4
+    positive = [crosscheck(n, "pst").pst_positive for n in (4, 8)]
+    monkeypatch.setattr(mixedcirc.transfer, "_step", unit_step)
+    report = crosscheck(8, "pst")
+    assert report.pst_positive == positive[1]
+    assert len(report.mismatches) == positive[1] - positive[0] > 0
+    for row in report.mismatches:
+        assert parse_spec(row["spec"]).n == 8
+        legs = (row["classifier"], row["valuation"], row["numeric"], row["restriction"])
+        assert legs == (True, True, True, False)
+
+
+def test_sweep_refuses_a_class_table_not_constant_on_its_classes(monkeypatch):
+    # indices 1 and 5 of order 8 share one class (gcd 1, 1 mod 4): one entry
+    # changed in column 5 of the oracle class table breaks the compression,
+    # and the sweep raises rather than judge rows on it
+    real = mixedcirc.harness._class_table
+
+    def patched(n):
+        table = real(n)
+        if n == 8:
+            table[0, 5] += 1
+        return table
+
+    monkeypatch.setattr(mixedcirc.harness, "_class_table", patched)
+    assert crosscheck(4, "pst").mismatches == []
+    with pytest.raises(ConsistencyError, match="order 8"):
+        crosscheck(8, "pst")
 
 
 def test_crosscheck_budget_guard():
@@ -252,8 +295,10 @@ def test_crosscheck_memory_stays_flat():
 
 # ------------------------------------------------- oracle by divisor class
 
-def _check_rows_against_oracle(shapes, shape, flips, gammas):
+def _check_rows_against_oracle(shapes, shape, flips, values):
+    # a chunk holds each spectrum on the index classes: gamma = values[of]
     n = shapes.n
+    gammas = values[:, index_classes(n).of]
     assert gammas.dtype == np.int64
     assert gammas.shape == (len(shape), n)
     for spec, row in zip(shapes.specs(shape, flips), gammas):
@@ -262,7 +307,7 @@ def _check_rows_against_oracle(shapes, shape, flips, gammas):
 
 
 def test_summed_class_rows_equal_per_spec_oracle():
-    # each chunk matrix row is its spec's whole oracle spectrum, and the rows
+    # each chunk matrix row expands to its spec's whole oracle spectrum, and the rows
     # cover the reference enumeration in order, CHUNK_ENTRIES // n at a time
     reversed_arcs = 0
     for n in range(4, 33, 4):

@@ -36,7 +36,7 @@ from mixedcirc import (
 from mixedcirc.circulant import hermitian_adjacency
 from mixedcirc.harness import _class_table
 from mixedcirc.numthy import divisors
-from mixedcirc.spectrum import _oracle_spectra
+from mixedcirc.spectrum import _oracle_spectra, index_classes
 
 
 def scaled(s, k):
@@ -175,6 +175,34 @@ def test_closed_form_equals_class_table_on_every_single_class_spec():
                 assert eigenvalues_closed_form(spec).gamma == tuple(table[k, c].tolist()), spec
                 checked += 1
     assert checked == 1770
+
+
+# ------------------------------------------------------------ index classes
+
+def test_class_table_is_constant_on_every_index_class():
+    # every order 2..256: each single-class spectrum, so by linearity every
+    # spectrum, takes one value on each index class, and there are at most
+    # 2*tau(n) classes, each with reps[c] among its members; the class pairs
+    # are the distinct cyclic (of[j], of[j+1]) and (of[j], of[j+2]), each
+    # once, d0's pair first among the gaps
+    counts = {}
+    for n in range(2, 257):
+        classes = index_classes(n)
+        of, reps = classes.of, classes.reps
+        table = _class_table(n)
+        assert (table == table[:, reps][:, of]).all(), n
+        assert (of[reps] == np.arange(len(reps))).all(), n
+        assert len(reps) <= 2 * len(divisors(n)), n
+        cyclic = of.tolist()
+        for pairs, step in ((classes.gaps, 1), (classes.doubles, 2)):
+            got = list(zip(*pairs.tolist()))
+            assert len(got) == len(set(got)), (n, step)
+            assert set(got) == {(cyclic[j], cyclic[(j + step) % n]) for j in range(n)}, (n, step)
+        assert tuple(classes.gaps[:, 0].tolist()) == (cyclic[0], cyclic[1]), n
+        counts[n] = (len(reps), classes.gaps.shape[1], classes.doubles.shape[1])
+    assert counts[48] == (16, 36, 30)
+    assert counts[240][0] == 32
+    assert counts[256][0] == 16  # g = 1..64 split by j/g (mod 4), then g = 128, 256
 
 
 def test_oracle_rejects_non_integral_graph():

@@ -45,6 +45,7 @@ from mixedcirc import (
 )
 from mixedcirc.harness import _judged_chunks, _shapes
 from mixedcirc.numthy import divisors
+from mixedcirc.spectrum import index_classes
 from mixedcirc.transfer import (
     PST_CASES,
     _gap_columns,
@@ -349,7 +350,9 @@ def test_screened_quarter_equals_its_definition_on_sweep_rows():
     # the flag the unscreened definition gives
     rows = positive = 0
     for n in range(8, 97, 8):
-        for _, _, gammas, votes in _judged_chunks(_shapes(n), "mst"):
+        of = index_classes(n).of
+        for _, _, values, votes in _judged_chunks(_shapes(n), "mst"):
+            gammas = values[:, of]
             quarter = unscreened_quarter(gammas)
             assert (votes[1] == quarter).all(), n  # the kernel's flag, via transfer_rows
             rows, positive = rows + len(gammas), positive + int(quarter.sum())
@@ -388,6 +391,72 @@ def test_screened_quarter_equals_its_definition_on_random_rows():
         assert (common & (d0 & 3 == 2))[64:128].any()  # misses the double-gap test catches
 
 
+# ------------------------------------------------------ class-width kernel
+
+SWEEP_MODES = pytest.mark.parametrize(
+    "mode, step, quarters", [("pst", 4, (2,)), ("mst", 8, (1, 2, 3))], ids=["pst", "mst"]
+)
+
+
+def assert_widths_agree(values, classes, targets, label):
+    """_gap_columns and transfer_rows on a matrix held on classes equal them
+    on its expansion to every index."""
+    gammas = values[:, classes.of]
+    for narrow, wide in zip(_gap_columns(values, classes), _gap_columns(gammas)):
+        assert (narrow == wide).all(), label
+    answers = transfer_rows(gammas, targets)
+    assert (transfer_rows(values, targets, classes) == answers).all(), label
+
+
+@SWEEP_MODES
+def test_class_width_equals_full_width_on_every_sweep_row(mode, step, quarters):
+    # every row the sweep checks, 4 | n <= 96 (pst) or 8 | n <= 96 (mst):
+    # the gap columns at class width are those of the expanded spectra, and
+    # so are the chunk's valuation, numeric and restriction answers
+    rows, valuation = 0, {"pst": 0, "mst": 1}[mode]
+    for n in range(step, 97, step):
+        classes, targets = index_classes(n), [k * n // 4 for k in quarters]
+        for _, _, values, votes in _judged_chunks(_shapes(n), mode):
+            gammas = values[:, classes.of]
+            for narrow, wide in zip(_gap_columns(values, classes), _gap_columns(gammas)):
+                assert (narrow == wide).all(), n
+            answers = transfer_rows(gammas, targets)
+            assert (votes[1:] == answers[[valuation, 2, 3]]).all(), n
+            rows += len(values)
+    assert rows == sum(count_specs(n) for n in range(step, 97, step))
+
+
+def test_class_width_equals_full_width_on_seeded_rows():
+    # seeded values on the classes of several orders: small ones with
+    # constant rows and zero gaps, ones at the edge of the kernel's int32
+    # range and just past it, near |gamma| = 2**59, and spread over all of
+    # (-2**59, 2**59); a shift by 2**40 moves a matrix onto int64 and leaves
+    # every gap, so every column, as it was
+    rng = np.random.default_rng(20262)
+    edge, top = 2**29 - 1, 2**59
+    for n in (4, 8, 12, 16, 24, 48, 96, 240):
+        classes = index_classes(n)
+        count = len(classes.reps)
+        small = rng.integers(-6, 7, size=(64, count))
+        small[::4] = small[::4, :1]  # constant rows: every gap zero
+        small[1::4, ::2] = 0  # some gaps zero
+        signs = rng.choice([-1, 1], size=(16, count))
+        matrices = [
+            small,
+            edge * signs,
+            2**30 * signs,
+            (top - rng.integers(0, 9, size=(16, count))) * signs[:, :1],
+            rng.integers(-top, top, size=(16, count)),
+        ]
+        for k, values in enumerate(matrices):
+            for targets in ([n // 2], [n // 4, n // 2, 3 * n // 4]):
+                assert_widths_agree(values, classes, targets, (n, k))
+        for values in matrices[:3]:
+            shifted = _gap_columns(values + 2**40, classes)
+            for a, b in zip(_gap_columns(values, classes), shifted):
+                assert (a == b).all(), n
+
+
 def test_transfer_rows_refuses_what_the_verdicts_refuse():
     # a target = 0 (mod n) asks about periodicity, as in pst_feasible_pair;
     # an empty target list asks nothing
@@ -400,7 +469,7 @@ def test_transfer_rows_refuses_what_the_verdicts_refuse():
             transfer_rows(gammas, [b])
     with pytest.raises(ValueError, match="at least one target"):
         transfer_rows(gammas, [])
-    assert transfer_rows(gammas, [n // 2]).tolist() == [[True], [True], [True]]
+    assert transfer_rows(gammas, [n // 2]).tolist() == [[True]] * 4
     assert (transfer_rows(gammas, [n + n // 2]) == transfer_rows(gammas, [n // 2])).all()
 
 
@@ -446,8 +515,9 @@ def test_solvability_helper_equals_witness():
     # kernel's columns divides w exactly when the loop solve finds a time
     rows = feasible = 0
     for n in range(4, 33, 4):
-        for _, _, gammas, _ in _judged_chunks(_shapes(n), "pst"):
-            d0, gcds, _, _ = _gap_columns(gammas)
+        of = index_classes(n).of
+        for _, _, values, _ in _judged_chunks(_shapes(n), "pst"):
+            d0, gcds, _, _ = _gap_columns(values[:, of])
             step = _step(n, gcds, np.gcd(d0, gcds))
             pairs = list(zip(d0.tolist(), gcds.tolist()))
             for w in range(1, n):
@@ -808,9 +878,9 @@ def test_chunk_verification_equals_the_per_row_route(monkeypatch, mode, step, qu
     monkeypatch.setattr(mixedcirc.transfer, "verify_rows", recording)
     rows = 0
     for n in range(step, 49, step):
-        targets = [k * n // 4 for k in quarters]
-        for _, _, gammas, _ in _judged_chunks(_shapes(n), mode):
-            witnessed = []
+        targets, of = [k * n // 4 for k in quarters], index_classes(n).of
+        for _, _, values, _ in _judged_chunks(_shapes(n), mode):
+            gammas, witnessed = values[:, of], []
             d0, gcds, _, _ = _gap_columns(gammas)
             for gamma, d, g in zip(gammas.tolist(), d0.tolist(), gcds.tolist()):
                 times = [loop_witness(n, d, g, b) for b in targets]
@@ -861,7 +931,9 @@ def test_pair_restriction_holds_on_every_sweep_row():
     # {n/4, n/2, 3n/4} is a step of n/4, n/2, or n where none is feasible
     rows, seen = 0, set()
     for n in range(4, 65, 4):
-        for _, _, gammas, _ in _judged_chunks(_shapes(n), "pst"):
+        of = index_classes(n).of
+        for _, _, values, _ in _judged_chunks(_shapes(n), "pst"):
+            gammas = values[:, of]
             d0, gcds, _, _ = _gap_columns(gammas)
             ratio = n // _step(n, gcds, np.gcd(d0, gcds))
             outside = ~np.isin(ratio, (1, 2, 4))
@@ -1001,9 +1073,9 @@ def profile_calls(monkeypatch):
     real = mixedcirc.transfer._gap_columns
     calls = []
 
-    def counting(gammas):
+    def counting(gammas, *classes):
         calls.extend(len(row) for row in gammas)
-        return real(gammas)
+        return real(gammas, *classes)
 
     monkeypatch.setattr(mixedcirc.transfer, "_gap_columns", counting)
     return calls
