@@ -42,26 +42,20 @@ class HypothesesNotMet(ValueError):
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues gamma[0..n-1] of the Hermitian adjacency, all integers:
-    ValueError unless n and each eigenvalue obey numthy._is_int, so True is
-    not 1."""
+    ValueError unless n >= 1 and each eigenvalue obey numthy._is_int, so
+    True is not 1."""
 
     n: int
     gamma: tuple[int, ...]
 
     def __post_init__(self):
-        if not _is_int(self.n):
-            raise ValueError(f"order must be an integer (numthy._is_int), got {self.n!r}")
+        if not (_is_int(self.n) and self.n >= 1):
+            raise ValueError(f"order must be an integer >= 1 (numthy._is_int), got {self.n!r}")
         if len(self.gamma) != self.n:
             raise ValueError(f"expected {self.n} eigenvalues, got {len(self.gamma)}")
         # the type set first: every spectrum a route builds holds plain ints
         if not (set(map(type, self.gamma)) <= {int} or all(map(_is_int, self.gamma))):
             raise ValueError("eigenvalues must be integers (numthy._is_int)")
-
-    def __getitem__(self, j: int) -> int:
-        return self.gamma[j]
-
-    def __len__(self) -> int:
-        return self.n
 
 
 class IndexClasses(NamedTuple):

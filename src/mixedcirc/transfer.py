@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -40,7 +39,7 @@ class ConsistencyError(RuntimeError):
 def _witness_ks(n: int, d0: int, g: int, diffs: list[int]) -> list[int]:
     """Numerators k of the least witness times k/g in (0, 1] of transfer
     across each nonzero difference w in diffs, for a spectrum with first gap
-    d0 and gap gcd g (_gap_columns) that has a witness for each (_step).
+    d0 and gap gcd g (_gap_columns) whose _step(n, d0, g) divides each w.
     A time s/q in lowest terms makes every delta_j * s/q - w/n integral only
     if each (delta_j - delta_0) * s/q is, so q | g; the gap congruences then
     collapse to the one at delta_0, n*d0*k = w*g (mod n*g), solvable iff
@@ -52,13 +51,13 @@ def _witness_ks(n: int, d0: int, g: int, diffs: list[int]) -> list[int]:
     return [w * g // (n * h) * inverse % m for w in diffs]
 
 
-def _step(n, g, h):
-    """The step s of the feasible differences, given h = gcd(d0, g), on ints
-    or int64 arrays alike: there is a witness across w (_witness_ks) iff
-    n*h | w*g, that is iff s = n / gcd(n, g/h) divides w; s = n where g = 0,
-    so that no w in 1..n-1 has one."""
+def _step(n, d0, g):
+    """The step s of the feasible differences of a spectrum with first gap d0
+    and gap gcd g, on ints or int64 arrays alike: there is a witness across w
+    (_witness_ks) iff n*h | w*g, h = gcd(d0, g), that is iff s = n / gcd(n,
+    g/h) divides w; s = n where g = 0, so that no w in 1..n-1 has one."""
     zero = g == 0  # h | 1 and g/h | 1 where g = 0: no division by zero, gcd 1
-    return n // np.gcd(n, g // (h | zero) | zero)
+    return n // np.gcd(n, g // (np.gcd(d0, g) | zero) | zero)
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,19 @@ class TransferVerdict:
     residual: Optional[float] = None
 
 
+def _verify_one(spectrum: Spectrum, a: int, b: int, t_prime) -> tuple:
+    """verify_rows' (ok, amplitude, residual) on one spectrum, pair and time,
+    as Python values; ValueError on a time that is not finite."""
+    if not math.isfinite(t_prime):
+        raise ValueError(f"time must be finite, got {t_prime!r}")
+    rows = verify_rows(spectrum.gamma, [[float(t_prime)]], [_offset(spectrum.n, a, b)])
+    return tuple(x.item() for x in rows)
+
+
 def transition_amplitude(spectrum: Spectrum, a: int, b: int, t_prime) -> complex:
     """U(t)_{ab} = (1/n) * sum_r exp(2*pi*i*(gamma_r * t' + r*(a-b)/n)), the
     amplitude of verify_rows on one row and one time."""
-    return verify_rows(spectrum.gamma, [[float(t_prime)]], [_offset(spectrum.n, a, b)])[1].item()
+    return _verify_one(spectrum, a, b, t_prime)[1]
 
 
 def _differences(values: np.ndarray, pairs: Optional[np.ndarray], step: int) -> np.ndarray:
@@ -180,17 +188,14 @@ def mst_by_valuation(spectrum: Spectrum) -> bool:
 PST_CASES = (None, "i", "ii", "iii")  # the case tags classify_pst_rows indexes
 
 
-@lru_cache(maxsize=256)
 def _divisor_columns(n: int) -> tuple[np.ndarray, ...]:
     """The proper divisors of n, ascending, as the row classifiers' columns;
     the layer v2(n/d) of each; the layer-0 columns; and in row i - 1 their
-    images d/2**i, for 2**i | n and i <= 3.  Read-only: the cache shares them."""
+    images d/2**i, for 2**i | n and i <= 3."""
     cols = np.array(divisors(n)[:-1], dtype=np.int64)
     layer = np.array([two_adic_valuation(n // d) for d in cols.tolist()], dtype=np.int64)
     top, depth = np.flatnonzero(layer == 0), min(3, two_adic_valuation(n))
     image = np.searchsorted(cols, cols[top] >> np.arange(1, depth + 1)[:, None])
-    for a in (cols, layer, top, image):
-        a.flags.writeable = False
     return cols, layer, top, image
 
 
@@ -315,7 +320,7 @@ def pst_feasible_pair(spectrum: Spectrum, a: int, b: int) -> Optional[Fraction]:
     """
     n, (d0, g, _, _) = spectrum.n, _profile(spectrum)
     w = _difference(n, a, b)
-    if w % _step(n, g, math.gcd(d0, g)):
+    if w % _step(n, d0, g):
         return None
     return Fraction(_witness_ks(n, d0, g, [w])[0], g)
 
@@ -347,8 +352,7 @@ def verify_rows(gammas, times, diffs) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def verify_numeric(spectrum: Spectrum, a: int, b: int, t_prime) -> tuple[bool, complex, float]:
     """Evaluate |U_ab| at t_prime: (ok, unit phase, |1 - |U||), ok when the
     residual is below NUMERIC_TOL (verify_rows on one row and one time)."""
-    rows = verify_rows(spectrum.gamma, [[float(t_prime)]], [_offset(spectrum.n, a, b)])
-    ok, amp, residual = (x.item() for x in rows)
+    ok, amp, residual = _verify_one(spectrum, a, b, t_prime)
     return ok, amp / abs(amp) if amp else complex(0), residual
 
 
@@ -359,7 +363,7 @@ def pair_restriction_check(spectrum: Spectrum) -> frozenset[int]:
     if n % 4:
         raise ValueError(f"quarter-point differences need 4 | n, got {n}")
     d0, g, _, _ = _profile(spectrum)
-    s = _step(n, g, math.gcd(d0, g))
+    s = _step(n, d0, g)
     return frozenset(range(s, n, s))
 
 
@@ -380,7 +384,7 @@ def _witnesses(values: np.ndarray, targets: list[int], classes: Optional[IndexCl
     if not targets:
         raise ValueError("transfer needs at least one target")
     diffs = [_difference(n, 0, b) for b in targets]
-    step = _step(n, gcds, np.gcd(d0, gcds))
+    step = _step(n, d0, gcds)
     feasible = np.flatnonzero(np.logical_and.reduce([w % step == 0 for w in diffs]))
     rows = list(zip(d0[feasible].tolist(), gcds[feasible].tolist()))
     ks = [_witness_ks(n, d, g, diffs) for d, g in rows]

@@ -78,9 +78,9 @@ def failing_verify_rows(gammas, times, diffs):
     return np.zeros(shape, dtype=bool), np.ones(shape, dtype=complex), np.full(shape, 0.5)
 
 
-def unit_step(n, g, h):
+def unit_step(n, d0, g):
     """transfer._step with 1 wherever the true step is below n: every
     difference is feasible on those rows, off the quarter points once 8 | n,
     while the witness across n/2, a multiple of the true step, is kept."""
-    step = _step(n, g, h)
+    step = _step(n, d0, g)
     return np.where(step < n, 1, step)

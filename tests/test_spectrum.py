@@ -69,8 +69,7 @@ def test_frozen_spectra():
 def test_spectrum_container_checks_length():
     with pytest.raises(ValueError):
         Spectrum(n=3, gamma=(1, 2))
-    sp = Spectrum(n=2, gamma=(1, -1))
-    assert sp[1] == -1 and len(sp) == 2
+    Spectrum(n=2, gamma=(1, -1))  # a matching length is accepted
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, 2.5], ids=repr)
@@ -84,6 +83,13 @@ def test_spectrum_container_refuses_bools_and_floats(bad):
     # and so does the order, even where the length would match it
     with pytest.raises(ValueError):
         Spectrum(n=bad, gamma=tuple(range(int(bad))))
+
+
+@pytest.mark.parametrize("n", [0, -1, -4])
+def test_spectrum_container_refuses_orders_below_one(n):
+    # an empty spectrum has no gaps and no 1/n: refused before any reader
+    with pytest.raises(ValueError, match="order"):
+        Spectrum(n=n, gamma=())
 
 
 def test_spectrum_of_is_the_closed_form():

@@ -183,7 +183,7 @@ def assert_columns_agree(row, ref, label):
     if common:
         assert (d0 & -d0).bit_length() - 1 == ref.common_valuation(), label
     assert quarter is ref.quarter_orbit(), label
-    step = _step(n, g, math.gcd(d0, g))
+    step = _step(n, d0, g)
     diffs = list(range(step, n, step))
     assert diffs == [w for w in range(1, n) if ref.witness(w) is not None], label
     if diffs:
@@ -225,6 +225,14 @@ def test_pair_verdict_refuses_vertices_before_the_closed_form(monkeypatch, bad):
     for a, b in ((bad, 8), (0, bad)):
         with pytest.raises(ValueError):
             pair_verdict(_SPEC16, a, b)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("fn", [transition_amplitude, verify_numeric], ids=lambda fn: fn.__name__)
+def test_one_row_checks_refuse_a_time_that_is_not_finite(fn, bad):
+    # a NaN or infinite time would come back as a NaN amplitude and residual
+    with pytest.raises(ValueError, match="finite"):
+        fn(_SPECTRUM16, 0, 8, bad)
 
 
 def test_the_refused_pair_calls_are_valid_with_integers():
@@ -518,7 +526,7 @@ def test_solvability_helper_equals_witness():
         of = index_classes(n).of
         for _, _, values, _ in _judged_chunks(_shapes(n), "pst"):
             d0, gcds, _, _ = _gap_columns(values[:, of])
-            step = _step(n, gcds, np.gcd(d0, gcds))
+            step = _step(n, d0, gcds)
             pairs = list(zip(d0.tolist(), gcds.tolist()))
             for w in range(1, n):
                 got = (w % step == 0).tolist()
@@ -541,13 +549,13 @@ def test_solvability_helper_is_exact_at_the_int64_extremes():
         ]
         exact = [w * g % (n * math.gcd(d0, g)) == 0 for d0, g, w in cases]
         assert 0 < sum(exact) < len(cases)
-        assert [w % _step(n, g, math.gcd(d0, g)) == 0 for d0, g, w in cases] == exact
+        assert [w % _step(n, d0, g) == 0 for d0, g, w in cases] == exact
         d0, g, w = (np.array(column, dtype=np.int64) for column in zip(*cases))
-        assert (w % _step(n, g, np.gcd(d0, g)) == 0).tolist() == exact
+        assert (w % _step(n, d0, g) == 0).tolist() == exact
     # g = 0 has no witness, whatever d0: the step is n, and nothing divides by zero
     zero = np.zeros(3, dtype=np.int64)
-    assert _step(8, zero, np.gcd(np.array([0, -4, 4]), zero)).tolist() == [8] * 3
-    assert _step(8, 0, 0) == 8
+    assert _step(8, np.array([0, -4, 4]), zero).tolist() == [8] * 3
+    assert _step(8, 0, 0) == _step(8, -4, 0) == 8
 
 
 # -------------------------------------------------------- valuation criteria
@@ -935,7 +943,7 @@ def test_pair_restriction_holds_on_every_sweep_row():
         for _, _, values, _ in _judged_chunks(_shapes(n), "pst"):
             gammas = values[:, of]
             d0, gcds, _, _ = _gap_columns(gammas)
-            ratio = n // _step(n, gcds, np.gcd(d0, gcds))
+            ratio = n // _step(n, d0, gcds)
             outside = ~np.isin(ratio, (1, 2, 4))
             assert not outside.any(), (n, gammas[outside][:1].tolist())
             seen.update(ratio.tolist())
