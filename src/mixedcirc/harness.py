@@ -7,6 +7,7 @@ over whole families and reports any disagreement.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from itertools import compress
@@ -107,21 +108,23 @@ def _shapes(n: int) -> _Shapes:
     return _Shapes(n, tuple(proper), sets[b_of], D, np.cumsum(1 << D.sum(axis=1)))
 
 
-# rows per chunk times n: a chunk holds its rows' values on the index classes,
-# fewer entries, and expands to n only the rows it verifies, so crosscheck
-# memory stays flat in the order
+# rows per chunk times the entries of a row: n for a spec's spectrum, the
+# class count for the sweep, which holds each row on the index classes and
+# expands to n only the rows it verifies, so crosscheck memory stays flat
 CHUNK_ENTRIES = 2**14
 
 
-def _row_chunks(shapes: _Shapes) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _row_chunks(shapes: _Shapes, width: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Shape index and flip matrix (True where the sign is -1) of each row of
-    an order, max(1, CHUNK_ENTRIES // n) rows at a time: a chunk's full-width
-    spectra have about CHUNK_ENTRIES entries at any order.  A shape's rows
-    take its sign choices in product order, +1 before -1 and the smallest
-    divisor slowest: bit r of a row's offset in its block flips the D member
-    r from the right.  A chunk's shapes are one run of consecutive shapes,
-    so each one's first row and bit positions are found once per chunk."""
-    total, size = int(shapes.ends[-1]), max(1, CHUNK_ENTRIES // shapes.n)
+    an order, max(1, CHUNK_ENTRIES // width) rows at a time: a chunk's rows
+    have about CHUNK_ENTRIES entries at any order, whole spectra at width n
+    (the default, 0), values on the index classes at the sweep's class count.
+    A shape's rows take its sign choices in product order, +1 before -1 and
+    the smallest divisor slowest: bit r of a row's offset in its block flips
+    the D member r from the right.  A chunk's shapes are one run of
+    consecutive shapes, so each one's first row and bit positions are found
+    once per chunk."""
+    total, size = int(shapes.ends[-1]), max(1, CHUNK_ENTRIES // (width or shapes.n))
     for start in range(0, total, size):
         rows = np.arange(start, min(start + size, total))
         shape = np.searchsorted(shapes.ends, rows, side="right")
@@ -174,8 +177,9 @@ def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...
     representative columns are all it needs once the table is checked
     constant on every class: ConsistencyError where it is not.  The
     classifier reads B and D only, so it runs once per order; the other legs
-    are transfer_rows on each chunk, which takes each gap once per class
-    pair and expands to all n indices only the rows it verifies."""
+    are transfer_rows on each chunk of CHUNK_ENTRIES // C rows, C the class
+    count, which reads the gaps of the classes' spanning tree and expands to
+    all n indices only the rows it verifies."""
     n = shapes.n
     _, quarters, classifier, valuation = _mode(mode)
     targets = [k * n // 4 for k in quarters]
@@ -183,7 +187,7 @@ def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...
     table = full[:, classes.reps]
     if not (full == table[:, classes.of]).all():
         raise ConsistencyError(f"class table of order {n} not constant on its index classes")
-    for shape, flips in _row_chunks(shapes):
+    for shape, flips in _row_chunks(shapes, len(classes.reps)):
         incidence = np.hstack([shapes.B[shape], shapes.D[shape] & ~flips, flips])
         values = (incidence @ table).astype(np.int64)
         legs = transfer_rows(values, targets, classes)
@@ -201,7 +205,8 @@ def crosscheck(n_max: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> S
     a witness failing the numeric check included, is recorded, and so is a
     spec whose feasible differences stray from the quarter points (the
     "restriction" key).  Orders are checked as arrays (_judged_chunks): only
-    a mismatch gets a GraphSpec."""
+    a mismatch gets a GraphSpec.  After each order one progress line goes to
+    stderr: the order, the specs and mismatches so far, and specs/s."""
     step = _mode(mode)[0]
     report = SweepReport(mode=mode, n_range=_budgeted(range(step, n_max + 1, step), budget))
     positive, start = 0, time.perf_counter()
@@ -216,6 +221,9 @@ def crosscheck(n_max: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> S
             for spec, legs in zip(shapes.specs(shape[bad], flips[bad]), votes[:, bad].T.tolist()):
                 row = zip(("classifier", "valuation", "numeric", "restriction"), legs)
                 report.mismatches.append({"spec": spec_to_json(spec), **dict(row)})
+        rate = report.specs_checked / (time.perf_counter() - start)
+        print(f"crosscheck {mode}: order {n} done, {report.specs_checked} specs, "
+              f"{rate:.0f} specs/s, {len(report.mismatches)} mismatch(es)", file=sys.stderr)
     setattr(report, f"{mode}_positive", positive)
     report.wall_time = time.perf_counter() - start
     return report

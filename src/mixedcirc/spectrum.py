@@ -60,48 +60,59 @@ class Spectrum:
 
 class IndexClasses(NamedTuple):
     """A partition of the indices 0..n-1 of order-n spectra into classes, and
-    the class pairs the gap kernel (transfer._gap_columns) reads: of[j] is
-    the class of j, reps[c] one index of class c, and gaps and doubles the
-    distinct cyclic pairs (of[j], of[j+1]) and (of[j], of[j+2]) as (2, P)
-    arrays, the pair of d0 = gamma_1 - gamma_0 first among the gaps."""
+    what the gap kernel (transfer._gap_columns) reads of it: of[j] is the
+    class of j and reps[c] the first index of class c.  The class graph has
+    one edge per distinct cyclic pair (of[j], of[j+1]); tree is a spanning
+    tree of it as a (2, C-1) array of pairs, d0's pair (of[0], of[1]) first,
+    and cycle the gcd over every pair of the signed length of its tree path
+    less 1 (0 on the tree's own pairs).  A gap is the signed sum of the tree
+    gaps on its tree path, so the gap gcd is that of the tree gaps less d0
+    and of cycle * d0.  doubles holds the distinct cyclic pairs (of[j],
+    of[j+2]) as a (2, P) array."""
 
     of: np.ndarray
     reps: np.ndarray
-    gaps: np.ndarray
+    tree: np.ndarray
+    cycle: int
     doubles: np.ndarray
 
 
-def _distinct_pairs(of: np.ndarray, count: int, step: int) -> np.ndarray:
-    """The distinct pairs (of[j], of[j+step]), cyclically, as a (2, P) array:
-    ascending, save that the pair at j = 0 comes first; a bool table over the
-    count**2 pair keys marks them, so nothing is sorted."""
-    key = of * count + of[(np.arange(len(of)) + step) % len(of)]
-    seen = np.zeros(count * count, dtype=bool)
-    seen[key] = True
-    keys = np.flatnonzero(seen)
-    keys = np.concatenate((key[:1], keys[keys != key[0]]))
-    return np.array([keys // count, keys % count])
+def _distinct(keys: np.ndarray, size: int) -> np.ndarray:
+    """The distinct values of keys in 0..size-1, ascending, marked in a bool
+    table rather than sorted."""
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen)
 
 
 def index_classes(n: int) -> IndexClasses:
-    """The index classes of order n: j and j' share one when g = gcd(j, n) =
-    gcd(j', n) and, where 4 | n/g, j/g = j'/g (mod 4).  They are the orbits
-    of the units u = 1 (mod 4) of Z_n, which map every gcd class and half
-    class of a spec onto itself, so the spectrum of any integral mixed
+    """The index classes of order n >= 2: j and j' share one when g = gcd(j,
+    n) = gcd(j', n) and, where 4 | n/g, j/g = j'/g (mod 4).  They are the
+    orbits of the units u = 1 (mod 4) of Z_n, which map every gcd class and
+    half class of a spec onto itself, so the spectrum of any integral mixed
     circulant of order n is constant on each; there are at most 2*tau(n)
     (W. So, Discrete Math. 306 (2006)).  The sweep checks the constancy on
-    its class table."""
+    its class table.  The tree takes the pair (of[j-1], of[j]) at the first
+    index j of each class but of[0]'s, in the order of j: each class's
+    depth is one more than that of the class before it."""
+    if not (_is_int(n) and n >= 2):
+        raise ValueError(f"index classes need an order n >= 2 with gaps, got {n!r}")
     j = np.arange(n)
     g = np.gcd(j, n)
     key = 4 * g + ((j // g) & 3) * (n // g % 4 == 0)
-    seen = np.zeros(4 * n + 4, dtype=bool)
-    seen[key] = True
-    keys = np.flatnonzero(seen)
-    of = np.searchsorted(keys, key)
-    reps = np.zeros(len(keys), dtype=of.dtype)
-    reps[of] = j
-    pairs = (_distinct_pairs(of, len(keys), step) for step in (1, 2))
-    return IndexClasses(of, reps, *pairs)
+    keys = _distinct(key, 4 * n + 4)
+    of, count = np.searchsorted(keys, key), len(keys)
+    after = np.roll(of, -1)
+    reps = np.full(count, n)
+    np.minimum.at(reps, of, j)
+    entry = np.sort(reps)[1:] - 1
+    tree = np.array([of[entry], after[entry]])
+    depth = np.zeros(count, dtype=np.int64)
+    for a, b in tree.T.tolist():
+        depth[b] = depth[a] + 1
+    cycle = int(np.gcd.reduce(depth[after] - depth[of] - 1))
+    doubles = _distinct(of * count + np.roll(of, -2), count * count)
+    return IndexClasses(of, reps, tree, cycle, np.array([doubles // count, doubles % count]))
 
 
 def undirected_degree(spec: GraphSpec) -> int:

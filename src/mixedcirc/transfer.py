@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -74,9 +75,10 @@ class TransferVerdict:
 
 def _verify_one(spectrum: Spectrum, a: int, b: int, t_prime) -> tuple:
     """verify_rows' (ok, amplitude, residual) on one spectrum, pair and time,
-    as Python values; ValueError on a time that is not finite."""
-    if not math.isfinite(t_prime):
-        raise ValueError(f"time must be finite, got {t_prime!r}")
+    as Python values; ValueError on a time that is a bool, not a real number
+    or not finite."""
+    if isinstance(t_prime, bool) or not isinstance(t_prime, Real) or not math.isfinite(t_prime):
+        raise ValueError(f"time must be a finite real number, got {t_prime!r}")
     rows = verify_rows(spectrum.gamma, [[float(t_prime)]], [_offset(spectrum.n, a, b)])
     return tuple(x.item() for x in rows)
 
@@ -102,14 +104,15 @@ def _gap_columns(
     """Columns of the gap data of each row of a (k, C) matrix of spectra held
     as values on the index classes (spectrum.IndexClasses), a row being
     gamma[reps], or of a (k, n) matrix of whole spectra where classes is
-    None, the singleton partition: d0, the gap gcd (np.gcd.reduce of
-    delta_j - delta_0), whether the lowest set bits d & -d of all gaps are
-    equal and nonzero (a common valuation, that of d0), and whether every
-    gap is 2 (mod 4) and every double gap 4 (mod 8): v2 = 1 and v2 = 2 for
-    either sign, false on 0 (double gaps are formed only on rows whose
-    common valuation is d0's, 1).  Each gap and double gap is formed once
-    per distinct class pair: the gcd, the equality and the residues over the
-    pairs are those over every j.  Entries must be integers with
+    None, the singleton partition: d0, the gap gcd g (that of every
+    delta_j - delta_0), whether all gaps share d0's 2-adic valuation v, and
+    whether every gap is 2 (mod 4) and every double gap 4 (mod 8): v2 = 1
+    and v2 = 2 for either sign, false on 0.  On classes g is the gcd of the
+    tree gaps less d0 and of classes.cycle * d0, C - 1 columns in all; on
+    whole spectra it is that of every gap less d0.  Each gap is d0 plus a
+    multiple of g, so the valuation is common iff d0 != 0 and 2**(v+1)
+    divides g.  Double gaps are formed, once per distinct class pair, only
+    on the rows where v = 1 is common.  Entries must be integers with
     |gamma| < 2**60, so that gaps, double gaps and delta_j - delta_0 stay
     exact in int64; anything else raises ValueError rather than being
     truncated or wrapped.  The columns are new arrays, so a later write to
@@ -128,14 +131,18 @@ def _gap_columns(
             "spectra must form a (k, C) integer matrix with C >= 1 classes and "
             f"every |gamma| < 2**60, got dtype {values.dtype} and shape {values.shape}"
         )
-    # every difference formed below is under 4 * top: int32 holds it where top < 2**29
+    # every value formed below is under 4 * top: int32 holds it where top < 2**29
     values = values.astype(np.int32 if top < 2**29 else np.int64, copy=False)
-    gaps, doubles = (None, None) if classes is None else (classes.gaps, classes.doubles)
-    deltas = _differences(values, gaps, 1)
+    tree, cycle, doubles = (None, 0, None) if classes is None else classes[2:]
+    deltas = _differences(values, tree, 1)
     d0 = deltas[:, 0]
-    gcds = np.gcd.reduce(deltas - d0[:, None], axis=1)
-    low = deltas & -deltas
-    common = (low[:, 0] != 0) & (low == low[:, :1]).all(axis=1)
+    spread = np.gcd.reduce(deltas[:, 1:] - deltas[:, :1], axis=1)
+    # gcd(spread, cycle * d0) as h * gcd(spread / h, cycle), h = gcd(spread, d0):
+    # no product exceeds the gap gcd, whatever cycle is
+    h = np.gcd(spread, d0)
+    gcds = h * np.gcd(spread // (h | (h == 0)), cycle)
+    low = d0 & -d0
+    common = (low != 0) & (gcds & (2 * low - 1) == 0)
     quarter = common & (d0 & 3 == 2)  # every gap 2 (mod 4): the rows worth a double-gap test
     quarter[quarter] = ((_differences(values[quarter], doubles, 2) & 7) == 4).all(axis=1)
     return d0, gcds, common, quarter
@@ -373,11 +380,12 @@ def _witnesses(values: np.ndarray, targets: list[int], classes: Optional[IndexCl
     as _gap_columns reads it (the singleton partition where classes is
     None): its gap columns; the order n/s of each row's group of feasible
     differences, s its _step; the indices of the rows whose step divides
-    every target's difference; their numerators k, one list per row, each
-    time being k/g with g the row's gap gcd (_witness_ks); and verify_rows'
-    (ok, amplitude, residual) arrays on those rows, expanded to all n
-    indices by classes.of, at those times, None when no row has one.  An
-    empty target list is a ValueError, a target = 0 (mod n) SamePair."""
+    every target's difference; their numerators k as a (rows, targets)
+    array, each time being k/g with g the row's gap gcd, solved once per
+    distinct (d0, g) among them (_witness_ks); and verify_rows' (ok,
+    amplitude, residual) arrays on those rows, expanded to all n indices by
+    classes.of, at those times, None when no row has one.  An empty target
+    list is a ValueError, a target = 0 (mod n) SamePair."""
     values = np.asarray(values)
     columns = d0, gcds, _, _ = _gap_columns(values, classes)
     n = values.shape[1] if classes is None else len(classes.of)
@@ -387,12 +395,12 @@ def _witnesses(values: np.ndarray, targets: list[int], classes: Optional[IndexCl
     step = _step(n, d0, gcds)
     feasible = np.flatnonzero(np.logical_and.reduce([w % step == 0 for w in diffs]))
     rows = list(zip(d0[feasible].tolist(), gcds[feasible].tolist()))
-    ks = [_witness_ks(n, d, g, diffs) for d, g in rows]
-    times = [[k / g for k in row] for row, (_, g) in zip(ks, rows)]
+    solved = {row: _witness_ks(n, *row, diffs) for row in set(rows)}
+    ks = np.array([solved[row] for row in rows], dtype=np.int64).reshape(len(rows), len(diffs))
     # expanded by one gather in C order: verify_rows then sums each row as
     # it would a full-width matrix's, residual bits included
     full = values[feasible] if classes is None else values[feasible[:, None], classes.of]
-    checked = verify_rows(full, times, diffs) if ks else None
+    checked = verify_rows(full, ks / gcds[feasible, None], diffs) if rows else None
     return columns, n // step, feasible, ks, checked
 
 
@@ -427,7 +435,7 @@ def _verdict(spectrum: Spectrum, orbit: tuple[int, ...]) -> TransferVerdict:
     if checked is None:
         return TransferVerdict(kind="none", pair=orbit)
     ok, amps, residuals = checked
-    t, worst = Fraction(ks[0][0], g), residuals.max().item()
+    t, worst = Fraction(ks[0, 0].item(), g), residuals.max().item()
     if not ok.all():
         raise ConsistencyError(
             f"witness t'={t} to {diffs} failed numeric check: residual {worst}"

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, JSON output contracts."""
 
 import json
+import re
 
 import pytest
 
@@ -271,6 +272,21 @@ def test_crosscheck_row_off_the_pair_restriction_exits_one(capsys, monkeypatch):
     assert payload["mismatches"]
     for row in payload["mismatches"]:
         assert (row["numeric"], row["restriction"]) == (True, False)
+
+
+def test_crosscheck_reports_progress_per_order_on_stderr(capsys, monkeypatch):
+    # one stderr line per order: the order, the specs and mismatches so far
+    # and the rate; stdout holds the one JSON document it held without them
+    monkeypatch.setattr(mixedcirc.harness, "classify_mst_rows", mst_sufficient_rows)
+    code, out, err = run(capsys, ["crosscheck", "--n-max", "16", "--mode", "mst"])
+    assert code == 1
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    progress = [line for line in err.splitlines() if line.startswith("crosscheck mst: ")]
+    pattern = r"crosscheck mst: order (\d+) done, (\d+) specs, \d+ specs/s, (\d+) mismatch\(es\)"
+    got = [tuple(map(int, re.fullmatch(pattern, line).groups())) for line in progress]
+    assert got == [(8, 32, 2), (16, 160, len(payload["mismatches"]))]
+    assert payload["specs_checked"] == 160 and len(payload["mismatches"]) > 2
 
 
 def test_crosscheck_budget_error(capsys):

@@ -308,39 +308,49 @@ def _check_rows_against_oracle(shapes, shape, flips, values):
 
 def test_summed_class_rows_equal_per_spec_oracle():
     # each chunk matrix row expands to its spec's whole oracle spectrum, and the rows
-    # cover the reference enumeration in order, CHUNK_ENTRIES // n at a time
-    reversed_arcs = 0
+    # cover the reference enumeration in order, CHUNK_ENTRIES // C at a time,
+    # C the order's index class count (two chunks at n = 24)
+    reversed_arcs = cut = 0
     for n in range(4, 33, 4):
-        shapes, seen, size = _shapes(n), [], max(1, CHUNK_ENTRIES // n)
+        shapes, seen = _shapes(n), []
+        size = max(1, CHUNK_ENTRIES // len(index_classes(n).reps))
         for shape, flips, gammas, _ in _judged_chunks(shapes, "pst"):
             _check_rows_against_oracle(shapes, shape, flips, gammas)
             reversed_arcs += int(flips.any(axis=1).sum())
             seen.append([spec_to_json(spec) for spec in shapes.specs(shape, flips)])
         assert all(len(c) == size for c in seen[:-1])
         assert 0 < len(seen[-1]) <= size
+        cut += len(seen) - 1
         flat = [spec for c in seen for spec in c]
         assert flat == [spec_to_json(s) for s in reference_specs(n)]
-    assert reversed_arcs > 0
+    assert reversed_arcs > 0 and cut > 0
 
 
-def test_sign_block_longer_than_a_chunk_is_cut():
+def test_sign_block_longer_than_a_chunk_is_cut(monkeypatch):
     # at n = 96, D = {1, 2, 3, 4, 6, 8, 12, 24} has 256 sign choices, rows
-    # 255..510 of the enumeration; chunks of 170 rows: the block spans three
-    # chunks and is cut at both ends, and every row still equals the
-    # per-spec oracle
-    n, shapes, size = 96, _shapes(96), CHUNK_ENTRIES // 96
-    assert size == 170
-    chunks = [c[:3] for c in islice(_judged_chunks(shapes, "pst"), 512 // size + 1)]
-    shape = np.concatenate([c[0] for c in chunks])
-    assert [len(c[0]) for c in chunks] == [size] * len(chunks)
-    full = np.flatnonzero(shapes.D[shape].sum(axis=1) == 8)
-    assert full.tolist() == list(range(255, 511))
-    assert len(set(shape[full].tolist())) == 1  # one shape
-    assert 255 % size and 511 % size  # cut inside a chunk at both ends
-    assert len({r // size for r in full.tolist()}) == 3
-    rows = [spec_to_json(spec) for c in chunks for spec in shapes.specs(c[0], c[1])]
-    assert rows == [spec_to_json(s) for s in islice(reference_specs(n), len(rows))]
-    for c in chunks:
+    # 255..510 of the enumeration.  The spec path's chunks are
+    # CHUNK_ENTRIES // 96 = 170 rows; the sweep's, CHUNK_ENTRIES // 20 at
+    # the order's 20 index classes, are longer than any of its sign blocks,
+    # so CHUNK_ENTRIES = 170 * 20 makes them 170 rows too.  Either way the
+    # block spans three chunks and is cut at both ends, the rows follow the
+    # reference enumeration, and every sweep row equals the per-spec oracle
+    n, shapes, size = 96, _shapes(96), 170
+    assert CHUNK_ENTRIES // n == size and len(index_classes(n).reps) == 20
+    count = 512 // size + 1
+    spec_chunks = list(islice(_row_chunks(shapes), count))
+    monkeypatch.setattr(mixedcirc.harness, "CHUNK_ENTRIES", size * 20)
+    sweep_chunks = [c[:3] for c in islice(_judged_chunks(shapes, "pst"), count)]
+    for chunks in (spec_chunks, sweep_chunks):
+        shape = np.concatenate([c[0] for c in chunks])
+        assert [len(c[0]) for c in chunks] == [size] * count
+        full = np.flatnonzero(shapes.D[shape].sum(axis=1) == 8)
+        assert full.tolist() == list(range(255, 511))
+        assert len(set(shape[full].tolist())) == 1  # one shape
+        assert 255 % size and 511 % size  # cut inside a chunk at both ends
+        assert len({r // size for r in full.tolist()}) == 3
+        rows = [spec_to_json(spec) for c in chunks for spec in shapes.specs(c[0], c[1])]
+        assert rows == [spec_to_json(s) for s in islice(reference_specs(n), len(rows))]
+    for c in sweep_chunks:
         _check_rows_against_oracle(shapes, *c)
 
 

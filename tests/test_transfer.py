@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     all_specs,
@@ -233,6 +234,23 @@ def test_one_row_checks_refuse_a_time_that_is_not_finite(fn, bad):
     # a NaN or infinite time would come back as a NaN amplitude and residual
     with pytest.raises(ValueError, match="finite"):
         fn(_SPECTRUM16, 0, 8, bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, "0.5", None, 1j], ids=repr)
+@pytest.mark.parametrize("fn", [transition_amplitude, verify_numeric], ids=lambda fn: fn.__name__)
+def test_one_row_checks_refuse_a_time_that_is_not_a_real_number(fn, bad):
+    # a bool time would be read as 0 or 1 turns, as the vertices refuse it;
+    # a str, None or a complex is no time at all
+    with pytest.raises(ValueError, match="real number"):
+        fn(_SPECTRUM16, 0, 8, bad)
+
+
+@pytest.mark.parametrize("fn", [transition_amplitude, verify_numeric], ids=lambda fn: fn.__name__)
+def test_one_row_checks_take_any_real_time(fn):
+    # the antipodal witness of _SPECTRUM16 as a Fraction, a numpy float and a float
+    times = [Fraction(1, 4), np.float64(0.25), 0.25]
+    assert len({repr(fn(_SPECTRUM16, 0, 8, t)) for t in times}) == 1
+    assert abs(transition_amplitude(_SPECTRUM16, 0, 8, Fraction(1, 4))) == pytest.approx(1)
 
 
 def test_the_refused_pair_calls_are_valid_with_integers():
@@ -463,6 +481,90 @@ def test_class_width_equals_full_width_on_seeded_rows():
             shifted = _gap_columns(values + 2**40, classes)
             for a, b in zip(_gap_columns(values, classes), shifted):
                 assert (a == b).all(), n
+
+
+def lowest_bit_common(gammas: np.ndarray) -> np.ndarray:
+    """The common-valuation flag by lowest set bits: every cyclic gap's d & -d
+    equal to d0's and nonzero."""
+    low = np.roll(gammas, -1, axis=1) - gammas
+    low &= -low
+    return (low[:, 0] != 0) & (low == low[:, :1]).all(axis=1)
+
+
+GAMMA_EDGE = 2**60 - 1
+
+
+@st.composite
+def gap_rows(draw):
+    """An int64 matrix of spectra with |gamma| < 2**60: random entries, small
+    or wide, with zeros, negatives and constant rows, and rows whose gaps
+    are all 2**v times an odd number (even n), the ones the flag accepts."""
+    n = draw(st.integers(1, 12))
+    entry = st.one_of(
+        st.integers(-8, 8),
+        st.integers(-GAMMA_EDGE, GAMMA_EDGE),
+        st.sampled_from([0, GAMMA_EDGE, -GAMMA_EDGE, 2**59, -(2**59)]),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=6))
+    rows.append([draw(entry)] * n)
+    if n % 2 == 0:
+        v = draw(st.integers(0, 57))
+        walk = [2 * draw(st.integers(-3, 3)) + j % 2 for j in range(n)]
+        base = draw(st.sampled_from([0, GAMMA_EDGE - 2**v * 8, -GAMMA_EDGE + 2**v * 8]))
+        rows.append([base + (w << v) for w in walk])
+    return np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(gap_rows())
+def test_valuation_flag_from_d0_and_gap_gcd_equals_lowest_bits(gammas):
+    # every gap is d0 plus a multiple of the gap gcd g, so all share d0's
+    # valuation v iff d0 != 0 and 2**(v+1) divides g, g = 0 included
+    d0, gcds, common, _ = _gap_columns(gammas)
+    assert (common == lowest_bit_common(gammas)).all(), gammas.tolist()
+    assert (d0 == gammas[:, 1 % gammas.shape[1]] - gammas[:, 0]).all()
+
+
+def reached(pairs: list[tuple[int, int]]) -> set[int]:
+    """The classes joined to class 0 by pairs taken either way."""
+    seen, grew = {0}, True
+    while grew:
+        grew = False
+        for a, b in pairs:
+            if (a in seen) != (b in seen):
+                seen |= {a, b}
+                grew = True
+    return seen
+
+
+TREE_ORDERS = [*range(4, 241, 4), 720]
+TREE_CLASSES = {n: index_classes(n) for n in TREE_ORDERS}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([8, 2**28, 2**29 - 1, 2**29, 2**30 - 1, 2**31, GAMMA_EDGE]))
+def test_tree_gap_gcd_equals_the_all_pairs_gcd(seed, edge):
+    # every 4 | n <= 240, and 720: the tree is a spanning tree of the class
+    # graph, its pairs among the cyclic (of[j], of[j+1]) and d0's first; and
+    # on seeded class values up to edge, on both sides of the kernel's int32
+    # range and near 2**60, with constant rows and zero gaps,
+    # gcd(tree gaps less d0, cycle * d0) is the gcd over every gap
+    rng = np.random.default_rng(seed)
+    for n, classes in TREE_CLASSES.items():
+        of, count = classes.of.tolist(), len(classes.reps)
+        tree = list(zip(*classes.tree.tolist()))
+        assert tree[0] == (of[0], of[1]) and len(tree) == count - 1, n
+        assert set(tree) <= {(of[j], of[(j + 1) % n]) for j in range(n)}, n
+        assert reached(tree) == set(range(count)), n  # C - 1 pairs, connected: a tree
+        values = rng.integers(-edge, edge + 1, size=(8, count), dtype=np.int64)
+        values[0] = values[0, 0]  # every gap zero
+        values[1, ::2] = 0  # some gaps zero
+        values[2] = rng.choice([-edge, edge], size=count)
+        gammas = values[:, classes.of]
+        gaps = np.roll(gammas, -1, axis=1) - gammas
+        d0, gcds, _, _ = _gap_columns(values, classes)
+        assert (d0 == gaps[:, 0]).all(), n
+        assert gcds.tolist() == [math.gcd(*(row - row[0]).tolist()) for row in gaps], n
 
 
 def test_transfer_rows_refuses_what_the_verdicts_refuse():
