@@ -75,13 +75,21 @@ def _budgeted(orders: Sequence[int], budget: int) -> list[int]:
 class _Shapes(NamedTuple):
     """The divisor shapes (B, D) of order n as bool B and D membership matrices
     over the proper divisors cols, one row per shape.  Shape s owns the
-    enumeration rows ends[s] - 2**|D_s| up to ends[s], one per sign choice."""
+    enumeration rows ends[s] - 2**|D_s| up to ends[s], one per sign choice;
+    its row ends[s] - k is row tails[D_s @ key] - k of signed, which holds for
+    each k in turn the sign choices of the D-set whose members are k's bits
+    (key gives n/4's divisors the bits 1, 2, 4, ...), as the D part of a class
+    incidence [D less the flips, the flips]; flips is its right half."""
 
     n: int
     cols: tuple[int, ...]
     B: np.ndarray
     D: np.ndarray
     ends: np.ndarray
+    key: np.ndarray
+    tails: np.ndarray
+    signed: np.ndarray
+    flips: np.ndarray
 
     def specs(self, shape: np.ndarray, flips: np.ndarray) -> Iterator[GraphSpec]:
         """The validated spec of each row given by its shape and its flips."""
@@ -96,16 +104,29 @@ def _shapes(n: int) -> _Shapes:
     proper divisors, then D over those of n/4's divisors not in B, each in
     lexicographic order as ascending tuples: the empty set, those holding the
     first item, then the nonempty ones without it.  Filtering keeps the order,
-    so a disjointness mask over (B set, D set) pairs lists every shape."""
+    so a disjointness mask over (B set, D set) pairs lists every shape.  The
+    signed table grows the same way, one divisor of n/4 at a time in
+    ascending order: the blocks so far, then each of their rows with the new
+    divisor at +1 and at -1, so every block is in product order, +1 before -1
+    and the smallest divisor slowest.  Its 3**|divisors of n/4| rows never
+    outnumber the shapes, and it adds nothing per shape."""
     proper, d_pool = _pools(n)
     sets = np.ones((1, 0), dtype=bool)
     for width in range(1, len(proper) + 1):
         head = [np.zeros((1, width), dtype=bool), np.insert(sets, 0, True, axis=1)]
         sets = np.vstack([*head, np.insert(sets[1:], 0, False, axis=1)])
-    d_sets = sets[~sets[:, [d not in d_pool for d in proper]].any(axis=1)]
+    pool = np.array([d in d_pool for d in proper])
+    d_sets = sets[~sets[:, ~pool].any(axis=1)]
     b_of, d_of = np.nonzero(~(sets @ d_sets.T))  # a bool product is True on overlap
     D = d_sets[d_of]
-    return _Shapes(n, tuple(proper), sets[b_of], D, np.cumsum(1 << D.sum(axis=1)))
+    key = np.where(pool, 1 << np.cumsum(pool) - 1, 0)
+    tails, signed = np.ones(1, dtype=np.int64), np.zeros((1, 2 * len(proper)), dtype=bool)
+    for c in np.flatnonzero(pool):
+        grown = np.repeat(signed, 2, axis=0)
+        grown[0::2, c] = grown[1::2, len(proper) + c] = True
+        tails, signed = np.concatenate([tails, tails[-1] + 2 * tails]), np.vstack([signed, grown])
+    ends = np.cumsum(1 << D.sum(axis=1))
+    return _Shapes(n, tuple(proper), sets[b_of], D, ends, key, tails, signed, signed[:, len(proper):])
 
 
 # rows per chunk times the entries of a row: n for a spec's spectrum, the
@@ -114,26 +135,26 @@ def _shapes(n: int) -> _Shapes:
 CHUNK_ENTRIES = 2**14
 
 
-def _row_chunks(shapes: _Shapes, width: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Shape index and flip matrix (True where the sign is -1) of each row of
-    an order, max(1, CHUNK_ENTRIES // width) rows at a time: a chunk's rows
-    have about CHUNK_ENTRIES entries at any order, whole spectra at width n
-    (the default, 0), values on the index classes at the sweep's class count.
-    A shape's rows take its sign choices in product order, +1 before -1 and
-    the smallest divisor slowest: bit r of a row's offset in its block flips
-    the D member r from the right.  A chunk's shapes are one run of
-    consecutive shapes, so each one's first row and bit positions are found
-    once per chunk."""
-    total, size = int(shapes.ends[-1]), max(1, CHUNK_ENTRIES // (width or shapes.n))
+def _rows(shapes: _Shapes, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Shape index and signed-table row of each row of an order,
+    max(1, CHUNK_ENTRIES // width) rows at a time: a chunk's rows have about
+    CHUNK_ENTRIES entries at any order, whole spectra at width n, values on
+    the index classes at the sweep's class count.  A chunk's shapes are one
+    run, so one product of their D rows with key finds their blocks."""
+    total, size = int(shapes.ends[-1]), max(1, CHUNK_ENTRIES // width)
     for start in range(0, total, size):
         rows = np.arange(start, min(start + size, total))
-        shape = np.searchsorted(shapes.ends, rows, side="right")
-        first, last = shape[0], shape[-1] + 1
-        run, local = shapes.D[first:last], shape - first
-        firsts = shapes.ends[first:last] - (1 << run.sum(axis=1))
-        right = np.cumsum(run[:, ::-1], axis=1)[:, ::-1] - run
-        offset = rows - firsts[local]
-        yield shape, run[local] & (offset[:, None] >> right[local] & 1).astype(bool)
+        shape = shapes.ends.searchsorted(rows, side="right")
+        first = shape[0]
+        tails = shapes.tails[shapes.D[first:shape[-1] + 1] @ shapes.key]
+        yield shape, tails.take(shape - first) - (shapes.ends[shape] - rows)
+
+
+def _row_chunks(shapes: _Shapes, width: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Shape index and flip matrix (True where the sign is -1) of each row of
+    an order, in the chunks of _rows at width n (the default, 0) or width."""
+    for shape, signed in _rows(shapes, width or shapes.n):
+        yield shape, shapes.flips.take(signed, axis=0)
 
 
 def enumerate_specs(n: int) -> Iterator[GraphSpec]:
@@ -156,8 +177,8 @@ def _class_table(n: int) -> np.ndarray:
     rows over the proper divisors: the class G_n(d) of each, then the +1 and
     the -1 half class of each d | n/4 (zero rows elsewhere).  Each spec and its
     Hermitian row are built one by one as a whole spec's would be; one pass of
-    _oracle_spectra transforms, rounds and checks them all.  Floats let BLAS
-    sum rows: sums over disjoint classes are integers below n, so exact."""
+    _oracle_spectra transforms, rounds and checks them all, so every entry is
+    an integer held as a float."""
     proper, d_pool = _pools(n)
     rows = np.zeros((3, len(proper), n), dtype=complex)
     for c, d in enumerate(proper):
@@ -172,26 +193,33 @@ def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...
     index classes (spectrum.index_classes), a row being gamma[reps], and a
     (4, rows) bool matrix of their classifier, valuation and numeric answers
     and whether each keeps to the pair restriction.  The DFT is linear and
-    the classes of a valid spec are disjoint, so a spectrum is its row's
-    incidence (B, D less the flips, the flips) times the class table, whose
+    the classes of a valid spec are disjoint, so a spectrum is its incidence
+    (B, D less the flips, the flips) times the class table, whose
     representative columns are all it needs once the table is checked
-    constant on every class: ConsistencyError where it is not.  The
-    classifier reads B and D only, so it runs once per order; the other legs
-    are transfer_rows on each chunk of CHUNK_ENTRIES // C rows, C the class
-    count, which reads the gaps of the classes' spanning tree and expands to
-    all n indices only the rows it verifies."""
-    n = shapes.n
+    constant on every class: ConsistencyError where it is not.  So a row's
+    values are its shape's B part's plus its signed row's, taken in int64
+    once per order for the signed table and once per chunk for the B rows of
+    its run of shapes (no table over all 2**|cols| B-sets), then gathered and
+    added.  The classifier reads B and D only, so it runs once per order; the
+    other legs are transfer_rows on each chunk of CHUNK_ENTRIES // C rows, C
+    the class count, which reads the gaps of the classes' spanning tree and
+    expands to all n indices only the rows it verifies."""
+    n, split = shapes.n, len(shapes.cols)  # the table's B rows, then its D rows
     _, quarters, classifier, valuation = _mode(mode)
     targets = [k * n // 4 for k in quarters]
     judged, full, classes = classifier(n, shapes.B, shapes.D), _class_table(n), index_classes(n)
     table = full[:, classes.reps]
     if not (full == table[:, classes.of]).all():
         raise ConsistencyError(f"class table of order {n} not constant on its index classes")
-    for shape, flips in _row_chunks(shapes, len(classes.reps)):
-        incidence = np.hstack([shapes.B[shape], shapes.D[shape] & ~flips, flips])
-        values = (incidence @ table).astype(np.int64)
+    table = table.astype(np.int64)
+    b_table, signed_values = table[:split], shapes.signed @ table[split:]
+    for shape, signed in _rows(shapes, len(classes.reps)):
+        first = shape[0]
+        values = shapes.B[first:shape[-1] + 1] @ b_table
+        values = values.take(shape - first, axis=0) + signed_values.take(signed, axis=0)
         legs = transfer_rows(values, targets, classes)
-        yield shape, flips, values, np.array([judged[shape], legs[valuation], *legs[2:]])
+        votes = np.array([judged[shape], legs[valuation], *legs[2:]])
+        yield shape, shapes.flips.take(signed, axis=0), values, votes
 
 
 def crosscheck(n_max: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> SweepReport:

@@ -37,8 +37,8 @@ from mixedcirc import (
     validate_spec,
 )
 from mixedcirc.circulant import GraphSpec
-from mixedcirc.harness import CHUNK_ENTRIES, _judged_chunks, _row_chunks, _shapes
-from mixedcirc.numthy import MAX_N, divisors
+from mixedcirc.harness import CHUNK_ENTRIES, _class_table, _judged_chunks, _row_chunks, _shapes
+from mixedcirc.numthy import MAX_N, divisors, two_adic_valuation
 from mixedcirc.spectrum import index_classes
 from mixedcirc.transfer import (
     PST_CASES,
@@ -352,6 +352,66 @@ def test_sign_block_longer_than_a_chunk_is_cut(monkeypatch):
         assert rows == [spec_to_json(s) for s in islice(reference_specs(n), len(rows))]
     for c in sweep_chunks:
         _check_rows_against_oracle(shapes, *c)
+
+
+def offset_bit_flips(shapes, shape, rows):
+    """Flips of enumeration rows decoded from their indices, as the sweep did
+    before the signed table: bit r of a row's offset in its shape's sign
+    block flips the D member r from the right."""
+    D = shapes.D[shape]
+    firsts = shapes.ends[shape] - (1 << D.sum(axis=1))
+    right = np.cumsum(D[:, ::-1], axis=1)[:, ::-1] - D
+    return D & ((rows - firsts)[:, None] >> right & 1).astype(bool)
+
+
+@pytest.mark.parametrize("n", [48, 72, 96])
+def test_signed_table_rows_equal_the_incidence_product(monkeypatch, n):
+    # past the orders the per-spec oracle checks reach: on every row the
+    # flips read from the signed table are the offset-bit decoding of its
+    # index, at spec width and at class width, and the class values built
+    # from the two tables are its incidence times the class table, as the
+    # sweep formed them before (local copies of both)
+    monkeypatch.setattr(
+        mixedcirc.harness, "transfer_rows", lambda values, *_: np.zeros((4, len(values)), bool)
+    )
+    shapes = _shapes(n)
+    start = 0
+    for shape, flips in _row_chunks(shapes):
+        rows = np.arange(start, start + len(shape))
+        assert (flips == offset_bit_flips(shapes, shape, rows)).all()
+        start += len(shape)
+    assert start == count_specs(n)
+    table = _class_table(n)[:, index_classes(n).reps]
+    start = 0
+    for shape, flips, values, _ in _judged_chunks(shapes, "pst"):
+        rows = np.arange(start, start + len(shape))
+        assert (flips == offset_bit_flips(shapes, shape, rows)).all()
+        incidence = np.hstack([shapes.B[shape], shapes.D[shape] & ~flips, flips])
+        assert values.dtype == np.int64
+        assert (values == (incidence @ table).astype(np.int64)).all()
+        start += len(shape)
+    assert start == count_specs(n)
+
+
+def test_classifier_hits_match_the_closed_form_counts():
+    # the accept sets are products, so they count in closed form, t = v2(n) and
+    # tau = tau(n_odd): pst(n) = 2^(tau-1) (4 * 4^((t-2) tau) + [8 | n] 2 *
+    # 4^((t-3) tau)) and mst(n) = 2^(tau-1) 6 * 4^((t-3) tau) specs, each
+    # accepted shape counting its 2^|D| sign choices; through order 48 they
+    # sum to the positives of test_bench_size_sweep_frozen
+    totals = {"pst": 0, "mst": 0}
+    for n in range(4, 129, 4):
+        shapes, t = _shapes(n), two_adic_valuation(n)
+        tau, signs = len(divisors(n >> t)), 1 << shapes.D.sum(axis=1)
+        deep = 2 * 4 ** ((t - 3) * tau) if t >= 3 else 0
+        counts = {
+            "pst": (classify_pst_rows(n, shapes.B, shapes.D) != 0, 4 * 4 ** ((t - 2) * tau) + deep),
+            "mst": (classify_mst_rows(n, shapes.B, shapes.D), 3 * deep),
+        }
+        for mode, (hit, expected) in counts.items():
+            assert int(signs[hit].sum()) == 2 ** (tau - 1) * expected, (n, mode)
+            totals[mode] += int(signs[hit].sum()) if n <= 48 else 0
+    assert totals == {"pst": 2806, "mst": 342}
 
 
 @pytest.fixture
