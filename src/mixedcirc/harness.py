@@ -19,7 +19,8 @@ from .circulant import GraphSpec, SpecError, hermitian_adjacency
 from .circulant import spec_to_json, validate_spec
 from .numthy import divisors
 from .spectrum import _oracle_spectra, index_classes
-from .transfer import ConsistencyError, classify_mst_rows, classify_pst_rows, transfer_rows
+from .transfer import ConsistencyError, _class_weights, classify_mst_rows, classify_pst_rows
+from .transfer import transfer_rows
 
 DEFAULT_BUDGET = 10**6
 
@@ -99,11 +100,27 @@ class _Shapes(NamedTuple):
             yield validate_spec(self.n, B, D, dict(zip(D, compress(signs, d_on))))
 
 
+def _subsets(k: int) -> np.ndarray:
+    """The 2**k subsets of k items as a bool matrix over the items, one row
+    each, in lexicographic order as ascending tuples: the empty set, those
+    holding the first item, then the nonempty ones without it.  With item x
+    at bit k-1-x of a mask m, the sets before m are its popcount(m) proper
+    prefixes and, for each item x not in m ahead of m's last item, the
+    2**(k-1-x) sets that leave m at x; so m's row is popcount(m) plus the
+    mask of those items, (2**k - 1) & ~m & -2*lowbit(m).  The masks are
+    int32, exact for any k whose table fits in memory, so that the shifted
+    (2**k, k) matrix is half the size of an int64 one."""
+    masks = np.arange(1 << k, dtype=np.int32)
+    bits = (masks[:, None] >> np.arange(k - 1, -1, -1, dtype=np.int32) & 1).astype(bool)
+    sets = np.empty_like(bits)
+    sets[bits.sum(axis=1) + ((1 << k) - 1 & ~masks & -2 * (masks & -masks))] = bits
+    return sets
+
+
 def _shapes(n: int) -> _Shapes:
     """The shapes of order n in the frozen order: B over the subsets of the
     proper divisors, then D over those of n/4's divisors not in B, each in
-    lexicographic order as ascending tuples: the empty set, those holding the
-    first item, then the nonempty ones without it.  Filtering keeps the order,
+    the order of _subsets.  Filtering keeps the order,
     so a disjointness mask over (B set, D set) pairs lists every shape.  The
     signed table grows the same way, one divisor of n/4 at a time in
     ascending order: the blocks so far, then each of their rows with the new
@@ -111,10 +128,7 @@ def _shapes(n: int) -> _Shapes:
     and the smallest divisor slowest.  Its 3**|divisors of n/4| rows never
     outnumber the shapes, and it adds nothing per shape."""
     proper, d_pool = _pools(n)
-    sets = np.ones((1, 0), dtype=bool)
-    for width in range(1, len(proper) + 1):
-        head = [np.zeros((1, width), dtype=bool), np.insert(sets, 0, True, axis=1)]
-        sets = np.vstack([*head, np.insert(sets[1:], 0, False, axis=1)])
+    sets = _subsets(len(proper))
     pool = np.array([d in d_pool for d in proper])
     d_sets = sets[~sets[:, ~pool].any(axis=1)]
     b_of, d_of = np.nonzero(~(sets @ d_sets.T))  # a bool product is True on overlap
@@ -203,7 +217,8 @@ def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...
     added.  The classifier reads B and D only, so it runs once per order; the
     other legs are transfer_rows on each chunk of CHUNK_ENTRIES // C rows, C
     the class count, which reads the gaps of the classes' spanning tree and
-    expands to all n indices only the rows it verifies."""
+    verifies rows on their class values, with the order's (targets, C)
+    table of class weights built once beside the class table."""
     n, split = shapes.n, len(shapes.cols)  # the table's B rows, then its D rows
     _, quarters, classifier, valuation = _mode(mode)
     targets = [k * n // 4 for k in quarters]
@@ -211,13 +226,13 @@ def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...
     table = full[:, classes.reps]
     if not (full == table[:, classes.of]).all():
         raise ConsistencyError(f"class table of order {n} not constant on its index classes")
-    table = table.astype(np.int64)
+    table, weights = table.astype(np.int64), _class_weights(n, classes, targets) / n
     b_table, signed_values = table[:split], shapes.signed @ table[split:]
     for shape, signed in _rows(shapes, len(classes.reps)):
         first = shape[0]
         values = shapes.B[first:shape[-1] + 1] @ b_table
         values = values.take(shape - first, axis=0) + signed_values.take(signed, axis=0)
-        legs = transfer_rows(values, targets, classes)
+        legs = transfer_rows(values, targets, classes, weights)
         votes = np.array([judged[shape], legs[valuation], *legs[2:]])
         yield shape, shapes.flips.take(signed, axis=0), values, votes
 
@@ -225,7 +240,8 @@ def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...
 def crosscheck(n_max: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> SweepReport:
     """Run all three deciders over every valid spec with order up to n_max:
     the multiples of 4 for transfer 0 -> n/2 ("pst"), or of 8 for 0 -> n/4,
-    n/2, 3n/4 ("mst").  Raises BudgetExceeded before building any spec.
+    n/2, 3n/4 ("mst").  Raises BudgetExceeded before building any spec, and
+    SpecError where n_max is below the mode's first order, 4 or 8.
 
     Legs per spec: the divisor-set classifier, the gap-valuation test on the
     oracle (FFT) spectrum, and exact witness feasibility verified
@@ -236,6 +252,8 @@ def crosscheck(n_max: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> S
     a mismatch gets a GraphSpec.  After each order one progress line goes to
     stderr: the order, the specs and mismatches so far, and specs/s."""
     step = _mode(mode)[0]
+    if n_max < step:  # an empty sweep would read as a clean one
+        raise SpecError(f"{mode} crosscheck starts at order {step}, got n_max {n_max}")
     report = SweepReport(mode=mode, n_range=_budgeted(range(step, n_max + 1, step), budget))
     positive, start = 0, time.perf_counter()
     for n in report.n_range:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .circulant import GraphSpec
-from .numthy import _check_ints, divisors, two_adic_valuation
+from .numthy import _check_ints, divisors, ramanujan_sine_sum, ramanujan_sum, two_adic_valuation
 from .spectrum import IndexClasses, Spectrum, eigenvalues_closed_form
 
 NUMERIC_TOL = 1e-9
@@ -254,8 +254,7 @@ def classify_mst_rows(n: int, B: np.ndarray, D: np.ndarray) -> np.ndarray:
     the directed half-class adds +-4 for j = 2 (mod 4), and either term
     makes the double gaps at even j 4 (mod 8), as mst_by_valuation requires.
     """
-    eighth = _divisor_columns(n)[0] == n // 8
-    return mst_sufficient_rows(n, B, D | B & eighth)  # the chain never reads B at n/8
+    return _quarter_orbit_rows(n, B, D, undirected_eighth=True)
 
 
 def mst_sufficient_rows(n: int, B: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -264,10 +263,20 @@ def mst_sufficient_rows(n: int, B: np.ndarray, D: np.ndarray) -> np.ndarray:
     and {n/8}, and n/2 not in B.  Sufficient only: it rejects the rows whose
     n/8 class is undirected, the smallest being n = 8, B = {1}, D = {2}, which
     does transfer around the quarter orbit (classify_mst_rows)."""
+    return _quarter_orbit_rows(n, B, D, undirected_eighth=False)
+
+
+def _quarter_orbit_rows(n: int, B: np.ndarray, D: np.ndarray, undirected_eighth: bool):
+    """mst_sufficient_rows, reading layer 3 of D | (B at n/8) in place of D's
+    where undirected_eighth holds (classify_mst_rows): only the layer-3
+    columns are combined, the chain never reading B at n/8."""
     if n % 8:
         return np.zeros(len(B), dtype=bool)
     cols, layer, top, image = _divisor_columns(n)
-    layers = _layer_is(cols, layer, D, 2, n // 4) & _layer_is(cols, layer, D, 3, n // 8)
+    third, eighth = D[:, layer == 3], cols[layer == 3] == n // 8
+    if undirected_eighth:
+        third[:, eighth] |= B[:, cols == n // 8]
+    layers = _layer_is(cols, layer, D, 2, n // 4) & (third == eighth).all(axis=1)
     return layers & _chain(top, image, B, 3) & ~B[:, np.searchsorted(cols, n // 2)]
 
 
@@ -340,20 +349,47 @@ def minimal_pst_time(spectrum: Spectrum, a: int, b: int) -> Fraction:
     return t
 
 
-def verify_rows(gammas, times, diffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def verify_rows(gammas, times, diffs, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The numeric transfer check on each row of a (k, n) matrix of spectra (or
     one spectrum), at times t' in a (k, T) matrix, across vertex differences
     diffs[j] = (b - a) mod n: (k, T) arrays of ok (residual below NUMERIC_TOL),
     amplitude U_ab and residual |1 - |U||, np.hypot being as exact as abs().
-    It holds k*T*n terms: the sweep passes chunks, the verdicts one time each;
-    a float matrix or row is read in place, not copied."""
+    Whole rows sum the k*T*n terms exp(2*pi*i*(gamma_r*t' - r*w/n)) / n, the
+    verdicts one time each; a float matrix or row is read in place, not
+    copied.  Where weights is given, the rows are (k, C) values on index
+    classes (spectrum.IndexClasses), a row being gamma[reps], and weights the
+    (T, C) table _class_weights(n, classes, diffs) / n: the same sum taken
+    class by class, U = sum over C of weights[j, C] * exp(2*pi*i*gamma_C*t'),
+    in k*T*C terms, the table standing in for diffs."""
     gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
-    n = gammas.shape[1]
-    offsets = np.arange(n, dtype=float) * (-np.asarray(diffs) % n)[:, None] / n
-    phases = gammas[:, None] * np.asarray(times, dtype=float)[..., None] + offsets
-    amps = np.exp(2j * np.pi * phases).sum(axis=2) / n
+    times = np.asarray(times, dtype=float)[..., None]
+    if weights is None:
+        n = gammas.shape[1]
+        offsets = np.arange(n, dtype=float) * (-np.asarray(diffs) % n)[:, None] / n
+        amps = np.exp(2j * np.pi * (gammas[:, None] * times + offsets)).sum(axis=2) / n
+    else:
+        amps = (np.exp(2j * np.pi * (gammas[:, None] * times)) * weights).sum(axis=2)
     residuals = np.abs(1.0 - np.hypot(amps.real, amps.imag))
     return residuals < NUMERIC_TOL, amps, residuals
+
+
+def _class_weights(n: int, classes: IndexClasses, diffs: list[int]) -> np.ndarray:
+    """The (T, C) complex table of W_C(w), the sum of exp(-2*pi*i*r*w/n) over
+    the indices r of class C, for each w in diffs and each index class C of
+    order n (spectrum.index_classes), from the Ramanujan kernels at m = n/g, g
+    the class's gcd: c_m(w) for a whole gcd class, 4 not dividing m, and
+    (c_m(w) +- i*s_m(w))/2 for the half classes r/g = 1 and 3 (mod 4), which
+    share c_m's cosine terms and split s_m's sine terms.  Every entry is an
+    integer or half of one, exact in floats; the kernels take Python ints."""
+    table = np.zeros((len(diffs), len(classes.reps)), dtype=complex)
+    for c, r in enumerate(classes.reps.tolist()):
+        g = math.gcd(r, n)
+        m, sign = n // g, (1 if r // g % 4 == 1 else -1)
+        for j, w in enumerate(diffs):
+            q = w % n or n  # w = 0 (mod n): c_m(n) = phi(m), s_m(n) = 0
+            cos = ramanujan_sum(m, q)
+            table[j, c] = cos if m % 4 else complex(cos, sign * ramanujan_sine_sum(m, q)) / 2
+    return table
 
 
 def verify_numeric(spectrum: Spectrum, a: int, b: int, t_prime) -> tuple[bool, complex, float]:
@@ -374,7 +410,9 @@ def pair_restriction_check(spectrum: Spectrum) -> frozenset[int]:
     return frozenset(range(s, n, s))
 
 
-def _witnesses(values: np.ndarray, targets: list[int], classes: Optional[IndexClasses] = None):
+def _witnesses(
+    values: np.ndarray, targets: list[int], classes: Optional[IndexClasses] = None, weights=None
+):
     """The one route from spectra to checked witnesses of transfer from
     vertex 0 to every one of targets, on a matrix of spectra held on classes
     as _gap_columns reads it (the singleton partition where classes is
@@ -383,9 +421,11 @@ def _witnesses(values: np.ndarray, targets: list[int], classes: Optional[IndexCl
     every target's difference; their numerators k as a (rows, targets)
     array, each time being k/g with g the row's gap gcd, solved once per
     distinct (d0, g) among them (_witness_ks); and verify_rows' (ok,
-    amplitude, residual) arrays on those rows, expanded to all n indices by
-    classes.of, at those times, None when no row has one.  An empty target
-    list is a ValueError, a target = 0 (mod n) SamePair."""
+    amplitude, residual) arrays on those rows at those times, None when no
+    row has one.  Rows held on classes are checked on their class values
+    with weights, verify_rows' (targets, C) table, built here where the
+    caller passes none.  An empty target list is a ValueError, a target = 0
+    (mod n) SamePair."""
     values = np.asarray(values)
     columns = d0, gcds, _, _ = _gap_columns(values, classes)
     n = values.shape[1] if classes is None else len(classes.of)
@@ -397,24 +437,26 @@ def _witnesses(values: np.ndarray, targets: list[int], classes: Optional[IndexCl
     rows = list(zip(d0[feasible].tolist(), gcds[feasible].tolist()))
     solved = {row: _witness_ks(n, *row, diffs) for row in set(rows)}
     ks = np.array([solved[row] for row in rows], dtype=np.int64).reshape(len(rows), len(diffs))
-    # expanded by one gather in C order: verify_rows then sums each row as
-    # it would a full-width matrix's, residual bits included
-    full = values[feasible] if classes is None else values[feasible[:, None], classes.of]
-    checked = verify_rows(full, ks / gcds[feasible, None], diffs) if rows else None
+    if classes is not None and weights is None:
+        weights = _class_weights(n, classes, diffs) / n
+    times = ks / gcds[feasible, None]
+    checked = verify_rows(values[feasible], times, diffs, weights) if rows else None
     return columns, n // step, feasible, ks, checked
 
 
 def transfer_rows(
-    values: np.ndarray, targets: list[int], classes: Optional[IndexClasses] = None
+    values: np.ndarray, targets: list[int], classes: Optional[IndexClasses] = None, weights=None
 ) -> np.ndarray:
     """A (4, k) bool matrix of answers on transfer from vertex 0 to every one
     of targets, for each row of a matrix of spectra held on classes as
     _gap_columns reads it: the common-valuation flag, the quarter flag and
-    the numeric answer, read off _witnesses, a failed check being a numeric
-    False for the caller; and whether the row keeps to the pair restriction,
-    its feasible differences and 0 forming a group of order 1, 2 or 4, so
-    that each is a quarter point."""
-    (_, _, common, quarter), order, feasible, _, checked = _witnesses(values, targets, classes)
+    the numeric answer, read off _witnesses (with weights, the class table
+    a caller holding many chunks of one order builds once), a failed check
+    being a numeric False for the caller; and whether the row keeps to the
+    pair restriction, its feasible differences and 0 forming a group of
+    order 1, 2 or 4, so that each is a quarter point."""
+    witnesses = _witnesses(values, targets, classes, weights)
+    (_, _, common, quarter), order, feasible, _, checked = witnesses
     numeric = np.zeros_like(common)
     if checked is not None:
         numeric[feasible] = checked[0].all(axis=1)

@@ -72,7 +72,7 @@ def reference_specs(n: int):
             yield validate_spec(n, b_tuple, d_tuple, dict(zip(d_tuple, signs)))
 
 
-def failing_verify_rows(gammas, times, diffs):
+def failing_verify_rows(gammas, times, diffs, weights=None):
     """verify_rows with every entry failing: ok False, amplitude 1, residual 0.5."""
     shape = np.shape(times)
     return np.zeros(shape, dtype=bool), np.ones(shape, dtype=complex), np.full(shape, 0.5)

@@ -295,6 +295,13 @@ def test_crosscheck_budget_error(capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("argv", [["--n-max", "0"], ["--n-max", "-5", "--mode", "mst"]])
+def test_crosscheck_n_max_below_the_first_order_exits_two(capsys, argv):
+    code, out, _ = run(capsys, ["crosscheck", *argv])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "input"
+
+
 # -------------------------------------------------------------------- export
 
 def test_export_dot(tmp_path, capsys):

@@ -38,6 +38,7 @@ from mixedcirc import (
 )
 from mixedcirc.circulant import GraphSpec
 from mixedcirc.harness import CHUNK_ENTRIES, _class_table, _judged_chunks, _row_chunks, _shapes
+from mixedcirc.harness import _subsets
 from mixedcirc.numthy import MAX_N, divisors, two_adic_valuation
 from mixedcirc.spectrum import index_classes
 from mixedcirc.transfer import (
@@ -106,6 +107,24 @@ def test_shape_matrices_follow_the_frozen_order():
         ends = _shapes(n).ends.tolist()
         assert ends == np.cumsum([2 ** len(d) for _, d in reference]).tolist()
         assert ends[-1] == count_specs(n)
+
+
+def recursive_subsets(k: int) -> np.ndarray:
+    """The subset table grown one item at a time, the new item first: the
+    empty set, the item over every subset of the rest, then the nonempty
+    subsets of the rest without it."""
+    sets = np.ones((1, 0), dtype=bool)
+    for width in range(1, k + 1):
+        head = [np.zeros((1, width), dtype=bool), np.insert(sets, 0, True, axis=1)]
+        sets = np.vstack([*head, np.insert(sets[1:], 0, False, axis=1)])
+    return sets
+
+
+def test_subset_table_by_preorder_rank_equals_the_recursive_build():
+    for k in range(15):
+        table = _subsets(k)
+        assert table.dtype == bool and table.shape == (2**k, k), k
+        assert (table == recursive_subsets(k)).all(), k
 
 
 def test_enumeration_equals_reference_order():
@@ -180,14 +199,15 @@ def test_crosscheck_reports_failed_numeric_check_as_mismatch(monkeypatch):
 def test_one_failed_row_is_one_mismatch(monkeypatch):
     # the chunk's numeric answers land on their own rows: failing the check
     # for one spec's spectrum alone makes that spec a mismatch, and none of
-    # the other verified rows of its chunk (case iii is row 14 of 18 there)
+    # the other verified rows of its chunk (case iii is row 14 of 18 there),
+    # each row reaching the check as its values at the index classes' reps
     chosen = pst_case_iii_graph()
-    gamma = eigenvalues_closed_form(chosen).gamma
+    gamma = np.array(eigenvalues_closed_form(chosen).gamma)[index_classes(8).reps].tolist()
     real, hits = mixedcirc.transfer.verify_rows, []
 
-    def fail_chosen(gammas, times, diffs):
-        ok, amps, residuals = real(gammas, times, diffs)
-        hit = [i for i, row in enumerate(np.asarray(gammas).tolist()) if tuple(row) == gamma]
+    def fail_chosen(gammas, times, diffs, weights=None):
+        ok, amps, residuals = real(gammas, times, diffs, weights)
+        hit = [i for i, row in enumerate(np.asarray(gammas).tolist()) if row == gamma]
         hits.append((len(gammas), hit))
         ok[hit] = False
         return ok, amps, residuals
@@ -238,6 +258,13 @@ def test_sweep_refuses_a_class_table_not_constant_on_its_classes(monkeypatch):
     assert crosscheck(4, "pst").mismatches == []
     with pytest.raises(ConsistencyError, match="order 8"):
         crosscheck(8, "pst")
+
+
+@pytest.mark.parametrize("n_max, mode", [(0, "pst"), (3, "pst"), (-5, "mst"), (7, "mst")])
+def test_crosscheck_refuses_an_n_max_below_the_first_order(n_max, mode):
+    # no order to check is an input error, not a clean sweep of 0 specs
+    with pytest.raises(SpecError, match=f"{mode} crosscheck starts at order"):
+        crosscheck(n_max, mode)
 
 
 def test_crosscheck_budget_guard():

@@ -49,6 +49,7 @@ from mixedcirc.numthy import divisors
 from mixedcirc.spectrum import index_classes
 from mixedcirc.transfer import (
     PST_CASES,
+    _class_weights,
     _gap_columns,
     _profile,
     _step,
@@ -57,6 +58,7 @@ from mixedcirc.transfer import (
     classify_pst_rows,
     mst_sufficient_rows,
     transfer_rows,
+    verify_rows,
 )
 
 
@@ -424,14 +426,17 @@ SWEEP_MODES = pytest.mark.parametrize(
 )
 
 
-def assert_widths_agree(values, classes, targets, label):
+def assert_widths_agree(values, classes, targets, label, numeric=True):
     """_gap_columns and transfer_rows on a matrix held on classes equal them
-    on its expansion to every index."""
+    on its expansion to every index; transfer_rows' numeric answer, a float
+    sum over the classes on one side and over the indices on the other,
+    only where numeric holds."""
     gammas = values[:, classes.of]
     for narrow, wide in zip(_gap_columns(values, classes), _gap_columns(gammas)):
         assert (narrow == wide).all(), label
-    answers = transfer_rows(gammas, targets)
-    assert (transfer_rows(values, targets, classes) == answers).all(), label
+    legs = [0, 1, 2, 3] if numeric else [0, 1, 3]
+    answers = transfer_rows(gammas, targets)[legs]
+    assert (transfer_rows(values, targets, classes)[legs] == answers).all(), label
 
 
 @SWEEP_MODES
@@ -457,7 +462,10 @@ def test_class_width_equals_full_width_on_seeded_rows():
     # constant rows and zero gaps, ones at the edge of the kernel's int32
     # range and just past it, near |gamma| = 2**59, and spread over all of
     # (-2**59, 2**59); a shift by 2**40 moves a matrix onto int64 and leaves
-    # every gap, so every column, as it was
+    # every gap, so every column, as it was.  The numeric answers are
+    # compared up to |gamma| = 2**30: near 2**59 float(gamma) is off by up to
+    # 64, so neither float sum is exact there (the whole-row sum fails rows
+    # whose exact witness makes |U| = 1)
     rng = np.random.default_rng(20262)
     edge, top = 2**29 - 1, 2**59
     for n in (4, 8, 12, 16, 24, 48, 96, 240):
@@ -476,7 +484,7 @@ def test_class_width_equals_full_width_on_seeded_rows():
         ]
         for k, values in enumerate(matrices):
             for targets in ([n // 2], [n // 4, n // 2, 3 * n // 4]):
-                assert_widths_agree(values, classes, targets, (n, k))
+                assert_widths_agree(values, classes, targets, (n, k), numeric=k < 3)
         for values in matrices[:3]:
             shifted = _gap_columns(values + 2**40, classes)
             for a, b in zip(_gap_columns(values, classes), shifted):
@@ -967,50 +975,95 @@ def scalar_verify(gamma, a, b, t_prime):
     return residual < 1e-9, residual
 
 
-@pytest.mark.parametrize(
-    "mode, step, quarters", [("pst", 4, (2,)), ("mst", 8, (1, 2, 3))], ids=["pst", "mst"]
-)
-def test_chunk_verification_equals_the_per_row_route(monkeypatch, mode, step, quarters):
-    # every sweep row with a witness for every target, 4 | n <= 48 (pst) or
-    # 8 | n <= 48 (mst), goes through its chunk's one verify_rows call with
-    # the float of its Fraction witness (the loop profile's solve on the gap
-    # kernel's d0 and gap gcd), and gets the ok flag and the residual, bit
-    # for bit, of the per-row route
+def swept_checks(monkeypatch, mode, step, quarters):
+    """The sweep's verify_rows calls over 4 | n <= 48 (pst) or 8 | n <= 48
+    (mst), each pinned to the rows the loop profile finds a witness for:
+    one call per chunk holding such a row, none for the others, with those
+    rows' values at the index classes' reps, the floats of their Fraction
+    witnesses, the targets and the order's class weights.  Yields the
+    targets, the call's arguments and result, and per witnessed row its
+    class values, its whole spectrum and its witnesses."""
     import mixedcirc.transfer
 
-    real, calls = mixedcirc.transfer.verify_rows, []
+    calls = []
 
-    def recording(gammas, times, diffs):
-        result = real(gammas, times, diffs)
-        calls.append((np.asarray(gammas).tolist(), np.asarray(times).tolist(), list(diffs), result))
+    def recording(gammas, times, diffs, weights=None):
+        result = verify_rows(gammas, times, diffs, weights)
+        calls.append(((gammas, times, diffs, weights), result))
         return result
 
     monkeypatch.setattr(mixedcirc.transfer, "verify_rows", recording)
-    rows = 0
     for n in range(step, 49, step):
-        targets, of = [k * n // 4 for k in quarters], index_classes(n).of
+        targets, classes = [k * n // 4 for k in quarters], index_classes(n)
+        weights = _class_weights(n, classes, targets) / n
         for _, _, values, _ in _judged_chunks(_shapes(n), mode):
-            gammas, witnessed = values[:, of], []
+            gammas, witnessed = values[:, classes.of], []
             d0, gcds, _, _ = _gap_columns(gammas)
-            for gamma, d, g in zip(gammas.tolist(), d0.tolist(), gcds.tolist()):
+            columns = values.tolist(), gammas.tolist(), d0.tolist(), gcds.tolist()
+            for row, gamma, d, g in zip(*columns):
                 times = [loop_witness(n, d, g, b) for b in targets]
                 if all(t is not None for t in times):
-                    witnessed.append((gamma, times))
+                    witnessed.append((row, gamma, times))
             if not witnessed:
                 assert calls == [], n
                 continue
-            [(got, got_times, diffs, (ok, _, residuals))] = calls
+            [(args, result)] = calls
             calls.clear()
-            assert diffs == targets
-            assert got == [gamma for gamma, _ in witnessed], n
-            for i, (gamma, times) in enumerate(witnessed):
-                for j, (b, t) in enumerate(zip(targets, times)):
-                    ref_ok, ref_residual = scalar_verify(gamma, 0, b, t)
-                    assert got_times[i][j] == float(t), (gamma, b)
-                    assert ok[i, j] == ref_ok, (gamma, b)
-                    assert residuals[i, j].hex() == ref_residual.hex(), (gamma, b)
-            rows += len(witnessed)
+            got, got_times, diffs, got_weights = args
+            assert diffs == targets and (got_weights == weights).all(), n
+            assert np.asarray(got).tolist() == [row for row, _, _ in witnessed], n
+            floats = [[float(t) for t in times] for _, _, times in witnessed]
+            assert np.asarray(got_times).tolist() == floats, n
+            yield targets, args, result, witnessed
+
+
+@SWEEP_MODES
+def test_chunk_verification_equals_the_per_row_route(monkeypatch, mode, step, quarters):
+    # every sweep row with a witness for every target goes through its
+    # chunk's one verify_rows call on its class values, and gets the ok
+    # flag, amplitude and residual, bit for bit, of the same class sum run
+    # on that row alone
+    rows = 0
+    for _, (got, times, diffs, weights), checked, witnessed in swept_checks(
+        monkeypatch, mode, step, quarters
+    ):
+        for i in range(len(witnessed)):
+            alone = verify_rows(got[i : i + 1], times[i : i + 1], diffs, weights)
+            for whole, one in zip(checked, alone):  # ok, amplitude, residual
+                assert whole[i].tobytes() == one[0].tobytes(), got[i].tolist()
+        rows += len(witnessed)
     assert rows == {"pst": 2806, "mst": 342}[mode]  # the sweep's positive counts
+
+
+@SWEEP_MODES
+def test_class_sum_check_equals_the_whole_row_check(monkeypatch, mode, step, quarters):
+    # on every witnessed sweep row the class sum's ok flag is that of the
+    # n-term sum over the whole spectrum, one row and one time at a time,
+    # and the residuals differ by at most 1e-12
+    worst, checks = 0.0, swept_checks(monkeypatch, mode, step, quarters)
+    for targets, _, (ok, _, residuals), witnessed in checks:
+        for i, (_, gamma, times) in enumerate(witnessed):
+            for j, (b, t) in enumerate(zip(targets, times)):
+                ref_ok, ref_residual = scalar_verify(gamma, 0, b, t)
+                assert ok[i, j] == ref_ok, (gamma, b)
+                worst = max(worst, abs(residuals[i, j] - ref_residual))
+    assert worst <= 1e-12
+
+
+def test_class_weights_equal_the_brute_class_sums():
+    # every 4 | n <= 240, and 720 and 1024: the kernel table at every w in
+    # 0..n-1 is the sum of exp(-2*pi*i*r*w/n) over the members r of each
+    # index class, taken term by term
+    entries = 0
+    for n in [*range(4, 241, 4), 720, 1024]:
+        classes = index_classes(n)
+        r = np.arange(n)
+        terms = np.exp(-2j * np.pi * (np.outer(r, r) % n) / n)
+        brute = terms @ (classes.of[:, None] == np.arange(len(classes.reps)))
+        table = _class_weights(n, classes, list(range(n)))
+        assert np.abs(table - brute).max() <= 1e-9, n
+        entries += table.size
+    assert entries > 160_000
 
 
 # --------------------------------------------------------- pair restriction
@@ -1139,7 +1192,7 @@ def test_mst_verdict_reads_the_first_phase_and_the_worst_residual(monkeypatch):
     # stand-in check fixes distinct amplitudes and residuals per target
     import mixedcirc.transfer
 
-    def passing(gammas, times, diffs):
+    def passing(gammas, times, diffs, weights=None):
         shape = np.shape(times)
         amps = np.broadcast_to(np.array([1j, -1, 1]), shape)
         residuals = np.broadcast_to(np.array([1e-12, 3e-12, 2e-12]), shape)
