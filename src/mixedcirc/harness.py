@@ -226,7 +226,7 @@ def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...
     table = full[:, classes.reps]
     if not (full == table[:, classes.of]).all():
         raise ConsistencyError(f"class table of order {n} not constant on its index classes")
-    table, weights = table.astype(np.int64), _class_weights(n, classes, targets) / n
+    table, weights = table.astype(np.int64), _class_weights(n, classes, targets)
     b_table, signed_values = table[:split], shapes.signed @ table[split:]
     for shape, signed in _rows(shapes, len(classes.reps)):
         first = shape[0]

@@ -267,16 +267,16 @@ def mst_sufficient_rows(n: int, B: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 def _quarter_orbit_rows(n: int, B: np.ndarray, D: np.ndarray, undirected_eighth: bool):
-    """mst_sufficient_rows, reading layer 3 of D | (B at n/8) in place of D's
-    where undirected_eighth holds (classify_mst_rows): only the layer-3
-    columns are combined, the chain never reading B at n/8."""
+    """mst_sufficient_rows, where undirected_eighth holds (classify_mst_rows)
+    also passing the rows whose layer 3 of D | (B at n/8) is {n/8}: B and D
+    being disjoint, those with D's layer 3 empty and n/8 in B."""
     if n % 8:
         return np.zeros(len(B), dtype=bool)
     cols, layer, top, image = _divisor_columns(n)
-    third, eighth = D[:, layer == 3], cols[layer == 3] == n // 8
+    third = _layer_is(cols, layer, D, 3, n // 8)
     if undirected_eighth:
-        third[:, eighth] |= B[:, cols == n // 8]
-    layers = _layer_is(cols, layer, D, 2, n // 4) & (third == eighth).all(axis=1)
+        third |= _layer_is(cols, layer, D, 3, 0) & B[:, np.searchsorted(cols, n // 8)]
+    layers = _layer_is(cols, layer, D, 2, n // 4) & third
     return layers & _chain(top, image, B, 3) & ~B[:, np.searchsorted(cols, n // 2)]
 
 
@@ -358,7 +358,7 @@ def verify_rows(gammas, times, diffs, weights=None) -> tuple[np.ndarray, np.ndar
     verdicts one time each; a float matrix or row is read in place, not
     copied.  Where weights is given, the rows are (k, C) values on index
     classes (spectrum.IndexClasses), a row being gamma[reps], and weights the
-    (T, C) table _class_weights(n, classes, diffs) / n: the same sum taken
+    (T, C) table _class_weights(n, classes, diffs): the same sum taken
     class by class, U = sum over C of weights[j, C] * exp(2*pi*i*gamma_C*t'),
     in k*T*C terms, the table standing in for diffs."""
     gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
@@ -374,13 +374,14 @@ def verify_rows(gammas, times, diffs, weights=None) -> tuple[np.ndarray, np.ndar
 
 
 def _class_weights(n: int, classes: IndexClasses, diffs: list[int]) -> np.ndarray:
-    """The (T, C) complex table of W_C(w), the sum of exp(-2*pi*i*r*w/n) over
-    the indices r of class C, for each w in diffs and each index class C of
-    order n (spectrum.index_classes), from the Ramanujan kernels at m = n/g, g
-    the class's gcd: c_m(w) for a whole gcd class, 4 not dividing m, and
-    (c_m(w) +- i*s_m(w))/2 for the half classes r/g = 1 and 3 (mod 4), which
-    share c_m's cosine terms and split s_m's sine terms.  Every entry is an
-    integer or half of one, exact in floats; the kernels take Python ints."""
+    """The (T, C) complex table of W_C(w) / n, W_C(w) the sum of
+    exp(-2*pi*i*r*w/n) over the indices r of class C, for each w in diffs
+    and each index class C of order n (spectrum.index_classes), from the
+    Ramanujan kernels at m = n/g, g the class's gcd: c_m(w) for a whole gcd
+    class, 4 not dividing m, and (c_m(w) +- i*s_m(w))/2 for the half classes
+    r/g = 1 and 3 (mod 4), which share c_m's cosine terms and split s_m's
+    sine terms.  Every W_C(w) is an integer or half of one, exact in floats;
+    the kernels take Python ints."""
     table = np.zeros((len(diffs), len(classes.reps)), dtype=complex)
     for c, r in enumerate(classes.reps.tolist()):
         g = math.gcd(r, n)
@@ -389,7 +390,7 @@ def _class_weights(n: int, classes: IndexClasses, diffs: list[int]) -> np.ndarra
             q = w % n or n  # w = 0 (mod n): c_m(n) = phi(m), s_m(n) = 0
             cos = ramanujan_sum(m, q)
             table[j, c] = cos if m % 4 else complex(cos, sign * ramanujan_sine_sum(m, q)) / 2
-    return table
+    return table / n
 
 
 def verify_numeric(spectrum: Spectrum, a: int, b: int, t_prime) -> tuple[bool, complex, float]:
@@ -423,24 +424,32 @@ def _witnesses(
     distinct (d0, g) among them (_witness_ks); and verify_rows' (ok,
     amplitude, residual) arrays on those rows at those times, None when no
     row has one.  Rows held on classes are checked on their class values
-    with weights, verify_rows' (targets, C) table, built here where the
-    caller passes none.  An empty target list is a ValueError, a target = 0
-    (mod n) SamePair."""
+    with weights, the _class_weights table of the targets, which goes with
+    classes and only with them.  A row with an entry of 2**29 or more (past
+    _gap_columns' int32 range) is checked modulo g: each phase gamma*k/g
+    moves by an integer and stays below k, where float(gamma)*k/g would
+    lose its fraction; smaller entries are read as they are, so graph
+    spectra keep their float phases bit for bit.  An empty target list is a
+    ValueError, a target = 0 (mod n) SamePair."""
     values = np.asarray(values)
     columns = d0, gcds, _, _ = _gap_columns(values, classes)
     n = values.shape[1] if classes is None else len(classes.of)
     if not targets:
         raise ValueError("transfer needs at least one target")
+    if (classes is None) != (weights is None):
+        raise ValueError("class weights go with classes, and classes with weights")
     diffs = [_difference(n, 0, b) for b in targets]
     step = _step(n, d0, gcds)
     feasible = np.flatnonzero(np.logical_and.reduce([w % step == 0 for w in diffs]))
     rows = list(zip(d0[feasible].tolist(), gcds[feasible].tolist()))
     solved = {row: _witness_ks(n, *row, diffs) for row in set(rows)}
     ks = np.array([solved[row] for row in rows], dtype=np.int64).reshape(len(rows), len(diffs))
-    if classes is not None and weights is None:
-        weights = _class_weights(n, classes, diffs) / n
-    times = ks / gcds[feasible, None]
-    checked = verify_rows(values[feasible], times, diffs, weights) if rows else None
+    spectra, g = values[feasible], gcds[feasible, None]
+    if rows and (spectra.max() >= 2**29 or spectra.min() <= -(2**29)):
+        spectra = spectra.astype(np.int64)
+        large = (np.abs(spectra) >= 2**29).any(axis=1)
+        spectra[large] %= g[large]
+    checked = verify_rows(spectra, ks / g, diffs, weights) if rows else None
     return columns, n // step, feasible, ks, checked
 
 
@@ -450,11 +459,11 @@ def transfer_rows(
     """A (4, k) bool matrix of answers on transfer from vertex 0 to every one
     of targets, for each row of a matrix of spectra held on classes as
     _gap_columns reads it: the common-valuation flag, the quarter flag and
-    the numeric answer, read off _witnesses (with weights, the class table
-    a caller holding many chunks of one order builds once), a failed check
-    being a numeric False for the caller; and whether the row keeps to the
-    pair restriction, its feasible differences and 0 forming a group of
-    order 1, 2 or 4, so that each is a quarter point."""
+    the numeric answer, read off _witnesses (with classes, their weights
+    table, which a caller holding many chunks of one order builds once), a
+    failed check being a numeric False for the caller; and whether the row
+    keeps to the pair restriction, its feasible differences and 0 forming a
+    group of order 1, 2 or 4, so that each is a quarter point."""
     witnesses = _witnesses(values, targets, classes, weights)
     (_, _, common, quarter), order, feasible, _, checked = witnesses
     numeric = np.zeros_like(common)

@@ -53,6 +53,7 @@ from mixedcirc.transfer import (
     _gap_columns,
     _profile,
     _step,
+    _witnesses,
     _witness_ks,
     classify_mst_rows,
     classify_pst_rows,
@@ -426,17 +427,15 @@ SWEEP_MODES = pytest.mark.parametrize(
 )
 
 
-def assert_widths_agree(values, classes, targets, label, numeric=True):
+def assert_widths_agree(values, classes, targets, label):
     """_gap_columns and transfer_rows on a matrix held on classes equal them
-    on its expansion to every index; transfer_rows' numeric answer, a float
-    sum over the classes on one side and over the indices on the other,
-    only where numeric holds."""
+    on its expansion to every index."""
     gammas = values[:, classes.of]
     for narrow, wide in zip(_gap_columns(values, classes), _gap_columns(gammas)):
         assert (narrow == wide).all(), label
-    legs = [0, 1, 2, 3] if numeric else [0, 1, 3]
-    answers = transfer_rows(gammas, targets)[legs]
-    assert (transfer_rows(values, targets, classes)[legs] == answers).all(), label
+    answers = transfer_rows(gammas, targets)
+    weights = _class_weights(len(classes.of), classes, targets)
+    assert (transfer_rows(values, targets, classes, weights) == answers).all(), label
 
 
 @SWEEP_MODES
@@ -462,10 +461,7 @@ def test_class_width_equals_full_width_on_seeded_rows():
     # constant rows and zero gaps, ones at the edge of the kernel's int32
     # range and just past it, near |gamma| = 2**59, and spread over all of
     # (-2**59, 2**59); a shift by 2**40 moves a matrix onto int64 and leaves
-    # every gap, so every column, as it was.  The numeric answers are
-    # compared up to |gamma| = 2**30: near 2**59 float(gamma) is off by up to
-    # 64, so neither float sum is exact there (the whole-row sum fails rows
-    # whose exact witness makes |U| = 1)
+    # every gap, so every column, as it was
     rng = np.random.default_rng(20262)
     edge, top = 2**29 - 1, 2**59
     for n in (4, 8, 12, 16, 24, 48, 96, 240):
@@ -484,11 +480,31 @@ def test_class_width_equals_full_width_on_seeded_rows():
         ]
         for k, values in enumerate(matrices):
             for targets in ([n // 2], [n // 4, n // 2, 3 * n // 4]):
-                assert_widths_agree(values, classes, targets, (n, k), numeric=k < 3)
+                assert_widths_agree(values, classes, targets, (n, k))
         for values in matrices[:3]:
             shifted = _gap_columns(values + 2**40, classes)
             for a, b in zip(_gap_columns(values, classes), shifted):
                 assert (a == b).all(), n
+
+
+@SWEEP_MODES
+def test_witness_check_is_exact_near_the_gamma_bound(mode, step, quarters):
+    # sweep rows shifted by up to 2**59 keep every gap, so every answer; a
+    # check read modulo g passes every feasible row on classes and on whole
+    # rows alike, where float(gamma) * k/g would lose the phase
+    rng, checked = np.random.default_rng(20263), 0
+    for n in range(step, 49, step):
+        classes, targets = index_classes(n), [k * n // 4 for k in quarters]
+        weights = _class_weights(n, classes, targets)
+        values = next(_judged_chunks(_shapes(n), mode))[2][:256]
+        big = values + rng.integers(-(2**59) + 2**10, 2**59 - 2**10, size=(len(values), 1))
+        answers = transfer_rows(big, targets, classes, weights)
+        assert (answers == transfer_rows(big[:, classes.of], targets)).all(), n
+        assert (answers == transfer_rows(values, targets, classes, weights)).all(), n
+        _, _, feasible, _, _ = _witnesses(big, targets, classes, weights)
+        assert answers[2, feasible].all(), n
+        checked += len(feasible)
+    assert checked > 100
 
 
 def lowest_bit_common(gammas: np.ndarray) -> np.ndarray:
@@ -589,6 +605,21 @@ def test_transfer_rows_refuses_what_the_verdicts_refuse():
         transfer_rows(gammas, [])
     assert transfer_rows(gammas, [n // 2]).tolist() == [[True]] * 4
     assert (transfer_rows(gammas, [n + n // 2]) == transfer_rows(gammas, [n // 2])).all()
+
+
+def test_transfer_rows_takes_class_weights_with_classes_only():
+    # rows on classes are checked with their order's weight table, and
+    # whole rows with none: either one alone is refused, not guessed at
+    classes = index_classes(8)
+    values = eigenvalues_closed_form(pst_case_iii_graph()).gamma
+    values = np.array([values])[:, classes.reps]
+    weights = _class_weights(8, classes, [4])
+    with pytest.raises(ValueError, match="class weights go with classes"):
+        transfer_rows(values, [4], classes)
+    with pytest.raises(ValueError, match="class weights go with classes"):
+        transfer_rows(values[:, classes.of], [4], None, weights)
+    answers = transfer_rows(values, [4], classes, weights)
+    assert answers[2, 0] and (answers == transfer_rows(values[:, classes.of], [4])).all()
 
 
 def test_kernel_profiles_keep_their_own_rows():
@@ -995,7 +1026,7 @@ def swept_checks(monkeypatch, mode, step, quarters):
     monkeypatch.setattr(mixedcirc.transfer, "verify_rows", recording)
     for n in range(step, 49, step):
         targets, classes = [k * n // 4 for k in quarters], index_classes(n)
-        weights = _class_weights(n, classes, targets) / n
+        weights = _class_weights(n, classes, targets)
         for _, _, values, _ in _judged_chunks(_shapes(n), mode):
             gammas, witnessed = values[:, classes.of], []
             d0, gcds, _, _ = _gap_columns(gammas)
@@ -1060,7 +1091,7 @@ def test_class_weights_equal_the_brute_class_sums():
         r = np.arange(n)
         terms = np.exp(-2j * np.pi * (np.outer(r, r) % n) / n)
         brute = terms @ (classes.of[:, None] == np.arange(len(classes.reps)))
-        table = _class_weights(n, classes, list(range(n)))
+        table = n * _class_weights(n, classes, list(range(n)))
         assert np.abs(table - brute).max() <= 1e-9, n
         entries += table.size
     assert entries > 160_000
