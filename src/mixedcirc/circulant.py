@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .numthy import MAX_N, _check_kernel, _is_int, two_adic_valuation
 
 
@@ -163,20 +165,27 @@ def validate_spec(
     return GraphSpec(n=n, B=B, D=D, sigma=sigma or {})
 
 
+def _class_rows(n: int, values: np.ndarray) -> np.ndarray:
+    """Hermitian difference rows of order n from a (..., n+1) table of class
+    values by divisor: entry c of a row is its value at g = gcd(c, n), or that
+    value's conjugate unless c/g = 1 (mod 4).  So a class valued 1 is undirected,
+    and one valued sigma*i, d | n/4, is sigma*i on G_n^1(d), -sigma*i on G_n^3(d)."""
+    c = np.arange(n)
+    g = np.gcd(c, n)
+    rows = values[..., g]
+    rows.imag[..., c // g % 4 != 1] *= -1
+    return rows
+
+
 def hermitian_adjacency(spec: GraphSpec) -> tuple[complex, ...]:
     """Difference row of the Hermitian adjacency: row[c], the entry at (u, u+c),
     is 1 on G_n(b) for b in B, +i on G_n^r(d) for d in D (r = 1 where
-    sigma(d) = +1, else 3) and -i on its negatives, else 0.  The classes of a
-    valid spec are disjoint, so no entry overwrites another."""
-    n = spec.n
-    row = [complex(0)] * n
-    for b in spec.B:
-        for c in gcd_class(n, b):
-            row[c] = complex(1)
-    for d in spec.D:
-        for c in gcd_class_mod4(n, d, 1 if spec.sigma[d] == 1 else 3):
-            row[c], row[n - c] = 1j, -1j
-    return tuple(row)
+    sigma(d) = +1, else 3) and -i on its negatives, else 0 (_class_rows).
+    The classes of a valid spec are disjoint, so no entry overwrites another."""
+    values = np.zeros(spec.n + 1, dtype=complex)
+    values[list(spec.B)] = 1
+    values[list(spec.D)] = [spec.sigma[d] * 1j for d in spec.D]
+    return tuple(_class_rows(spec.n, values).tolist())
 
 
 def spec_to_dict(spec: GraphSpec) -> dict:
@@ -244,22 +253,13 @@ def export_graph(spec: GraphSpec, fmt: str) -> str:
 
 
 def _to_dot(spec: GraphSpec) -> str:
+    """The digraph: every vertex, then each undirected edge once as u -> v,
+    u < v, v - u being in the symmetric undirected set, then every arc."""
     n = spec.n
     row = hermitian_adjacency(spec)
     undirected = [c for c in range(n) if row[c] == 1]
     arcs = [c for c in range(n) if row[c] == 1j]
-    lines = [f"digraph mixedcirc_{n} {{"]
-    for v in range(n):
-        lines.append(f"  {v};")
-    edges: set[tuple[int, int]] = set()
-    for u in range(n):
-        for c in undirected:
-            v = (u + c) % n
-            edges.add((min(u, v), max(u, v)))
-    for u, v in sorted(edges):
-        lines.append(f"  {u} -> {v} [dir=none];")
-    for u in range(n):
-        for c in arcs:
-            lines.append(f"  {u} -> {(u + c) % n};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines = [f"digraph mixedcirc_{n} {{", *(f"  {v};" for v in range(n))]
+    lines += (f"  {u} -> {u + c} [dir=none];" for u in range(n) for c in undirected if u + c < n)
+    lines += (f"  {u} -> {(u + c) % n};" for u in range(n) for c in arcs)
+    return "\n".join(lines) + "\n}\n"

@@ -15,8 +15,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .circulant import GraphSpec, SpecError, hermitian_adjacency
-from .circulant import spec_to_json, validate_spec
+from .circulant import GraphSpec, SpecError, _class_rows, spec_to_json, validate_spec
 from .numthy import divisors
 from .spectrum import _oracle_spectra, index_classes
 from .transfer import ConsistencyError, _class_weights, classify_mst_rows, classify_pst_rows
@@ -120,8 +119,9 @@ def _subsets(k: int) -> np.ndarray:
 def _shapes(n: int) -> _Shapes:
     """The shapes of order n in the frozen order: B over the subsets of the
     proper divisors, then D over those of n/4's divisors not in B, each in
-    the order of _subsets.  Filtering keeps the order,
-    so a disjointness mask over (B set, D set) pairs lists every shape.  The
+    the order of _subsets.  Filtering keeps the order, so the (B set, D set)
+    pairs whose bitmasks over n/4's divisors, in the narrowest dtype, share
+    no bit list every shape, each with 2**popcount(D set) sign rows.  The
     signed table grows the same way, one divisor of n/4 at a time in
     ascending order: the blocks so far, then each of their rows with the new
     divisor at +1 and at -1, so every block is in product order, +1 before -1
@@ -131,7 +131,8 @@ def _shapes(n: int) -> _Shapes:
     sets = _subsets(len(proper))
     pool = np.array([d in d_pool for d in proper])
     d_sets = sets[~sets[:, ~pool].any(axis=1)]
-    b_of, d_of = np.nonzero(~(sets @ d_sets.T))  # a bool product is True on overlap
+    bits = 1 << np.arange(len(d_pool), dtype=np.min_scalar_type((1 << len(d_pool)) - 1))
+    b_of, d_of = np.nonzero((sets[:, pool] @ bits)[:, None] & (d_sets[:, pool] @ bits) == 0)
     D = d_sets[d_of]
     key = np.where(pool, 1 << np.cumsum(pool) - 1, 0)
     tails, signed = np.ones(1, dtype=np.int64), np.zeros((1, 2 * len(proper)), dtype=bool)
@@ -139,7 +140,7 @@ def _shapes(n: int) -> _Shapes:
         grown = np.repeat(signed, 2, axis=0)
         grown[0::2, c] = grown[1::2, len(proper) + c] = True
         tails, signed = np.concatenate([tails, tails[-1] + 2 * tails]), np.vstack([signed, grown])
-    ends = np.cumsum(1 << D.sum(axis=1))
+    ends = np.cumsum((1 << d_sets.sum(axis=1))[d_of])
     return _Shapes(n, tuple(proper), sets[b_of], D, ends, key, tails, signed, signed[:, len(proper):])
 
 
@@ -164,10 +165,10 @@ def _rows(shapes: _Shapes, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]
         yield shape, tails.take(shape - first) - (shapes.ends[shape] - rows)
 
 
-def _row_chunks(shapes: _Shapes, width: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _row_chunks(shapes: _Shapes) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Shape index and flip matrix (True where the sign is -1) of each row of
-    an order, in the chunks of _rows at width n (the default, 0) or width."""
-    for shape, signed in _rows(shapes, width or shapes.n):
+    an order, in the chunks of _rows at width n."""
+    for shape, signed in _rows(shapes, shapes.n):
         yield shape, shapes.flips.take(signed, axis=0)
 
 
@@ -189,21 +190,18 @@ def count_specs(n: int) -> int:
 def _class_table(n: int) -> np.ndarray:
     """Oracle spectra of the single-class specs of order n in three blocks of
     rows over the proper divisors: the class G_n(d) of each, then the +1 and
-    the -1 half class of each d | n/4 (zero rows elsewhere).  Each spec and its
-    Hermitian row are built one by one as a whole spec's would be; one pass of
-    _oracle_spectra transforms, rounds and checks them all, so every entry is
-    an integer held as a float."""
+    the -1 half class of each d | n/4 (zero rows elsewhere), all _class_rows
+    of one table valuing each class 1, i or -i, as a spec's row is; one pass
+    of _oracle_spectra transforms, rounds and checks them: integer floats."""
     proper, d_pool = _pools(n)
-    rows = np.zeros((3, len(proper), n), dtype=complex)
-    for c, d in enumerate(proper):
-        halves = [validate_spec(n, [], [d], {d: s}) for s in (1, -1)] if d in d_pool else []
-        for k, spec in enumerate([validate_spec(n, [d]), *halves]):
-            rows[k, c] = hermitian_adjacency(spec)
-    return _oracle_spectra(rows.reshape(-1, n))
+    values = np.zeros((3, len(proper), n + 1), dtype=complex)
+    values[0, range(len(proper)), proper] = 1
+    values[1:, np.searchsorted(proper, d_pool), d_pool] = [[1j], [-1j]]  # d_pool is in proper
+    return _oracle_spectra(_class_rows(n, values).reshape(-1, n))
 
 
 def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...]]:
-    """_row_chunks with the rows' int64 oracle spectra held on the order's
+    """_row_chunks with the rows' int32 oracle spectra held on the order's
     index classes (spectrum.index_classes), a row being gamma[reps], and a
     (4, rows) bool matrix of their classifier, valuation and numeric answers
     and whether each keeps to the pair restriction.  The DFT is linear and
@@ -211,14 +209,14 @@ def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...
     (B, D less the flips, the flips) times the class table, whose
     representative columns are all it needs once the table is checked
     constant on every class: ConsistencyError where it is not.  So a row's
-    values are its shape's B part's plus its signed row's, taken in int64
-    once per order for the signed table and once per chunk for the B rows of
-    its run of shapes (no table over all 2**|cols| B-sets), then gathered and
-    added.  The classifier reads B and D only, so it runs once per order; the
-    other legs are transfer_rows on each chunk of CHUNK_ENTRIES // C rows, C
-    the class count, which reads the gaps of the classes' spanning tree and
-    verifies rows on their class values, with the order's (targets, C)
-    table of class weights built once beside the class table."""
+    values are its shape's B part's plus its signed row's, in int32 (sums
+    stay below n), once per order for the signed table and per chunk for the
+    B rows of its run of shapes (no table over all 2**|cols| B-sets), then
+    gathered and added.  The classifier reads B and D only, so it runs once
+    per order; the other legs are transfer_rows on each chunk of
+    CHUNK_ENTRIES // C rows, C the class count, which reads the gaps of the
+    classes' spanning tree and verifies rows on their class values, with
+    the order's (targets, C) table of class weights built beside the table."""
     n, split = shapes.n, len(shapes.cols)  # the table's B rows, then its D rows
     _, quarters, classifier, valuation = _mode(mode)
     targets = [k * n // 4 for k in quarters]
@@ -226,7 +224,7 @@ def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...
     table = full[:, classes.reps]
     if not (full == table[:, classes.of]).all():
         raise ConsistencyError(f"class table of order {n} not constant on its index classes")
-    table, weights = table.astype(np.int64), _class_weights(n, classes, targets)
+    table, weights = table.astype(np.int32), _class_weights(n, classes, targets)
     b_table, signed_values = table[:split], shapes.signed @ table[split:]
     for shape, signed in _rows(shapes, len(classes.reps)):
         first = shape[0]

@@ -419,18 +419,18 @@ def _witnesses(
     as _gap_columns reads it (the singleton partition where classes is
     None): its gap columns; the order n/s of each row's group of feasible
     differences, s its _step; the indices of the rows whose step divides
-    every target's difference; their numerators k as a (rows, targets)
-    array, each time being k/g with g the row's gap gcd, solved once per
-    distinct (d0, g) among them (_witness_ks); and verify_rows' (ok,
-    amplitude, residual) arrays on those rows at those times, None when no
-    row has one.  Rows held on classes are checked on their class values
-    with weights, the _class_weights table of the targets, which goes with
-    classes and only with them.  A row with an entry of 2**29 or more (past
-    _gap_columns' int32 range) is checked modulo g: each phase gamma*k/g
-    moves by an integer and stays below k, where float(gamma)*k/g would
-    lose its fraction; smaller entries are read as they are, so graph
-    spectra keep their float phases bit for bit.  An empty target list is a
-    ValueError, a target = 0 (mod n) SamePair."""
+    every target's difference, that is their gcd; their numerators k as a
+    (rows, targets) array, each time being k/g with g the row's gap gcd,
+    solved once per distinct (d0, g) among them (_witness_ks); and
+    verify_rows' (ok, amplitude, residual) arrays on those rows at those
+    times, None when no row has one.  Rows held on classes are checked on
+    their class values with weights, the _class_weights table of the
+    targets, which goes with classes and only with them.  A row with an
+    entry of 2**29 or more (past _gap_columns' int32 range) is checked
+    modulo g: each phase gamma*k/g moves by an integer and stays below k,
+    where float(gamma)*k/g would lose its fraction; smaller entries are read
+    as they are, so graph spectra keep their float phases bit for bit.  An
+    empty target list is a ValueError, a target = 0 (mod n) SamePair."""
     values = np.asarray(values)
     columns = d0, gcds, _, _ = _gap_columns(values, classes)
     n = values.shape[1] if classes is None else len(classes.of)
@@ -440,7 +440,7 @@ def _witnesses(
         raise ValueError("class weights go with classes, and classes with weights")
     diffs = [_difference(n, 0, b) for b in targets]
     step = _step(n, d0, gcds)
-    feasible = np.flatnonzero(np.logical_and.reduce([w % step == 0 for w in diffs]))
+    feasible = np.flatnonzero(math.gcd(*diffs) % step == 0)
     rows = list(zip(d0[feasible].tolist(), gcds[feasible].tolist()))
     solved = {row: _witness_ks(n, *row, diffs) for row in set(rows)}
     ks = np.array([solved[row] for row in rows], dtype=np.int64).reshape(len(rows), len(diffs))

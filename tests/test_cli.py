@@ -396,3 +396,24 @@ def test_bad_usage_exits_two(capsys):
     assert run(capsys, ["export", "--spec", "x", "--format", "png"])[0] == 2
     # the numeric tolerance is fixed: there is no --tol to set
     assert run(capsys, ["check-pst", "--spec", "x", "--tol", "1e-9"])[0] == 2
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # the parser is built once per process, and a call after any other gives
+    # the stdout and exit code of the same call on a freshly built parser:
+    # no option value, default or usage error carries over
+    path = write_spec(tmp_path, pst_case_i_graph())
+    sequences = [
+        (["check-pst", "--spec", path, "--pair", "0", "2"], ["check-pst", "--spec", path], 0),
+        (["crosscheck", "--n-max", "16", "--budget", "3"], ["crosscheck", "--n-max", "16"], 2),
+        (["search", "--n", "8", "--mode", "mst"], ["search", "--n", "8"], 0),
+        (["crosscheck", "--mode", "all"], ["crosscheck", "--n-max", "16", "--mode", "mst"], 2),
+    ]
+    build = mixedcirc.cli._build_parser
+    for first, then, first_code in sequences:
+        build.cache_clear()
+        fresh = run(capsys, then)[:2]
+        build.cache_clear()
+        assert run(capsys, first)[0] == first_code
+        assert run(capsys, then)[:2] == fresh, then
+        assert build.cache_info().misses == 1

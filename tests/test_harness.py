@@ -120,6 +120,39 @@ def recursive_subsets(k: int) -> np.ndarray:
     return sets
 
 
+def bool_product_shapes(n: int) -> tuple:
+    """The B, D, ends, key, tails and signed of order n's shapes as built
+    with a bool product over (B set, D set) pairs, true on overlap, and a
+    popcount per shape."""
+    proper = divisors(n)[:-1]
+    d_pool = divisors(n // 4) if n % 4 == 0 else []
+    sets = recursive_subsets(len(proper))
+    pool = np.array([d in d_pool for d in proper])
+    d_sets = sets[~sets[:, ~pool].any(axis=1)]
+    b_of, d_of = np.nonzero(~(sets @ d_sets.T))
+    D = d_sets[d_of]
+    key = np.where(pool, 1 << np.cumsum(pool) - 1, 0)
+    tails, signed = np.ones(1, dtype=np.int64), np.zeros((1, 2 * len(proper)), dtype=bool)
+    for c in np.flatnonzero(pool):
+        grown = np.repeat(signed, 2, axis=0)
+        grown[0::2, c] = grown[1::2, len(proper) + c] = True
+        tails, signed = np.concatenate([tails, tails[-1] + 2 * tails]), np.vstack([signed, grown])
+    return sets[b_of], D, np.cumsum(1 << D.sum(axis=1)), key, tails, signed
+
+
+def test_shapes_by_bitmask_equal_the_bool_product_build():
+    # every 4 | n <= 96, whose largest D pool (8 divisors at n = 96) fills a
+    # uint8 mask, and n = 144, whose 9 need uint16: same arrays, same dtypes
+    for n in [*range(4, 97, 4), 144]:
+        shapes = _shapes(n)
+        names = ("B", "D", "ends", "key", "tails", "signed")
+        for name, want in zip(names, bool_product_shapes(n)):
+            got = getattr(shapes, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, (n, name)
+            assert (got == want).all(), (n, name)
+        assert (shapes.flips == shapes.signed[:, len(shapes.cols):]).all(), n
+
+
 def test_subset_table_by_preorder_rank_equals_the_recursive_build():
     for k in range(15):
         table = _subsets(k)
@@ -326,7 +359,7 @@ def _check_rows_against_oracle(shapes, shape, flips, values):
     # a chunk holds each spectrum on the index classes: gamma = values[of]
     n = shapes.n
     gammas = values[:, index_classes(n).of]
-    assert gammas.dtype == np.int64
+    assert gammas.dtype == np.int32
     assert gammas.shape == (len(shape), n)
     for spec, row in zip(shapes.specs(shape, flips), gammas):
         whole = eigenvalues_oracle(spec)
@@ -414,7 +447,7 @@ def test_signed_table_rows_equal_the_incidence_product(monkeypatch, n):
         rows = np.arange(start, start + len(shape))
         assert (flips == offset_bit_flips(shapes, shape, rows)).all()
         incidence = np.hstack([shapes.B[shape], shapes.D[shape] & ~flips, flips])
-        assert values.dtype == np.int64
+        assert values.dtype == np.int32
         assert (values == (incidence @ table).astype(np.int64)).all()
         start += len(shape)
     assert start == count_specs(n)
@@ -549,12 +582,11 @@ def test_sweep_numeric_leg_agrees_with_the_verdicts(mode):
     assert positive > 0
 
 
-def test_crosscheck_builds_specs_only_for_class_rows_and_mismatches(monkeypatch):
-    # shapes and sign variants are array rows: a GraphSpec is built for each
-    # class row and each reported mismatch, plus the one each order-range
-    # check (_pools) validates; never one per shape or per spec
+def test_crosscheck_builds_specs_only_for_mismatches(monkeypatch):
+    # shapes, sign variants and class rows are array rows: a GraphSpec is
+    # built for each reported mismatch, plus the one each order-range check
+    # (_pools) validates; never one per class, per shape or per spec
     orders = [8, 16]
-    class_rows = sum(len(divisors(n)) - 1 + 2 * len(divisors(n // 4)) for n in orders)
     built, pools, judged = [], [], []
     real_post_init, real_pools = GraphSpec.__post_init__, mixedcirc.harness._pools
 
@@ -578,7 +610,7 @@ def test_crosscheck_builds_specs_only_for_class_rows_and_mismatches(monkeypatch)
     assert len(report.mismatches) > 0
     # the classifier runs once per order, on all of its shapes
     assert judged == [len(list(reference_shapes(n))) for n in orders]
-    assert len(built) == class_rows + len(report.mismatches) + len(pools)
+    assert len(built) == len(report.mismatches) + len(pools)
 
 
 def test_search_classifies_each_order_once_and_builds_only_hits(monkeypatch):

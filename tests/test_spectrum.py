@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+import mixedcirc.harness
 from conftest import (
     all_specs,
     mst_example_graph,
@@ -180,6 +181,34 @@ def test_closed_form_equals_class_table_on_every_single_class_spec():
                 specs += [(k, validate_spec(n, [], [d], {d: s})) for k, s in ((1, 1), (2, -1))]
             for k, spec in specs:
                 assert eigenvalues_closed_form(spec).gamma == tuple(table[k, c].tolist()), spec
+                checked += 1
+    assert checked == 1770
+
+
+def test_class_table_rows_are_the_single_class_specs_rows(monkeypatch):
+    # every order 2..256: the rows _class_table hands to the oracle are the
+    # Hermitian rows of the validated single-class specs (zero where d does
+    # not divide n/4), and its spectra are their oracle spectra
+    seen = []
+
+    def recording(rows):
+        seen.append(rows.copy())
+        return _oracle_spectra(rows)
+
+    monkeypatch.setattr(mixedcirc.harness, "_oracle_spectra", recording)
+    checked = 0
+    for n in range(2, 257):
+        table = _class_table(n).reshape(3, -1, n)
+        rows = seen.pop().reshape(3, -1, n)
+        for c, d in enumerate(divisors(n)[:-1]):
+            specs = [(0, validate_spec(n, [d]))]
+            if n % 4 == 0 and (n // 4) % d == 0:
+                specs += [(k, validate_spec(n, [], [d], {d: s})) for k, s in ((1, 1), (2, -1))]
+            else:
+                assert not rows[1:, c].any() and not table[1:, c].any(), (n, d)
+            for k, spec in specs:
+                assert tuple(rows[k, c].tolist()) == hermitian_adjacency(spec), spec
+                assert tuple(table[k, c].tolist()) == eigenvalues_oracle(spec).gamma, spec
                 checked += 1
     assert checked == 1770
 
