@@ -214,9 +214,9 @@ def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...
     B rows of its run of shapes (no table over all 2**|cols| B-sets), then
     gathered and added.  The classifier reads B and D only, so it runs once
     per order; the other legs are transfer_rows on each chunk of
-    CHUNK_ENTRIES // C rows, C the class count, which reads the gaps of the
-    classes' spanning tree and verifies rows on their class values, with
-    the order's (targets, C) table of class weights built beside the table."""
+    CHUNK_ENTRIES // C rows, C the class count, which reads each row's gap
+    gcd off its C class values and verifies rows on them, with the
+    order's (targets, C) table of class weights built beside the table."""
     n, split = shapes.n, len(shapes.cols)  # the table's B rows, then its D rows
     _, quarters, classifier, valuation = _mode(mode)
     targets = [k * n // 4 for k in quarters]

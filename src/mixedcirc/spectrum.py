@@ -61,28 +61,21 @@ class Spectrum:
 class IndexClasses(NamedTuple):
     """A partition of the indices 0..n-1 of order-n spectra into classes, and
     what the gap kernel (transfer._gap_columns) reads of it: of[j] is the
-    class of j and reps[c] the first index of class c.  The class graph has
-    one edge per distinct cyclic pair (of[j], of[j+1]); tree is a spanning
-    tree of it as a (2, C-1) array of pairs, d0's pair (of[0], of[1]) first,
-    and cycle the gcd over every pair of the signed length of its tree path
-    less 1 (0 on the tree's own pairs).  A gap is the signed sum of the tree
-    gaps on its tree path, so the gap gcd is that of the tree gaps less d0
-    and of cycle * d0.  doubles holds the distinct cyclic pairs (of[j],
-    of[j+2]) as a (2, P) array."""
+    class of j, reps[c] the first index of class c, and cycle = k =
+    gcd(n, 4), which divides every distance between two indices of one
+    class, so that j mod k is constant on each class; k is the gcd of n and
+    those distances (index_classes).  The gap gcd g, that of every
+    delta_j - delta_0, is then gcd(gamma_C - gamma_of[0] - (reps[C] mod k)
+    * d0 over every class C, k * d0): with P_j = gamma_j - gamma_0 - j*d0,
+    delta_j - d0 = P_{j+1} - P_j for j < n-1 and -n*d0 - P_{n-1} for j =
+    n-1, which telescope to g = gcd(every P_j, n*d0).  Two indices j, j' of
+    one class give P_j - P_j' = (j' - j) * d0, so that lattice holds k * d0,
+    and each P_j is gamma_C - gamma_0 - (reps[C] mod k) * d0 plus a multiple
+    of k * d0."""
 
     of: np.ndarray
     reps: np.ndarray
-    tree: np.ndarray
     cycle: int
-    doubles: np.ndarray
-
-
-def _distinct(keys: np.ndarray, size: int) -> np.ndarray:
-    """The distinct values of keys in 0..size-1, ascending, marked in a bool
-    table rather than sorted."""
-    seen = np.zeros(size, dtype=bool)
-    seen[keys] = True
-    return np.flatnonzero(seen)
 
 
 def index_classes(n: int) -> IndexClasses:
@@ -92,27 +85,22 @@ def index_classes(n: int) -> IndexClasses:
     half class of a spec onto itself, so the spectrum of any integral mixed
     circulant of order n is constant on each; there are at most 2*tau(n)
     (W. So, Discrete Math. 306 (2006)).  The sweep checks the constancy on
-    its class table.  The tree takes the pair (of[j-1], of[j]) at the first
-    index j of each class but of[0]'s, in the order of j: each class's
-    depth is one more than that of the class before it."""
+    its class table.  cycle = k = gcd(n, 4): j' = u*j - t*n with 4 | u - 1,
+    so k divides j' - j; and the class of 1 holds a unit u with gcd(u - 1,
+    n) = k, by the CRT: u = 1 (mod k), u = 5 (mod 8) where 8 | n, and u != 0,
+    1 modulo each odd prime of n (u = 1 at n = 2 and 4, where k = n)."""
     if not (_is_int(n) and n >= 2):
         raise ValueError(f"index classes need an order n >= 2 with gaps, got {n!r}")
     j = np.arange(n)
     g = np.gcd(j, n)
     key = 4 * g + ((j // g) & 3) * (n // g % 4 == 0)
-    keys = _distinct(key, 4 * n + 4)
-    of, count = np.searchsorted(keys, key), len(keys)
-    after = np.roll(of, -1)
-    reps = np.full(count, n)
+    seen = np.zeros(4 * n + 4, dtype=bool)  # the distinct keys, marked rather than sorted
+    seen[key] = True
+    keys = np.flatnonzero(seen)
+    of = np.searchsorted(keys, key)
+    reps = np.full(len(keys), n)
     np.minimum.at(reps, of, j)
-    entry = np.sort(reps)[1:] - 1
-    tree = np.array([of[entry], after[entry]])
-    depth = np.zeros(count, dtype=np.int64)
-    for a, b in tree.T.tolist():
-        depth[b] = depth[a] + 1
-    cycle = int(np.gcd.reduce(depth[after] - depth[of] - 1))
-    doubles = _distinct(of * count + np.roll(of, -2), count * count)
-    return IndexClasses(of, reps, tree, cycle, np.array([doubles // count, doubles % count]))
+    return IndexClasses(of, reps, math.gcd(n, 4))
 
 
 def undirected_degree(spec: GraphSpec) -> int:

@@ -89,15 +89,6 @@ def transition_amplitude(spectrum: Spectrum, a: int, b: int, t_prime) -> complex
     return _verify_one(spectrum, a, b, t_prime)[1]
 
 
-def _differences(values: np.ndarray, pairs: Optional[np.ndarray], step: int) -> np.ndarray:
-    """values[:, b] - values[:, a] for each class pair (a, b) of pairs, or
-    where pairs is None, every index being its own class, the cyclic
-    differences gamma[j+step] - gamma[j] for every j, taken by slicing."""
-    if pairs is None:
-        return np.concatenate((values[:, step:], values[:, :step]), axis=1) - values
-    return values[:, pairs[1]] - values[:, pairs[0]]
-
-
 def _gap_columns(
     values: np.ndarray, classes: Optional[IndexClasses] = None
 ) -> tuple[np.ndarray, ...]:
@@ -107,14 +98,18 @@ def _gap_columns(
     None, the singleton partition: d0, the gap gcd g (that of every
     delta_j - delta_0), whether all gaps share d0's 2-adic valuation v, and
     whether every gap is 2 (mod 4) and every double gap 4 (mod 8): v2 = 1
-    and v2 = 2 for either sign, false on 0.  On classes g is the gcd of the
-    tree gaps less d0 and of classes.cycle * d0, C - 1 columns in all; on
-    whole spectra it is that of every gap less d0.  Each gap is d0 plus a
-    multiple of g, so the valuation is common iff d0 != 0 and 2**(v+1)
-    divides g.  Double gaps are formed, once per distinct class pair, only
-    on the rows where v = 1 is common.  Entries must be integers with
-    |gamma| < 2**60, so that gaps, double gaps and delta_j - delta_0 stay
-    exact in int64; anything else raises ValueError rather than being
+    and v2 = 2 for either sign, false on 0.  On classes g is one gcd over
+    the C potential columns gamma_C - gamma_of[0] - (reps[C] mod k) * d0 and
+    k * d0, k = classes.cycle (IndexClasses proves it); on whole spectra it
+    is that of every gap less d0, taken by slicing, where j * d0 could
+    overflow.  Each gap is d0 plus a multiple of g, so the valuation is
+    common iff d0 != 0 and 2**(v+1) divides g.  The quarter flag holds iff
+    d0 = 2 (mod 4) and 8 | g: every gap is 2 (mod 4) iff d0 is and 4 | g;
+    then delta_j = d0 + 4*a_j, a_0 = 0, and each double gap delta_j +
+    delta_{j+1} = 4 + 4*(a_j + a_{j+1}) (mod 8), so all are 4 (mod 8) iff
+    every a_j has a_0's parity, that is iff 8 | g.  Entries must be integers
+    with |gamma| < 2**60, so that every value formed, under 8 * max|gamma|,
+    stays exact in int64; anything else raises ValueError rather than being
     truncated or wrapped.  The columns are new arrays, so a later write to
     the matrix leaves them as they are.
     """
@@ -131,21 +126,29 @@ def _gap_columns(
             "spectra must form a (k, C) integer matrix with C >= 1 classes and "
             f"every |gamma| < 2**60, got dtype {values.dtype} and shape {values.shape}"
         )
-    # every value formed below is under 4 * top: int32 holds it where top < 2**29
-    values = values.astype(np.int32 if top < 2**29 else np.int64, copy=False)
-    tree, cycle, doubles = (None, 0, None) if classes is None else classes[2:]
-    deltas = _differences(values, tree, 1)
-    d0 = deltas[:, 0]
-    spread = np.gcd.reduce(deltas[:, 1:] - deltas[:, :1], axis=1)
+    # every value formed below is under 8 * top: int32 holds it where top < 2**28
+    values = values.astype(np.int32 if top < 2**28 else np.int64, copy=False)
+    if classes is None:
+        deltas = np.concatenate((values[:, 1:], values[:, :1]), axis=1) - values
+        d0, cycle = deltas[:, 0], 0
+        potential = deltas[:, 1:] - deltas[:, :1]
+    else:
+        # one class a row: the gcd then folds a whole class into every row's
+        # running gcd at once, faster than along each row
+        of, reps, cycle = classes
+        potential = values.T.copy()
+        d0 = potential[of[1]] - potential[of[0]]
+        potential -= potential[of[:1]]
+        potential -= (reps % cycle).astype(values.dtype)[:, None] * d0
+        potential = potential.T
+    spread = np.gcd.reduce(potential, axis=1)
     # gcd(spread, cycle * d0) as h * gcd(spread / h, cycle), h = gcd(spread, d0):
     # no product exceeds the gap gcd, whatever cycle is
     h = np.gcd(spread, d0)
     gcds = h * np.gcd(spread // (h | (h == 0)), cycle)
     low = d0 & -d0
     common = (low != 0) & (gcds & (2 * low - 1) == 0)
-    quarter = common & (d0 & 3 == 2)  # every gap 2 (mod 4): the rows worth a double-gap test
-    quarter[quarter] = ((_differences(values[quarter], doubles, 2) & 7) == 4).all(axis=1)
-    return d0, gcds, common, quarter
+    return d0, gcds, common, (d0 & 3 == 2) & (gcds & 7 == 0)
 
 
 def _row_values(columns) -> tuple[int, int, Optional[int], bool]:
@@ -186,7 +189,8 @@ def antipodal_pst_by_valuation(spectrum: Spectrum) -> Optional[int]:
 
 
 def mst_by_valuation(spectrum: Spectrum) -> bool:
-    """Gap valuations all 1 and double-gap valuations all 2 (cyclically)."""
+    """Gap valuations all 1 and double-gap valuations all 2 (cyclically),
+    read as d0 = 2 (mod 4) and 8 | g (_gap_columns proves it)."""
     if spectrum.n % 4:
         raise ValueError(f"quarter orbit needs 4 | n, got {spectrum.n}")
     return _profile(spectrum)[3]
@@ -426,11 +430,11 @@ def _witnesses(
     times, None when no row has one.  Rows held on classes are checked on
     their class values with weights, the _class_weights table of the
     targets, which goes with classes and only with them.  A row with an
-    entry of 2**29 or more (past _gap_columns' int32 range) is checked
-    modulo g: each phase gamma*k/g moves by an integer and stays below k,
-    where float(gamma)*k/g would lose its fraction; smaller entries are read
-    as they are, so graph spectra keep their float phases bit for bit.  An
-    empty target list is a ValueError, a target = 0 (mod n) SamePair."""
+    entry of 2**29 or more is checked modulo g: each phase gamma*k/g moves
+    by an integer and stays below k, where float(gamma)*k/g would lose its
+    fraction; smaller entries are read as they are, so graph spectra keep
+    their float phases bit for bit.  An empty target list is a ValueError,
+    a target = 0 (mod n) SamePair."""
     values = np.asarray(values)
     columns = d0, gcds, _, _ = _gap_columns(values, classes)
     n = values.shape[1] if classes is None else len(classes.of)

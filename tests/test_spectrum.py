@@ -215,53 +215,32 @@ def test_class_table_rows_are_the_single_class_specs_rows(monkeypatch):
 
 # ------------------------------------------------------------ index classes
 
-def tree_paths(tree: np.ndarray, count: int) -> list[int]:
-    """Signed length of the path in tree from class 0 to each class, a pair
-    (a, b) counting +1 from a to b and -1 back; None where none reaches."""
-    reach, todo = [None] * count, [0]
-    reach[0] = 0
-    while todo:
-        c = todo.pop()
-        for a, b in tree.T.tolist():
-            for here, there, sign in ((a, b, 1), (b, a, -1)):
-                if here == c and reach[there] is None:
-                    reach[there] = reach[c] + sign
-                    todo.append(there)
-    return reach
-
-
 def test_class_table_is_constant_on_every_index_class():
     # every order 2..256: each single-class spectrum, so by linearity every
     # spectrum, takes one value on each index class, and there are at most
-    # 2*tau(n) classes, each with reps[c] its first member; the tree is
-    # C - 1 of the distinct cyclic pairs (of[j], of[j+1]), d0's pair first,
-    # reaching every class, so a spanning tree; cycle is the gcd over every
-    # pair of its tree path's signed length less 1; the double pairs are
-    # the distinct cyclic (of[j], of[j+2]), each once
+    # 2*tau(n) classes, each with reps[c] its first member; there and at
+    # 720720 and 2**20, cycle = gcd(n, 4) is the gcd of n and every distance
+    # between two indices of one class, the step the gap kernel reads
+    def cycle_holds(n, classes):
+        distances = np.arange(n) - classes.reps[classes.of]
+        return classes.cycle == np.gcd.reduce(distances, initial=n) == math.gcd(n, 4)
+
     counts = {}
     for n in range(2, 257):
         classes = index_classes(n)
-        of, reps, tree = classes.of, classes.reps, classes.tree
+        of, reps = classes.of, classes.reps
         table = _class_table(n)
         assert (table == table[:, reps][:, of]).all(), n
         assert (of[reps] == np.arange(len(reps))).all(), n
         assert all(of[j] not in of[:j] for j in reps.tolist()), n
         assert len(reps) <= 2 * len(divisors(n)), n
-        cyclic = of.tolist()
-        gaps = {(cyclic[j], cyclic[(j + 1) % n]) for j in range(n)}
-        edges = list(zip(*tree.tolist()))
-        assert tree.shape == (2, len(reps) - 1) and set(edges) <= gaps, n
-        assert edges[0] == (cyclic[0], cyclic[1]), n
-        paths = tree_paths(tree, len(reps))
-        assert None not in paths, n
-        assert classes.cycle == math.gcd(*(paths[b] - paths[a] - 1 for a, b in gaps)), n
-        got = list(zip(*classes.doubles.tolist()))
-        assert len(got) == len(set(got)), n
-        assert set(got) == {(cyclic[j], cyclic[(j + 2) % n]) for j in range(n)}, n
-        counts[n] = (len(reps), len(gaps), classes.doubles.shape[1], classes.cycle)
-    assert counts[48] == (16, 36, 30, 4)
-    assert counts[240][0] == 32
-    assert counts[256][0] == 16  # g = 1..64 split by j/g (mod 4), then g = 128, 256
+        assert cycle_holds(n, classes), n
+        counts[n] = len(reps)
+    assert counts[48] == 16
+    assert counts[240] == 32
+    assert counts[256] == 16  # g = 1..64 split by j/g (mod 4), then g = 128, 256
+    for n in (720720, 2**20):
+        assert cycle_holds(n, index_classes(n)), n
     with pytest.raises(ValueError):
         index_classes(1)
 

@@ -374,9 +374,9 @@ def unscreened_quarter(gammas: np.ndarray) -> np.ndarray:
 
 
 def test_screened_quarter_equals_its_definition_on_sweep_rows():
-    # the kernel forms double gaps only where the valuation is common and
-    # d0 is 2 (mod 4); every row the mst sweep checks, 8 | n <= 96, gets
-    # the flag the unscreened definition gives
+    # the kernel reads the flag as d0 = 2 (mod 4) and 8 | g, forming no
+    # double gap; every row the mst sweep checks, 8 | n <= 96, gets the
+    # flag the unscreened definition gives
     rows = positive = 0
     for n in range(8, 97, 8):
         of = index_classes(n).of
@@ -418,6 +418,24 @@ def test_screened_quarter_equals_its_definition_on_random_rows():
         d0, _, common, screened = _gap_columns(gammas)
         assert (screened == quarter).all(), n
         assert (common & (d0 & 3 == 2))[64:128].any()  # misses the double-gap test catches
+    # class-width rows, 4 | n <= 48: j mod 4 is constant on each class, so
+    # gamma_C = r * reps[C] + 8 * a_C makes every gap r (mod 8), r in {2, 6},
+    # and 2 * reps[C] + 4 * a_C every gap 2 (mod 4) with g mostly 4 (mod 8);
+    # each row shifted by 0 or near +-2**59
+    for n in range(4, 49, 4):
+        classes = index_classes(n)
+        reps, size = classes.reps, (64, len(classes.reps))
+        orbit = rng.choice([2, 6], size=(64, 1)) * reps + 8 * rng.integers(-3, 4, size=size)
+        near = 2 * reps + 4 * rng.integers(-3, 4, size=size)
+        noise = rng.integers(-6, 7, size=size)
+        noise[::4] = noise[::4, :1]
+        values = np.vstack([orbit, near, noise])
+        values += rng.choice([0, top - 2**10, 2**10 - top], size=(len(values), 1))
+        quarter = unscreened_quarter(values[:, classes.of])
+        _, gcds, common, screened = _gap_columns(values, classes)
+        assert (screened == quarter).all(), n
+        assert quarter[:64].all() and (common[64:128] & (gcds[64:128] % 8 == 4)).any(), n
+        assert not quarter[64:128][gcds[64:128] % 8 == 4].any(), n
 
 
 # ------------------------------------------------------ class-width kernel
@@ -463,7 +481,7 @@ def test_class_width_equals_full_width_on_seeded_rows():
     # (-2**59, 2**59); a shift by 2**40 moves a matrix onto int64 and leaves
     # every gap, so every column, as it was
     rng = np.random.default_rng(20262)
-    edge, top = 2**29 - 1, 2**59
+    edge, top = 2**28 - 1, 2**59
     for n in (4, 8, 12, 16, 24, 48, 96, 240):
         classes = index_classes(n)
         count = len(classes.reps)
@@ -474,6 +492,7 @@ def test_class_width_equals_full_width_on_seeded_rows():
         matrices = [
             small,
             edge * signs,
+            (2**29 - 1) * signs,
             2**30 * signs,
             (top - rng.integers(0, 9, size=(16, count))) * signs[:, :1],
             rng.integers(-top, top, size=(16, count)),
@@ -481,7 +500,7 @@ def test_class_width_equals_full_width_on_seeded_rows():
         for k, values in enumerate(matrices):
             for targets in ([n // 2], [n // 4, n // 2, 3 * n // 4]):
                 assert_widths_agree(values, classes, targets, (n, k))
-        for values in matrices[:3]:
+        for values in matrices[:4]:
             shifted = _gap_columns(values + 2**40, classes)
             for a, b in zip(_gap_columns(values, classes), shifted):
                 assert (a == b).all(), n
@@ -549,46 +568,31 @@ def test_valuation_flag_from_d0_and_gap_gcd_equals_lowest_bits(gammas):
     assert (d0 == gammas[:, 1 % gammas.shape[1]] - gammas[:, 0]).all()
 
 
-def reached(pairs: list[tuple[int, int]]) -> set[int]:
-    """The classes joined to class 0 by pairs taken either way."""
-    seen, grew = {0}, True
-    while grew:
-        grew = False
-        for a, b in pairs:
-            if (a in seen) != (b in seen):
-                seen |= {a, b}
-                grew = True
-    return seen
+GCD_ORDERS = [*range(4, 241, 4), 720]
+GCD_CLASSES = {n: index_classes(n) for n in GCD_ORDERS}
 
 
-TREE_ORDERS = [*range(4, 241, 4), 720]
-TREE_CLASSES = {n: index_classes(n) for n in TREE_ORDERS}
-
-
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([8, 2**28, 2**29 - 1, 2**29, 2**30 - 1, 2**31, GAMMA_EDGE]))
-def test_tree_gap_gcd_equals_the_all_pairs_gcd(seed, edge):
-    # every 4 | n <= 240, and 720: the tree is a spanning tree of the class
-    # graph, its pairs among the cyclic (of[j], of[j+1]) and d0's first; and
-    # on seeded class values up to edge, on both sides of the kernel's int32
-    # range and near 2**60, with constant rows and zero gaps,
-    # gcd(tree gaps less d0, cycle * d0) is the gcd over every gap
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_class_potential_gap_gcd_equals_the_all_pairs_gcd(seed):
+    # every 4 | n <= 240, and 720, on seeded class values up to each edge,
+    # on both sides of the kernel's int32 range (2**28) and near 2**60, with
+    # constant rows and zero gaps: d0 is the first gap, the gcd of the
+    # potentials and cycle * d0 is the gcd over every gap less d0, and the
+    # quarter flag is its definition's
     rng = np.random.default_rng(seed)
-    for n, classes in TREE_CLASSES.items():
-        of, count = classes.of.tolist(), len(classes.reps)
-        tree = list(zip(*classes.tree.tolist()))
-        assert tree[0] == (of[0], of[1]) and len(tree) == count - 1, n
-        assert set(tree) <= {(of[j], of[(j + 1) % n]) for j in range(n)}, n
-        assert reached(tree) == set(range(count)), n  # C - 1 pairs, connected: a tree
-        values = rng.integers(-edge, edge + 1, size=(8, count), dtype=np.int64)
-        values[0] = values[0, 0]  # every gap zero
-        values[1, ::2] = 0  # some gaps zero
-        values[2] = rng.choice([-edge, edge], size=count)
-        gammas = values[:, classes.of]
-        gaps = np.roll(gammas, -1, axis=1) - gammas
-        d0, gcds, _, _ = _gap_columns(values, classes)
-        assert (d0 == gaps[:, 0]).all(), n
-        assert gcds.tolist() == [math.gcd(*(row - row[0]).tolist()) for row in gaps], n
+    for edge in (8, 2**28 - 1, 2**28, 2**29 - 1, 2**29, 2**30 - 1, 2**31, GAMMA_EDGE):
+        for n, classes in GCD_CLASSES.items():
+            values = rng.integers(-edge, edge + 1, size=(8, len(classes.reps)), dtype=np.int64)
+            values[0] = values[0, 0]  # every gap zero
+            values[1, ::2] = 0  # some gaps zero
+            values[2] = rng.choice([-edge, edge], size=len(classes.reps))
+            gammas = values[:, classes.of]
+            gaps = np.roll(gammas, -1, axis=1) - gammas
+            d0, gcds, _, quarter = _gap_columns(values, classes)
+            assert (d0 == gaps[:, 0]).all(), (n, edge)
+            assert gcds.tolist() == [math.gcd(*(row - row[0]).tolist()) for row in gaps], (n, edge)
+            assert (quarter == unscreened_quarter(gammas)).all(), (n, edge)
 
 
 def test_transfer_rows_refuses_what_the_verdicts_refuse():
