@@ -76,10 +76,10 @@ class _Shapes(NamedTuple):
     """The divisor shapes (B, D) of order n as bool B and D membership matrices
     over the proper divisors cols, one row per shape.  Shape s owns the
     enumeration rows ends[s] - 2**|D_s| up to ends[s], one per sign choice;
-    its row ends[s] - k is row tails[D_s @ key] - k of signed, which holds for
-    each k in turn the sign choices of the D-set whose members are k's bits
-    (key gives n/4's divisors the bits 1, 2, 4, ...), as the D part of a class
-    incidence [D less the flips, the flips]; flips is its right half."""
+    its row ends[s] - k is row tails[D_s @ key] - k of signed, the int8 sigma
+    table over cols, which holds for each k in turn the sign choices of the
+    D-set whose members are k's bits (key gives n/4's divisors the bits 1, 2,
+    4, ...): sigma(d) = +1 or -1 on the D-set, 0 elsewhere."""
 
     n: int
     cols: tuple[int, ...]
@@ -89,14 +89,13 @@ class _Shapes(NamedTuple):
     key: np.ndarray
     tails: np.ndarray
     signed: np.ndarray
-    flips: np.ndarray
 
-    def specs(self, shape: np.ndarray, flips: np.ndarray) -> Iterator[GraphSpec]:
-        """The validated spec of each row given by its shape and its flips."""
-        rows = zip(self.B[shape].tolist(), self.D[shape].tolist(), (1 - 2 * flips).tolist())
-        for b_on, d_on, signs in rows:
-            B, D = list(compress(self.cols, b_on)), list(compress(self.cols, d_on))
-            yield validate_spec(self.n, B, D, dict(zip(D, compress(signs, d_on))))
+    def specs(self, shape: np.ndarray, signed: np.ndarray) -> Iterator[GraphSpec]:
+        """The validated spec of each row given by its shape, which holds its B,
+        and its sigma-table row, which holds its D and sigma."""
+        for b_on, row in zip(self.B[shape].tolist(), self.signed[signed].tolist()):
+            sigma = {d: s for d, s in zip(self.cols, row) if s}
+            yield validate_spec(self.n, list(compress(self.cols, b_on)), list(sigma), sigma)
 
 
 def _subsets(k: int) -> np.ndarray:
@@ -122,7 +121,7 @@ def _shapes(n: int) -> _Shapes:
     the order of _subsets.  Filtering keeps the order, so the (B set, D set)
     pairs whose bitmasks over n/4's divisors, in the narrowest dtype, share
     no bit list every shape, each with 2**popcount(D set) sign rows.  The
-    signed table grows the same way, one divisor of n/4 at a time in
+    sigma table grows the same way, one divisor of n/4 at a time in
     ascending order: the blocks so far, then each of their rows with the new
     divisor at +1 and at -1, so every block is in product order, +1 before -1
     and the smallest divisor slowest.  Its 3**|divisors of n/4| rows never
@@ -135,27 +134,28 @@ def _shapes(n: int) -> _Shapes:
     b_of, d_of = np.nonzero((sets[:, pool] @ bits)[:, None] & (d_sets[:, pool] @ bits) == 0)
     D = d_sets[d_of]
     key = np.where(pool, 1 << np.cumsum(pool) - 1, 0)
-    tails, signed = np.ones(1, dtype=np.int64), np.zeros((1, 2 * len(proper)), dtype=bool)
+    tails, signed = np.ones(1, dtype=np.int64), np.zeros((1, len(proper)), dtype=np.int8)
     for c in np.flatnonzero(pool):
         grown = np.repeat(signed, 2, axis=0)
-        grown[0::2, c] = grown[1::2, len(proper) + c] = True
+        grown[0::2, c], grown[1::2, c] = 1, -1
         tails, signed = np.concatenate([tails, tails[-1] + 2 * tails]), np.vstack([signed, grown])
     ends = np.cumsum((1 << d_sets.sum(axis=1))[d_of])
-    return _Shapes(n, tuple(proper), sets[b_of], D, ends, key, tails, signed, signed[:, len(proper):])
+    return _Shapes(n, tuple(proper), sets[b_of], D, ends, key, tails, signed)
 
 
-# rows per chunk times the entries of a row: n for a spec's spectrum, the
-# class count for the sweep, which holds each row on the index classes and
-# expands to n only the rows it verifies, so crosscheck memory stays flat
+# rows per chunk times the entries of a row: n where rows become specs, the
+# class count for the sweep, which holds and verifies each row on the index
+# classes, so crosscheck memory stays flat
 CHUNK_ENTRIES = 2**14
 
 
 def _rows(shapes: _Shapes, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Shape index and signed-table row of each row of an order,
+    """Shape index and sigma-table row of each row of an order,
     max(1, CHUNK_ENTRIES // width) rows at a time: a chunk's rows have about
-    CHUNK_ENTRIES entries at any order, whole spectra at width n, values on
-    the index classes at the sweep's class count.  A chunk's shapes are one
-    run, so one product of their D rows with key finds their blocks."""
+    CHUNK_ENTRIES entries at any order, the specs of enumerate_specs and
+    search at width n, values on the index classes at the sweep's class
+    count.  A chunk's shapes are one run, so one product of their D rows
+    with key finds their blocks."""
     total, size = int(shapes.ends[-1]), max(1, CHUNK_ENTRIES // width)
     for start in range(0, total, size):
         rows = np.arange(start, min(start + size, total))
@@ -165,20 +165,13 @@ def _rows(shapes: _Shapes, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]
         yield shape, tails.take(shape - first) - (shapes.ends[shape] - rows)
 
 
-def _row_chunks(shapes: _Shapes) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Shape index and flip matrix (True where the sign is -1) of each row of
-    an order, in the chunks of _rows at width n."""
-    for shape, signed in _rows(shapes, shapes.n):
-        yield shape, shapes.flips.take(signed, axis=0)
-
-
 def enumerate_specs(n: int) -> Iterator[GraphSpec]:
     """Yield every valid spec of order n, ordered by (B, D, sigma): each shape
-    of _shapes with every sign choice, +1 before -1 per divisor (_row_chunks).
-    The order is frozen: golden outputs depend on it."""
+    of _shapes with every sign choice, +1 before -1 per divisor (_rows at
+    width n).  The order is frozen: golden outputs depend on it."""
     shapes = _shapes(n)
-    for shape, flips in _row_chunks(shapes):
-        yield from shapes.specs(shape, flips)
+    for rows in _rows(shapes, n):
+        yield from shapes.specs(*rows)
 
 
 def count_specs(n: int) -> int:
@@ -188,36 +181,38 @@ def count_specs(n: int) -> int:
 
 
 def _class_table(n: int) -> np.ndarray:
-    """Oracle spectra of the single-class specs of order n in three blocks of
-    rows over the proper divisors: the class G_n(d) of each, then the +1 and
-    the -1 half class of each d | n/4 (zero rows elsewhere), all _class_rows
-    of one table valuing each class 1, i or -i, as a spec's row is; one pass
-    of _oracle_spectra transforms, rounds and checks them: integer floats."""
+    """Oracle spectra of the single-class specs of order n in two blocks of
+    rows over the proper divisors: the class G_n(d) of each, then the +1 half
+    class of each d | n/4 (zero rows elsewhere), all _class_rows of one table
+    valuing each class 1 or i, as a spec's row is; one pass of _oracle_spectra
+    transforms, rounds and checks them: integer floats.  A -1 half class's row
+    is the +1 one's negated, and the FFT and rounding are odd, so its
+    spectrum is exactly block 1's row negated: sigma weighs block 1."""
     proper, d_pool = _pools(n)
-    values = np.zeros((3, len(proper), n + 1), dtype=complex)
+    values = np.zeros((2, len(proper), n + 1), dtype=complex)
     values[0, range(len(proper)), proper] = 1
-    values[1:, np.searchsorted(proper, d_pool), d_pool] = [[1j], [-1j]]  # d_pool is in proper
+    values[1, np.searchsorted(proper, d_pool), d_pool] = 1j  # d_pool is in proper
     return _oracle_spectra(_class_rows(n, values).reshape(-1, n))
 
 
 def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...]]:
-    """_row_chunks with the rows' int32 oracle spectra held on the order's
-    index classes (spectrum.index_classes), a row being gamma[reps], and a
-    (4, rows) bool matrix of their classifier, valuation and numeric answers
-    and whether each keeps to the pair restriction.  The DFT is linear and
-    the classes of a valid spec are disjoint, so a spectrum is its incidence
-    (B, D less the flips, the flips) times the class table, whose
-    representative columns are all it needs once the table is checked
-    constant on every class: ConsistencyError where it is not.  So a row's
-    values are its shape's B part's plus its signed row's, in int32 (sums
-    stay below n), once per order for the signed table and per chunk for the
-    B rows of its run of shapes (no table over all 2**|cols| B-sets), then
-    gathered and added.  The classifier reads B and D only, so it runs once
+    """_rows at class width (each row's shape and sigma-table index), with
+    the rows' int32 oracle spectra held on the order's index classes
+    (spectrum.index_classes), a row being gamma[reps], and a (4, rows) bool
+    matrix of their classifier, valuation and numeric answers and whether
+    each keeps to the pair restriction.  The DFT is linear and the classes
+    of a valid spec are disjoint, so a spectrum is B @ G + sigma @ H, G and
+    H the class table's two blocks, whose representative columns are all it
+    needs once the table is checked constant on every class:
+    ConsistencyError where it is not.  So a row's values are its shape's B
+    part's plus its sigma row's, in int32 (sums stay below n), once per
+    order for the sigma table and per chunk for the B rows of its run of
+    shapes (no table over all 2**|cols| B-sets), then gathered and added.  The classifier reads B and D only, so it runs once
     per order; the other legs are transfer_rows on each chunk of
     CHUNK_ENTRIES // C rows, C the class count, which reads each row's gap
     gcd off its C class values and verifies rows on them, with the
     order's (targets, C) table of class weights built beside the table."""
-    n, split = shapes.n, len(shapes.cols)  # the table's B rows, then its D rows
+    n, split = shapes.n, len(shapes.cols)  # the table's B rows, then its sigma rows
     _, quarters, classifier, valuation = _mode(mode)
     targets = [k * n // 4 for k in quarters]
     judged, full, classes = classifier(n, shapes.B, shapes.D), _class_table(n), index_classes(n)
@@ -232,7 +227,7 @@ def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...
         values = values.take(shape - first, axis=0) + signed_values.take(signed, axis=0)
         legs = transfer_rows(values, targets, classes, weights)
         votes = np.array([judged[shape], legs[valuation], *legs[2:]])
-        yield shape, shapes.flips.take(signed, axis=0), values, votes
+        yield shape, signed, values, votes
 
 
 def crosscheck(n_max: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> SweepReport:
@@ -247,8 +242,9 @@ def crosscheck(n_max: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> S
     a witness failing the numeric check included, is recorded, and so is a
     spec whose feasible differences stray from the quarter points (the
     "restriction" key).  Orders are checked as arrays (_judged_chunks): only
-    a mismatch gets a GraphSpec.  After each order one progress line goes to
-    stderr: the order, the specs and mismatches so far, and specs/s."""
+    a mismatch reads its sigma row and gets a GraphSpec.  After each order
+    one progress line goes to stderr: the order, the specs and mismatches so
+    far, and specs/s."""
     step = _mode(mode)[0]
     if n_max < step:  # an empty sweep would read as a clean one
         raise SpecError(f"{mode} crosscheck starts at order {step}, got n_max {n_max}")
@@ -256,13 +252,13 @@ def crosscheck(n_max: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> S
     positive, start = 0, time.perf_counter()
     for n in report.n_range:
         shapes = _shapes(n)
-        for shape, flips, _, votes in _judged_chunks(shapes, mode):
+        for shape, signed, _, votes in _judged_chunks(shapes, mode):
             report.specs_checked += len(shape)
             positive += int(votes[0].sum())
             bad = (votes[:3] != votes[0]).any(axis=0) | ~votes[3]
             if not bad.any():  # only a chunk with a mismatch builds specs
                 continue
-            for spec, legs in zip(shapes.specs(shape[bad], flips[bad]), votes[:, bad].T.tolist()):
+            for spec, legs in zip(shapes.specs(shape[bad], signed[bad]), votes[:, bad].T.tolist()):
                 row = zip(("classifier", "valuation", "numeric", "restriction"), legs)
                 report.mismatches.append({"spec": spec_to_json(spec), **dict(row)})
         rate = report.specs_checked / (time.perf_counter() - start)
@@ -282,5 +278,5 @@ def search_specs(n: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> lis
     _budgeted([n], budget)
     shapes = _shapes(n)
     hit = classifier(n, shapes.B, shapes.D)
-    chunks = ((shape[hit[shape]], flips[hit[shape]]) for shape, flips in _row_chunks(shapes))
+    chunks = ((shape[hit[shape]], signed[hit[shape]]) for shape, signed in _rows(shapes, n))
     return [spec for rows in chunks for spec in shapes.specs(*rows)]

@@ -37,7 +37,7 @@ from mixedcirc import (
     validate_spec,
 )
 from mixedcirc.circulant import GraphSpec
-from mixedcirc.harness import CHUNK_ENTRIES, _class_table, _judged_chunks, _row_chunks, _shapes
+from mixedcirc.harness import CHUNK_ENTRIES, _class_table, _judged_chunks, _rows, _shapes
 from mixedcirc.harness import _subsets
 from mixedcirc.numthy import MAX_N, divisors, two_adic_valuation
 from mixedcirc.spectrum import index_classes
@@ -121,9 +121,9 @@ def recursive_subsets(k: int) -> np.ndarray:
 
 
 def bool_product_shapes(n: int) -> tuple:
-    """The B, D, ends, key, tails and signed of order n's shapes as built
-    with a bool product over (B set, D set) pairs, true on overlap, and a
-    popcount per shape."""
+    """The B, D, ends, key, tails and int8 sigma table of order n's shapes as
+    built with a bool product over (B set, D set) pairs, true on overlap,
+    and a popcount per shape."""
     proper = divisors(n)[:-1]
     d_pool = divisors(n // 4) if n % 4 == 0 else []
     sets = recursive_subsets(len(proper))
@@ -132,17 +132,18 @@ def bool_product_shapes(n: int) -> tuple:
     b_of, d_of = np.nonzero(~(sets @ d_sets.T))
     D = d_sets[d_of]
     key = np.where(pool, 1 << np.cumsum(pool) - 1, 0)
-    tails, signed = np.ones(1, dtype=np.int64), np.zeros((1, 2 * len(proper)), dtype=bool)
+    tails, signed = np.ones(1, dtype=np.int64), np.zeros((1, len(proper)), dtype=np.int8)
     for c in np.flatnonzero(pool):
         grown = np.repeat(signed, 2, axis=0)
-        grown[0::2, c] = grown[1::2, len(proper) + c] = True
+        grown[0::2, c], grown[1::2, c] = 1, -1
         tails, signed = np.concatenate([tails, tails[-1] + 2 * tails]), np.vstack([signed, grown])
     return sets[b_of], D, np.cumsum(1 << D.sum(axis=1)), key, tails, signed
 
 
 def test_shapes_by_bitmask_equal_the_bool_product_build():
     # every 4 | n <= 96, whose largest D pool (8 divisors at n = 96) fills a
-    # uint8 mask, and n = 144, whose 9 need uint16: same arrays, same dtypes
+    # uint8 mask, and n = 144, whose 9 need uint16: same arrays, same dtypes;
+    # each sigma row lies in the block tails gives its support's D-set
     for n in [*range(4, 97, 4), 144]:
         shapes = _shapes(n)
         names = ("B", "D", "ends", "key", "tails", "signed")
@@ -150,7 +151,11 @@ def test_shapes_by_bitmask_equal_the_bool_product_build():
             got = getattr(shapes, name)
             assert got.dtype == want.dtype and got.shape == want.shape, (n, name)
             assert (got == want).all(), (n, name)
-        assert (shapes.flips == shapes.signed[:, len(shapes.cols):]).all(), n
+        support = shapes.signed != 0
+        block = support @ shapes.key
+        rows = np.arange(len(shapes.signed))
+        first = shapes.tails[block] - (1 << support.sum(axis=1))
+        assert ((first <= rows) & (rows < shapes.tails[block])).all(), n
 
 
 def test_subset_table_by_preorder_rank_equals_the_recursive_build():
@@ -355,13 +360,13 @@ def test_crosscheck_memory_stays_flat():
 
 # ------------------------------------------------- oracle by divisor class
 
-def _check_rows_against_oracle(shapes, shape, flips, values):
+def _check_rows_against_oracle(shapes, shape, signed, values):
     # a chunk holds each spectrum on the index classes: gamma = values[of]
     n = shapes.n
     gammas = values[:, index_classes(n).of]
     assert gammas.dtype == np.int32
     assert gammas.shape == (len(shape), n)
-    for spec, row in zip(shapes.specs(shape, flips), gammas):
+    for spec, row in zip(shapes.specs(shape, signed), gammas):
         whole = eigenvalues_oracle(spec)
         assert tuple(row.tolist()) == whole.gamma, spec_to_json(spec)
 
@@ -374,10 +379,10 @@ def test_summed_class_rows_equal_per_spec_oracle():
     for n in range(4, 33, 4):
         shapes, seen = _shapes(n), []
         size = max(1, CHUNK_ENTRIES // len(index_classes(n).reps))
-        for shape, flips, gammas, _ in _judged_chunks(shapes, "pst"):
-            _check_rows_against_oracle(shapes, shape, flips, gammas)
-            reversed_arcs += int(flips.any(axis=1).sum())
-            seen.append([spec_to_json(spec) for spec in shapes.specs(shape, flips)])
+        for shape, signed, gammas, _ in _judged_chunks(shapes, "pst"):
+            _check_rows_against_oracle(shapes, shape, signed, gammas)
+            reversed_arcs += int((shapes.signed[signed] < 0).any(axis=1).sum())
+            seen.append([spec_to_json(spec) for spec in shapes.specs(shape, signed)])
         assert all(len(c) == size for c in seen[:-1])
         assert 0 < len(seen[-1]) <= size
         cut += len(seen) - 1
@@ -397,7 +402,7 @@ def test_sign_block_longer_than_a_chunk_is_cut(monkeypatch):
     n, shapes, size = 96, _shapes(96), 170
     assert CHUNK_ENTRIES // n == size and len(index_classes(n).reps) == 20
     count = 512 // size + 1
-    spec_chunks = list(islice(_row_chunks(shapes), count))
+    spec_chunks = list(islice(_rows(shapes, n), count))
     monkeypatch.setattr(mixedcirc.harness, "CHUNK_ENTRIES", size * 20)
     sweep_chunks = [c[:3] for c in islice(_judged_chunks(shapes, "pst"), count)]
     for chunks in (spec_chunks, sweep_chunks):
@@ -414,41 +419,41 @@ def test_sign_block_longer_than_a_chunk_is_cut(monkeypatch):
         _check_rows_against_oracle(shapes, *c)
 
 
-def offset_bit_flips(shapes, shape, rows):
-    """Flips of enumeration rows decoded from their indices, as the sweep did
-    before the signed table: bit r of a row's offset in its shape's sign
-    block flips the D member r from the right."""
+def offset_bit_sigma(shapes, shape, rows):
+    """Sigma of enumeration rows decoded from their indices, as the sweep did
+    before the signed table: D less twice the offset bits, bit r of a row's
+    offset in its shape's sign block setting the sign of the D member r from
+    the right to -1."""
     D = shapes.D[shape]
     firsts = shapes.ends[shape] - (1 << D.sum(axis=1))
     right = np.cumsum(D[:, ::-1], axis=1)[:, ::-1] - D
-    return D & ((rows - firsts)[:, None] >> right & 1).astype(bool)
+    return D - 2 * (D & ((rows - firsts)[:, None] >> right & 1))
 
 
 @pytest.mark.parametrize("n", [48, 72, 96])
 def test_signed_table_rows_equal_the_incidence_product(monkeypatch, n):
     # past the orders the per-spec oracle checks reach: on every row the
-    # flips read from the signed table are the offset-bit decoding of its
-    # index, at spec width and at class width, and the class values built
-    # from the two tables are its incidence times the class table, as the
-    # sweep formed them before (local copies of both)
+    # sigma read from the signed table is the offset-bit decoding of its
+    # index, at spec width and at class width, and the class values are
+    # B @ G + sigma @ H, G and H the class table's two blocks
     monkeypatch.setattr(
         mixedcirc.harness, "transfer_rows", lambda values, *_: np.zeros((4, len(values)), bool)
     )
     shapes = _shapes(n)
     start = 0
-    for shape, flips in _row_chunks(shapes):
+    for shape, signed in _rows(shapes, n):
         rows = np.arange(start, start + len(shape))
-        assert (flips == offset_bit_flips(shapes, shape, rows)).all()
+        assert (shapes.signed[signed] == offset_bit_sigma(shapes, shape, rows)).all()
         start += len(shape)
     assert start == count_specs(n)
-    table = _class_table(n)[:, index_classes(n).reps]
+    G, H = np.split(_class_table(n)[:, index_classes(n).reps], 2)
     start = 0
-    for shape, flips, values, _ in _judged_chunks(shapes, "pst"):
+    for shape, signed, values, _ in _judged_chunks(shapes, "pst"):
         rows = np.arange(start, start + len(shape))
-        assert (flips == offset_bit_flips(shapes, shape, rows)).all()
-        incidence = np.hstack([shapes.B[shape], shapes.D[shape] & ~flips, flips])
+        sigma = offset_bit_sigma(shapes, shape, rows)
+        assert (shapes.signed[signed] == sigma).all()
         assert values.dtype == np.int32
-        assert (values == (incidence @ table).astype(np.int64)).all()
+        assert (values == (shapes.B[shape] @ G + sigma @ H).astype(np.int64)).all()
         start += len(shape)
     assert start == count_specs(n)
 
@@ -489,12 +494,13 @@ def oracle_rows(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("mode, expected", [("pst", 30), ("mst", 17)])
+@pytest.mark.parametrize("mode, expected", [("pst", 22), ("mst", 12)])
 def test_crosscheck_takes_oracle_once_per_class(oracle_rows, mode, expected):
-    # tau(n) - 1 undirected classes plus two half classes per d | n/4, all
-    # of an order's class rows in one oracle pass
+    # tau(n) - 1 undirected classes plus the +1 half class of each d | n/4
+    # (the -1 one is its negation), all of an order's class rows in one
+    # oracle pass
     report = crosscheck(16, mode)
-    per_order = {n: len(divisors(n)) - 1 + 2 * len(divisors(n // 4)) for n in report.n_range}
+    per_order = {n: len(divisors(n)) - 1 + len(divisors(n // 4)) for n in report.n_range}
     assert sum(k for _, k in oracle_rows) == sum(per_order.values()) == expected
     assert oracle_rows == list(per_order.items())
     assert report.specs_checked > expected
@@ -514,8 +520,8 @@ def test_classifiers_ignore_the_signs():
                 mst_sufficient_rows(n, shapes.B, shapes.D).tolist(),
             )
         )
-        for shape, flips in _row_chunks(shapes):
-            for s, spec in zip(shape.tolist(), shapes.specs(shape, flips)):
+        for shape, signed in _rows(shapes, n):
+            for s, spec in zip(shape.tolist(), shapes.specs(shape, signed)):
                 got = (classify_pst(spec), classify_mst(spec), mst_sufficient_condition(spec))
                 pst, mst, sufficient = by_shape[s]
                 assert got == (PST_CASES[pst], mst, sufficient), spec_to_json(spec)
@@ -551,13 +557,14 @@ def test_sign_negated_partners_get_the_same_answers(mode):
     for n in range(step, 49, step):
         shapes = _shapes(n)
         parts = list(_judged_chunks(shapes, mode))
-        shape, flips = (np.concatenate([p[k] for p in parts]) for k in (0, 1))
+        shape, signed = (np.concatenate([p[k] for p in parts]) for k in (0, 1))
         votes = np.concatenate([p[3] for p in parts], axis=1)
         assert len(shape) == count_specs(n)
         rows = np.arange(len(shape))
         partner = 2 * shapes.ends[shape] - (1 << shapes.D[shape].sum(axis=1)) - 1 - rows
         assert (shape[partner] == shape).all()
-        assert (flips[partner] == shapes.D[shape] & ~flips).all()
+        sigma = shapes.signed[signed]
+        assert (sigma[partner] == -sigma).all()
         assert (votes[:, partner] == votes).all()
         assert votes[0].any()  # the order has transfer-positive specs
 
@@ -573,8 +580,8 @@ def test_sweep_numeric_leg_agrees_with_the_verdicts(mode):
     rows = positive = 0
     for n in range(step, 33, step):
         shapes = _shapes(n)
-        for shape, flips, _, votes in _judged_chunks(shapes, mode):
-            verdicts = [decide(spec) for spec in shapes.specs(shape, flips)]
+        for shape, signed, _, votes in _judged_chunks(shapes, mode):
+            verdicts = [decide(spec) for spec in shapes.specs(shape, signed)]
             assert votes[2].tolist() == verdicts, (n, mode)
             rows += len(verdicts)
             positive += sum(verdicts)

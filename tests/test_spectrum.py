@@ -168,19 +168,21 @@ def test_all_routes_agree_at_orders_32_and_64():
 
 def test_closed_form_equals_class_table_on_every_single_class_spec():
     # every order 2..256: each row of the oracle class table (the class
-    # G_n(d) of each proper d, then the +1 and -1 half class of each d | n/4)
-    # is the closed form of that one-class spec; the term skips fire at
-    # composite orders, the odd-square one on a D term first at n = 36
+    # G_n(d) of each proper d, then the +1 half class of each d | n/4) is the
+    # closed form of that one-class spec, and minus the +1 row is the -1 half
+    # class's; the term skips fire at composite orders, the odd-square one on
+    # a D term first at n = 36
     checked = 0
     for n in range(2, 257):
-        table = _class_table(n).astype(np.int64).reshape(3, -1, n)
+        table = _class_table(n).astype(np.int64).reshape(2, -1, n)
         proper = divisors(n)[:-1]
         for c, d in enumerate(proper):
-            specs = [(0, validate_spec(n, [d]))]
+            specs = [(0, 1, validate_spec(n, [d]))]
             if n % 4 == 0 and (n // 4) % d == 0:
-                specs += [(k, validate_spec(n, [], [d], {d: s})) for k, s in ((1, 1), (2, -1))]
-            for k, spec in specs:
-                assert eigenvalues_closed_form(spec).gamma == tuple(table[k, c].tolist()), spec
+                specs += [(1, s, validate_spec(n, [], [d], {d: s})) for s in (1, -1)]
+            for k, s, spec in specs:
+                want = tuple((s * table[k, c]).tolist())
+                assert eigenvalues_closed_form(spec).gamma == want, spec
                 checked += 1
     assert checked == 1770
 
@@ -188,7 +190,8 @@ def test_closed_form_equals_class_table_on_every_single_class_spec():
 def test_class_table_rows_are_the_single_class_specs_rows(monkeypatch):
     # every order 2..256: the rows _class_table hands to the oracle are the
     # Hermitian rows of the validated single-class specs (zero where d does
-    # not divide n/4), and its spectra are their oracle spectra
+    # not divide n/4), and its spectra are their oracle spectra; the -1 half
+    # class's row and spectrum are the +1 half class's negated
     seen = []
 
     def recording(rows):
@@ -198,17 +201,17 @@ def test_class_table_rows_are_the_single_class_specs_rows(monkeypatch):
     monkeypatch.setattr(mixedcirc.harness, "_oracle_spectra", recording)
     checked = 0
     for n in range(2, 257):
-        table = _class_table(n).reshape(3, -1, n)
-        rows = seen.pop().reshape(3, -1, n)
+        table = _class_table(n).reshape(2, -1, n)
+        rows = seen.pop().reshape(2, -1, n)
         for c, d in enumerate(divisors(n)[:-1]):
-            specs = [(0, validate_spec(n, [d]))]
+            specs = [(0, 1, validate_spec(n, [d]))]
             if n % 4 == 0 and (n // 4) % d == 0:
-                specs += [(k, validate_spec(n, [], [d], {d: s})) for k, s in ((1, 1), (2, -1))]
+                specs += [(1, s, validate_spec(n, [], [d], {d: s})) for s in (1, -1)]
             else:
-                assert not rows[1:, c].any() and not table[1:, c].any(), (n, d)
-            for k, spec in specs:
-                assert tuple(rows[k, c].tolist()) == hermitian_adjacency(spec), spec
-                assert tuple(table[k, c].tolist()) == eigenvalues_oracle(spec).gamma, spec
+                assert not rows[1, c].any() and not table[1, c].any(), (n, d)
+            for k, s, spec in specs:
+                assert tuple((s * rows[k, c]).tolist()) == hermitian_adjacency(spec), spec
+                assert tuple((s * table[k, c]).tolist()) == eigenvalues_oracle(spec).gamma, spec
                 checked += 1
     assert checked == 1770
 
