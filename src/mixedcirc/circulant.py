@@ -177,15 +177,21 @@ def _class_rows(n: int, values: np.ndarray) -> np.ndarray:
     return rows
 
 
-def hermitian_adjacency(spec: GraphSpec) -> tuple[complex, ...]:
-    """Difference row of the Hermitian adjacency: row[c], the entry at (u, u+c),
-    is 1 on G_n(b) for b in B, +i on G_n^r(d) for d in D (r = 1 where
-    sigma(d) = +1, else 3) and -i on its negatives, else 0 (_class_rows).
-    The classes of a valid spec are disjoint, so no entry overwrites another."""
+def _hermitian_row(spec: GraphSpec) -> np.ndarray:
+    """Difference row of the Hermitian adjacency as a complex array: row[c],
+    the entry at (u, u+c), is 1 on G_n(b) for b in B, +i on G_n^r(d) for d
+    in D (r = 1 where sigma(d) = +1, else 3) and -i on its negatives, else 0
+    (_class_rows).  The classes of a valid spec are disjoint, so no entry
+    overwrites another."""
     values = np.zeros(spec.n + 1, dtype=complex)
     values[list(spec.B)] = 1
     values[list(spec.D)] = [spec.sigma[d] * 1j for d in spec.D]
-    return tuple(_class_rows(spec.n, values).tolist())
+    return _class_rows(spec.n, values)
+
+
+def hermitian_adjacency(spec: GraphSpec) -> tuple[complex, ...]:
+    """_hermitian_row of spec as a tuple of Python complex numbers."""
+    return tuple(_hermitian_row(spec).tolist())
 
 
 def spec_to_dict(spec: GraphSpec) -> dict:

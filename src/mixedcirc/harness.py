@@ -61,15 +61,23 @@ def _pools(n: int) -> tuple[list[int], list[int]]:
     return divisors(n)[:-1], divisors(n // 4) if n % 4 == 0 else []
 
 
-def _budgeted(orders: Sequence[int], budget: int) -> list[int]:
-    """List the orders, or raise BudgetExceeded at the first order whose running
-    spec count passes budget; orders after it are never counted."""
-    total = 0
+def _count(proper: list[int], d_pool: list[int]) -> int:
+    """Closed-form spec count of an order's _pools: 4 per divisor of n/4, 2 per
+    other proper divisor (every divisor of n/4 is a proper divisor of n)."""
+    return 2 ** (len(proper) - len(d_pool)) * 4 ** len(d_pool)
+
+
+def _budgeted(orders: Sequence[int], budget: int) -> dict[int, tuple[list[int], list[int]]]:
+    """Each order's _pools, the one call per order, or BudgetExceeded at the
+    first order whose running spec count passes budget; orders after it are
+    never counted."""
+    total, pools = 0, {}
     for n in orders:
-        total += count_specs(n)
+        pools[n] = _pools(n)
+        total += _count(*pools[n])
         if total > budget:
             raise BudgetExceeded(f"{total} specs through order {n} exceed budget {budget}")
-    return list(orders)
+    return pools
 
 
 class _Shapes(NamedTuple):
@@ -115,9 +123,10 @@ def _subsets(k: int) -> np.ndarray:
     return sets
 
 
-def _shapes(n: int) -> _Shapes:
-    """The shapes of order n in the frozen order: B over the subsets of the
-    proper divisors, then D over those of n/4's divisors not in B, each in
+def _shapes(n: int, proper: list[int], d_pool: list[int]) -> _Shapes:
+    """The shapes of order n, whose _pools are proper and d_pool, in the
+    frozen order: B over the subsets of the proper divisors, then D over
+    those of n/4's divisors not in B, each in
     the order of _subsets.  Filtering keeps the order, so the (B set, D set)
     pairs whose bitmasks over n/4's divisors, in the narrowest dtype, share
     no bit list every shape, each with 2**popcount(D set) sign rows.  The
@@ -126,7 +135,6 @@ def _shapes(n: int) -> _Shapes:
     divisor at +1 and at -1, so every block is in product order, +1 before -1
     and the smallest divisor slowest.  Its 3**|divisors of n/4| rows never
     outnumber the shapes, and it adds nothing per shape."""
-    proper, d_pool = _pools(n)
     sets = _subsets(len(proper))
     pool = np.array([d in d_pool for d in proper])
     d_sets = sets[~sets[:, ~pool].any(axis=1)]
@@ -169,26 +177,25 @@ def enumerate_specs(n: int) -> Iterator[GraphSpec]:
     """Yield every valid spec of order n, ordered by (B, D, sigma): each shape
     of _shapes with every sign choice, +1 before -1 per divisor (_rows at
     width n).  The order is frozen: golden outputs depend on it."""
-    shapes = _shapes(n)
+    shapes = _shapes(n, *_pools(n))
     for rows in _rows(shapes, n):
         yield from shapes.specs(*rows)
 
 
 def count_specs(n: int) -> int:
-    """Closed-form spec count: 4 per divisor of n/4, 2 per other proper divisor."""
-    proper, d_pool = _pools(n)  # every divisor of n/4 is a proper divisor of n
-    return 2 ** (len(proper) - len(d_pool)) * 4 ** len(d_pool)
+    """Closed-form spec count of order n (_count)."""
+    return _count(*_pools(n))
 
 
-def _class_table(n: int) -> np.ndarray:
-    """Oracle spectra of the single-class specs of order n in two blocks of
-    rows over the proper divisors: the class G_n(d) of each, then the +1 half
-    class of each d | n/4 (zero rows elsewhere), all _class_rows of one table
+def _class_table(n: int, proper: list[int], d_pool: list[int]) -> np.ndarray:
+    """Oracle spectra of the single-class specs of order n, whose _pools are
+    proper and d_pool, in two blocks of rows over the proper divisors: the
+    class G_n(d) of each, then the +1 half class of each d | n/4 (zero rows
+    elsewhere), all _class_rows of one table
     valuing each class 1 or i, as a spec's row is; one pass of _oracle_spectra
     transforms, rounds and checks them: integer floats.  A -1 half class's row
     is the +1 one's negated, and the FFT and rounding are odd, so its
     spectrum is exactly block 1's row negated: sigma weighs block 1."""
-    proper, d_pool = _pools(n)
     values = np.zeros((2, len(proper), n + 1), dtype=complex)
     values[0, range(len(proper)), proper] = 1
     values[1, np.searchsorted(proper, d_pool), d_pool] = 1j  # d_pool is in proper
@@ -204,18 +211,22 @@ def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...
     of a valid spec are disjoint, so a spectrum is B @ G + sigma @ H, G and
     H the class table's two blocks, whose representative columns are all it
     needs once the table is checked constant on every class:
-    ConsistencyError where it is not.  So a row's values are its shape's B
+    ConsistencyError where it is not.  That check is the real guard of the
+    pair restriction leg, which holds by construction on class rows
+    (transfer._witnesses).  So a row's values are its shape's B
     part's plus its sigma row's, in int32 (sums stay below n), once per
     order for the sigma table and per chunk for the B rows of its run of
     shapes (no table over all 2**|cols| B-sets), then gathered and added.  The classifier reads B and D only, so it runs once
     per order; the other legs are transfer_rows on each chunk of
-    CHUNK_ENTRIES // C rows, C the class count, which reads each row's gap
-    gcd off its C class values and verifies rows on them, with the
-    order's (targets, C) table of class weights built beside the table."""
+    CHUNK_ENTRIES // C rows, C the class count, which judges each row on
+    the 2-adic part of its gap gcd, read off its C class values, folds the
+    exact gcd over the rows with a witness and verifies those on them, with
+    the order's (targets, C) table of class weights built beside the table."""
     n, split = shapes.n, len(shapes.cols)  # the table's B rows, then its sigma rows
     _, quarters, classifier, valuation = _mode(mode)
     targets = [k * n // 4 for k in quarters]
-    judged, full, classes = classifier(n, shapes.B, shapes.D), _class_table(n), index_classes(n)
+    full = _class_table(n, list(shapes.cols), list(compress(shapes.cols, shapes.key)))
+    judged, classes = classifier(n, shapes.B, shapes.D), index_classes(n)
     table = full[:, classes.reps]
     if not (full == table[:, classes.of]).all():
         raise ConsistencyError(f"class table of order {n} not constant on its index classes")
@@ -248,10 +259,11 @@ def crosscheck(n_max: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> S
     step = _mode(mode)[0]
     if n_max < step:  # an empty sweep would read as a clean one
         raise SpecError(f"{mode} crosscheck starts at order {step}, got n_max {n_max}")
-    report = SweepReport(mode=mode, n_range=_budgeted(range(step, n_max + 1, step), budget))
+    pools = _budgeted(range(step, n_max + 1, step), budget)
+    report = SweepReport(mode=mode, n_range=list(pools))
     positive, start = 0, time.perf_counter()
     for n in report.n_range:
-        shapes = _shapes(n)
+        shapes = _shapes(n, *pools[n])
         for shape, signed, _, votes in _judged_chunks(shapes, mode):
             report.specs_checked += len(shape)
             positive += int(votes[0].sum())
@@ -275,8 +287,7 @@ def search_specs(n: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> lis
     The classifier reads B and D only, so one call judges every shape of the
     order on its membership matrices; only a hit gets a GraphSpec."""
     _, _, classifier, _ = _mode(mode)
-    _budgeted([n], budget)
-    shapes = _shapes(n)
+    shapes = _shapes(n, *_budgeted([n], budget)[n])
     hit = classifier(n, shapes.B, shapes.D)
     chunks = ((shape[hit[shape]], signed[hit[shape]]) for shape, signed in _rows(shapes, n))
     return [spec for rows in chunks for spec in shapes.specs(*rows)]

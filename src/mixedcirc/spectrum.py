@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .circulant import GraphSpec, hermitian_adjacency
+from .circulant import GraphSpec, _hermitian_row
 from .numthy import (
     _check_ints,
     _is_int,
@@ -60,7 +60,7 @@ class Spectrum:
 
 class IndexClasses(NamedTuple):
     """A partition of the indices 0..n-1 of order-n spectra into classes, and
-    what the gap kernel (transfer._gap_columns) reads of it: of[j] is the
+    what the gap kernel (transfer._potentials) reads of it: of[j] is the
     class of j, reps[c] the first index of class c, and cycle = k =
     gcd(n, 4), which divides every distance between two indices of one
     class, so that j mod k is constant on each class; k is the gcd of n and
@@ -229,9 +229,10 @@ def _oracle_spectra(rows: np.ndarray) -> np.ndarray:
 
 def eigenvalues_oracle(spec: GraphSpec) -> Spectrum:
     """Floating-point spectrum of the Hermitian adjacency: _oracle_spectra on
-    the spec's row, built from its gcd classes by brute gcd."""
-    rounded = _oracle_spectra(np.array([hermitian_adjacency(spec)]))[0]
-    return Spectrum(n=spec.n, gamma=tuple(int(x) for x in rounded))
+    the spec's row (circulant._hermitian_row), built from its gcd classes by
+    brute gcd."""
+    rounded = _oracle_spectra(_hermitian_row(spec)[None])[0]
+    return Spectrum(n=spec.n, gamma=tuple(rounded.astype(np.int64).tolist()))
 
 
 def spectrum_of(spec: GraphSpec) -> Spectrum:

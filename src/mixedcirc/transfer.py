@@ -89,28 +89,21 @@ def transition_amplitude(spectrum: Spectrum, a: int, b: int, t_prime) -> complex
     return _verify_one(spectrum, a, b, t_prime)[1]
 
 
-def _gap_columns(
+def _potentials(
     values: np.ndarray, classes: Optional[IndexClasses] = None
-) -> tuple[np.ndarray, ...]:
-    """Columns of the gap data of each row of a (k, C) matrix of spectra held
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The gap kernel's inputs for each row of a (k, C) matrix of spectra held
     as values on the index classes (spectrum.IndexClasses), a row being
     gamma[reps], or of a (k, n) matrix of whole spectra where classes is
-    None, the singleton partition: d0, the gap gcd g (that of every
-    delta_j - delta_0), whether all gaps share d0's 2-adic valuation v, and
-    whether every gap is 2 (mod 4) and every double gap 4 (mod 8): v2 = 1
-    and v2 = 2 for either sign, false on 0.  On classes g is one gcd over
-    the C potential columns gamma_C - gamma_of[0] - (reps[C] mod k) * d0 and
-    k * d0, k = classes.cycle (IndexClasses proves it); on whole spectra it
-    is that of every gap less d0, taken by slicing, where j * d0 could
-    overflow.  Each gap is d0 plus a multiple of g, so the valuation is
-    common iff d0 != 0 and 2**(v+1) divides g.  The quarter flag holds iff
-    d0 = 2 (mod 4) and 8 | g: every gap is 2 (mod 4) iff d0 is and 4 | g;
-    then delta_j = d0 + 4*a_j, a_0 = 0, and each double gap delta_j +
-    delta_{j+1} = 4 + 4*(a_j + a_{j+1}) (mod 8), so all are 4 (mod 8) iff
-    every a_j has a_0's parity, that is iff 8 | g.  Entries must be integers
-    with |gamma| < 2**60, so that every value formed, under 8 * max|gamma|,
-    stays exact in int64; anything else raises ValueError rather than being
-    truncated or wrapped.  The columns are new arrays, so a later write to
+    None, the singleton partition: d0, the potential columns and the cycle
+    k, the gap gcd g (that of every delta_j - delta_0) being that of the
+    potentials and k * d0 (_gap_gcds).  On classes the potentials are
+    gamma_C - gamma_of[0] - (reps[C] mod k) * d0, k = classes.cycle
+    (IndexClasses proves it); on whole spectra they are every gap less d0,
+    taken by slicing, where j * d0 could overflow, and k = 0.  Entries must
+    be integers with |gamma| < 2**60, so that every value formed, under 8 *
+    max|gamma|, stays exact in int64; anything else raises ValueError rather
+    than being truncated or wrapped.  The arrays are new, so a later write to
     the matrix leaves them as they are.
     """
     values = np.asarray(values)
@@ -130,25 +123,51 @@ def _gap_columns(
     values = values.astype(np.int32 if top < 2**28 else np.int64, copy=False)
     if classes is None:
         deltas = np.concatenate((values[:, 1:], values[:, :1]), axis=1) - values
-        d0, cycle = deltas[:, 0], 0
-        potential = deltas[:, 1:] - deltas[:, :1]
-    else:
-        # one class a row: the gcd then folds a whole class into every row's
-        # running gcd at once, faster than along each row
-        of, reps, cycle = classes
-        potential = values.T.copy()
-        d0 = potential[of[1]] - potential[of[0]]
-        potential -= potential[of[:1]]
-        potential -= (reps % cycle).astype(values.dtype)[:, None] * d0
-        potential = potential.T
+        return deltas[:, 0], deltas[:, 1:] - deltas[:, :1], 0
+    # one class a row: a fold then takes a whole class into every row's
+    # running value at once, faster than along each row
+    of, reps, cycle = classes
+    potential = values.T.copy()
+    d0 = potential[of[1]] - potential[of[0]]
+    potential -= potential[of[:1]]
+    potential -= (reps % cycle).astype(values.dtype)[:, None] * d0
+    return d0, potential.T, cycle
+
+
+def _gap_gcds(d0: np.ndarray, potential: np.ndarray, cycle: int) -> np.ndarray:
+    """The exact gap gcd g of each row of _potentials' output: the gcd of its
+    potentials and cycle * d0."""
     spread = np.gcd.reduce(potential, axis=1)
     # gcd(spread, cycle * d0) as h * gcd(spread / h, cycle), h = gcd(spread, d0):
     # no product exceeds the gap gcd, whatever cycle is
     h = np.gcd(spread, d0)
-    gcds = h * np.gcd(spread // (h | (h == 0)), cycle)
+    return h * np.gcd(spread // (h | (h == 0)), cycle)
+
+
+def _flags(d0: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether all gaps share d0's 2-adic valuation v, and whether every gap
+    is 2 (mod 4) and every double gap 4 (mod 8): v2 = 1 and v2 = 2 for
+    either sign, false on 0, for rows with first gap d0 and gap gcd g.  Each
+    gap is d0 plus a multiple of g, so the valuation is common iff d0 != 0
+    and 2**(v+1) divides g.  The quarter flag holds iff d0 = 2 (mod 4) and
+    8 | g: every gap is 2 (mod 4) iff d0 is and 4 | g; then delta_j = d0 +
+    4*a_j, a_0 = 0, and each double gap delta_j + delta_{j+1} = 4 + 4*(a_j +
+    a_{j+1}) (mod 8), so all are 4 (mod 8) iff every a_j has a_0's parity,
+    that is iff 8 | g.  Both read only the bits of g below 2 * lowbit(d0)
+    and below 8."""
     low = d0 & -d0
-    common = (low != 0) & (gcds & (2 * low - 1) == 0)
-    return d0, gcds, common, (d0 & 3 == 2) & (gcds & 7 == 0)
+    return (low != 0) & (g & (2 * low - 1) == 0), (d0 & 3 == 2) & (g & 7 == 0)
+
+
+def _gap_columns(
+    values: np.ndarray, classes: Optional[IndexClasses] = None
+) -> tuple[np.ndarray, ...]:
+    """Columns of the gap data of each row of a matrix of spectra, whole or
+    held on classes as _potentials reads it: d0, the exact gap gcd g
+    (_gap_gcds), and the common-valuation and quarter flags (_flags)."""
+    d0, potential, cycle = _potentials(values, classes)
+    gcds = _gap_gcds(d0, potential, cycle)
+    return (d0, gcds, *_flags(d0, gcds))
 
 
 def _row_values(columns) -> tuple[int, int, Optional[int], bool]:
@@ -190,7 +209,7 @@ def antipodal_pst_by_valuation(spectrum: Spectrum) -> Optional[int]:
 
 def mst_by_valuation(spectrum: Spectrum) -> bool:
     """Gap valuations all 1 and double-gap valuations all 2 (cyclically),
-    read as d0 = 2 (mod 4) and 8 | g (_gap_columns proves it)."""
+    read as d0 = 2 (mod 4) and 8 | g (_flags proves it)."""
     if spectrum.n % 4:
         raise ValueError(f"quarter orbit needs 4 | n, got {spectrum.n}")
     return _profile(spectrum)[3]
@@ -385,15 +404,22 @@ def _class_weights(n: int, classes: IndexClasses, diffs: list[int]) -> np.ndarra
     class, 4 not dividing m, and (c_m(w) +- i*s_m(w))/2 for the half classes
     r/g = 1 and 3 (mod 4), which share c_m's cosine terms and split s_m's
     sine terms.  Every W_C(w) is an integer or half of one, exact in floats;
-    the kernels take Python ints."""
-    table = np.zeros((len(diffs), len(classes.reps)), dtype=complex)
-    for c, r in enumerate(classes.reps.tolist()):
-        g = math.gcd(r, n)
-        m, sign = n // g, (1 if r // g % 4 == 1 else -1)
-        for j, w in enumerate(diffs):
-            q = w % n or n  # w = 0 (mod n): c_m(n) = phi(m), s_m(n) = 0
-            cos = ramanujan_sum(m, q)
-            table[j, c] = cos if m % 4 else complex(cos, sign * ramanujan_sine_sum(m, q)) / 2
+    the kernels take Python ints, once per distinct (m, w), the half
+    classes sharing theirs."""
+    reps = classes.reps.tolist()
+    ms = [n // math.gcd(r, n) for r in reps]
+    qs = [w % n or n for w in diffs]  # w = 0 (mod n): c_m(n) = phi(m), s_m(n) = 0
+    kernels = {
+        (m, q): (ramanujan_sum(m, q), 0 if m % 4 else ramanujan_sine_sum(m, q))
+        for m in set(ms)
+        for q in set(qs)
+    }
+    table = np.zeros((len(diffs), len(reps)), dtype=complex)
+    for c, (r, m) in enumerate(zip(reps, ms)):
+        sign = 1 if r * m // n % 4 == 1 else -1
+        for j, q in enumerate(qs):
+            cos, sin = kernels[m, q]
+            table[j, c] = cos if m % 4 else complex(cos, sign * sin) / 2
     return table / n
 
 
@@ -420,31 +446,55 @@ def _witnesses(
 ):
     """The one route from spectra to checked witnesses of transfer from
     vertex 0 to every one of targets, on a matrix of spectra held on classes
-    as _gap_columns reads it (the singleton partition where classes is
-    None): its gap columns; the order n/s of each row's group of feasible
+    as _potentials reads it (the singleton partition where classes is None):
+    its gap columns; the order n/s of each row's group of feasible
     differences, s its _step; the indices of the rows whose step divides
     every target's difference, that is their gcd; their numerators k as a
     (rows, targets) array, each time being k/g with g the row's gap gcd,
     solved once per distinct (d0, g) among them (_witness_ks); and
     verify_rows' (ok, amplitude, residual) arrays on those rows at those
-    times, None when no row has one.  Rows held on classes are checked on
-    their class values with weights, the _class_weights table of the
-    targets, which goes with classes and only with them.  A row with an
-    entry of 2**29 or more is checked modulo g: each phase gamma*k/g moves
-    by an integer and stays below k, where float(gamma)*k/g would lose its
-    fraction; smaller entries are read as they are, so graph spectra keep
-    their float phases bit for bit.  An empty target list is a ValueError,
-    a target = 0 (mod n) SamePair."""
+    times, None when no row has one.
+
+    Whole rows fold the exact g on every row: there g divides only n * d0,
+    so the order n/s may be any divisor of n, and the pair restriction
+    (transfer_rows) is a real check.  Rows held on classes are judged on low
+    = 2**v2(g), the lowest set bit of the OR of their potentials and cycle *
+    d0 (0 exactly where all are 0, that is where g = 0), and the exact g is
+    folded over the feasible rows only; the gap column holds g there and low
+    elsewhere.  low gives what g gives: g divides k * d0, k = cycle | 4, so
+    with h = gcd(d0, g), g/h divides k * (d0/h) and is prime to d0/h, hence
+    divides k and is a power of 2; then g/h = 2**(v2(g) - min(v2(d0),
+    v2(g))) = low / gcd(d0, low), both 1 where d0 = 0, and _step reads g
+    only through g/h (and g = 0); _flags read only the bits of g below 2 *
+    lowbit(d0) and below 8, which are low's.  So on classes the order n/s =
+    gcd(n, g/h) divides 4 and the restriction holds by construction, once
+    the class table passes its constancy check (harness._judged_chunks),
+    which stays the real guard there.
+
+    Rows held on classes are checked on their class values with weights,
+    the _class_weights table of the targets, which goes with classes and
+    only with them.  A row with an entry of 2**29 or more is checked modulo
+    g: each phase gamma*k/g moves by an integer and stays below k, where
+    float(gamma)*k/g would lose its fraction; smaller entries are read as
+    they are, so graph spectra keep their float phases bit for bit.  An
+    empty target list is a ValueError, a target = 0 (mod n) SamePair."""
     values = np.asarray(values)
-    columns = d0, gcds, _, _ = _gap_columns(values, classes)
+    d0, potential, cycle = _potentials(values, classes)
     n = values.shape[1] if classes is None else len(classes.of)
     if not targets:
         raise ValueError("transfer needs at least one target")
     if (classes is None) != (weights is None):
         raise ValueError("class weights go with classes, and classes with weights")
     diffs = [_difference(n, 0, b) for b in targets]
+    if classes is None:
+        gcds = _gap_gcds(d0, potential, cycle)
+    else:
+        gcds = np.bitwise_or.reduce(potential, axis=1) | cycle * d0
+        gcds &= -gcds
     step = _step(n, d0, gcds)
     feasible = np.flatnonzero(math.gcd(*diffs) % step == 0)
+    if classes is not None:
+        gcds[feasible] = _gap_gcds(d0[feasible], potential[feasible], cycle)
     rows = list(zip(d0[feasible].tolist(), gcds[feasible].tolist()))
     solved = {row: _witness_ks(n, *row, diffs) for row in set(rows)}
     ks = np.array([solved[row] for row in rows], dtype=np.int64).reshape(len(rows), len(diffs))
@@ -454,7 +504,7 @@ def _witnesses(
         large = (np.abs(spectra) >= 2**29).any(axis=1)
         spectra[large] %= g[large]
     checked = verify_rows(spectra, ks / g, diffs, weights) if rows else None
-    return columns, n // step, feasible, ks, checked
+    return (d0, gcds, *_flags(d0, gcds)), n // step, feasible, ks, checked
 
 
 def transfer_rows(
@@ -462,12 +512,15 @@ def transfer_rows(
 ) -> np.ndarray:
     """A (4, k) bool matrix of answers on transfer from vertex 0 to every one
     of targets, for each row of a matrix of spectra held on classes as
-    _gap_columns reads it: the common-valuation flag, the quarter flag and
+    _potentials reads it: the common-valuation flag, the quarter flag and
     the numeric answer, read off _witnesses (with classes, their weights
     table, which a caller holding many chunks of one order builds once), a
     failed check being a numeric False for the caller; and whether the row
     keeps to the pair restriction, its feasible differences and 0 forming a
-    group of order 1, 2 or 4, so that each is a quarter point."""
+    group of order 1, 2 or 4, so that each is a quarter point.  On whole
+    rows that is a real check; on rows held on classes it holds by
+    construction (_witnesses proves it), and the class table's constancy
+    check (harness._judged_chunks) is the real guard."""
     witnesses = _witnesses(values, targets, classes, weights)
     (_, _, common, quarter), order, feasible, _, checked = witnesses
     numeric = np.zeros_like(common)

@@ -5,7 +5,8 @@ order-8 graph exercising both arc layers, the three order-8 graphs realizing
 the antipodal-transfer cases i/ii/iii, and the order-16 graph with transfer
 around the whole quarter orbit.  reference_shapes and reference_specs are
 the tuple generators of the frozen enumeration order, which the shape
-matrices of mixedcirc.harness must reproduce.  failing_verify_rows stands
+matrices of mixedcirc.harness must reproduce, and order_shapes builds those
+matrices from an order's pools.  failing_verify_rows stands
 in for mixedcirc.transfer.verify_rows, the one numeric check, to inject a
 failed amplitude check; unit_step stands in for mixedcirc.transfer._step to
 inject rows whose feasible differences stray off the quarter points.
@@ -16,6 +17,7 @@ from itertools import chain, combinations, product
 import numpy as np
 
 from mixedcirc import GraphSpec, validate_spec
+from mixedcirc.harness import _pools, _shapes
 from mixedcirc.numthy import divisors
 from mixedcirc.transfer import _step
 
@@ -62,6 +64,11 @@ def reference_shapes(n: int):
     for b_tuple in subsets_lex(proper):
         for d_tuple in subsets_lex([d for d in d_pool if d not in b_tuple]):
             yield b_tuple, d_tuple
+
+
+def order_shapes(n: int):
+    """mixedcirc.harness._shapes of order n, from its _pools."""
+    return _shapes(n, *_pools(n))
 
 
 def reference_specs(n: int):

@@ -12,6 +12,7 @@ import mixedcirc.transfer
 from conftest import (
     failing_verify_rows,
     mst_example_graph,
+    order_shapes,
     pst_case_i_graph,
     pst_case_iii_graph,
     reference_shapes,
@@ -37,7 +38,7 @@ from mixedcirc import (
     validate_spec,
 )
 from mixedcirc.circulant import GraphSpec
-from mixedcirc.harness import CHUNK_ENTRIES, _class_table, _judged_chunks, _rows, _shapes
+from mixedcirc.harness import CHUNK_ENTRIES, _class_table, _judged_chunks, _pools, _rows
 from mixedcirc.harness import _subsets
 from mixedcirc.numthy import MAX_N, divisors, two_adic_valuation
 from mixedcirc.spectrum import index_classes
@@ -66,7 +67,7 @@ def naive_count(n: int) -> int:
 
 def decoded_shapes(n: int):
     """The shape matrices of order n as (B, D) tuples."""
-    shapes = _shapes(n)
+    shapes = order_shapes(n)
     cols = np.array(shapes.cols)
     return [(tuple(cols[b].tolist()), tuple(cols[d].tolist())) for b, d in zip(shapes.B, shapes.D)]
 
@@ -104,7 +105,7 @@ def test_shape_matrices_follow_the_frozen_order():
     for n in [*range(2, 65), 72, 96]:
         reference = list(reference_shapes(n))
         assert decoded_shapes(n) == reference, n
-        ends = _shapes(n).ends.tolist()
+        ends = order_shapes(n).ends.tolist()
         assert ends == np.cumsum([2 ** len(d) for _, d in reference]).tolist()
         assert ends[-1] == count_specs(n)
 
@@ -145,7 +146,7 @@ def test_shapes_by_bitmask_equal_the_bool_product_build():
     # uint8 mask, and n = 144, whose 9 need uint16: same arrays, same dtypes;
     # each sigma row lies in the block tails gives its support's D-set
     for n in [*range(4, 97, 4), 144]:
-        shapes = _shapes(n)
+        shapes = order_shapes(n)
         names = ("B", "D", "ends", "key", "tails", "signed")
         for name, want in zip(names, bool_product_shapes(n)):
             got = getattr(shapes, name)
@@ -286,8 +287,8 @@ def test_sweep_refuses_a_class_table_not_constant_on_its_classes(monkeypatch):
     # and the sweep raises rather than judge rows on it
     real = mixedcirc.harness._class_table
 
-    def patched(n):
-        table = real(n)
+    def patched(n, *pools):
+        table = real(n, *pools)
         if n == 8:
             table[0, 5] += 1
         return table
@@ -311,16 +312,17 @@ def test_crosscheck_budget_guard():
 
 
 def test_crosscheck_budget_guard_stops_at_first_order_over_budget(monkeypatch):
-    # orders past the one that breaks the budget are never counted, and the
-    # order range is never built: n_max = 4,000,000 fails at order 120
-    real = mixedcirc.harness.count_specs
+    # orders past the one that breaks the budget are never counted (each
+    # counted order's _pools are listed once), and the order range is never
+    # built: n_max = 4,000,000 fails at order 120
+    real = mixedcirc.harness._pools
     counted = []
 
     def counting(n):
         counted.append(n)
         return real(n)
 
-    monkeypatch.setattr(mixedcirc.harness, "count_specs", counting)
+    monkeypatch.setattr(mixedcirc.harness, "_pools", counting)
     with pytest.raises(BudgetExceeded, match="exceed budget 1000000"):
         crosscheck(4_000_000, "pst")
     assert counted == list(range(4, 121, 4))
@@ -377,7 +379,7 @@ def test_summed_class_rows_equal_per_spec_oracle():
     # C the order's index class count (two chunks at n = 24)
     reversed_arcs = cut = 0
     for n in range(4, 33, 4):
-        shapes, seen = _shapes(n), []
+        shapes, seen = order_shapes(n), []
         size = max(1, CHUNK_ENTRIES // len(index_classes(n).reps))
         for shape, signed, gammas, _ in _judged_chunks(shapes, "pst"):
             _check_rows_against_oracle(shapes, shape, signed, gammas)
@@ -399,7 +401,7 @@ def test_sign_block_longer_than_a_chunk_is_cut(monkeypatch):
     # so CHUNK_ENTRIES = 170 * 20 makes them 170 rows too.  Either way the
     # block spans three chunks and is cut at both ends, the rows follow the
     # reference enumeration, and every sweep row equals the per-spec oracle
-    n, shapes, size = 96, _shapes(96), 170
+    n, shapes, size = 96, order_shapes(96), 170
     assert CHUNK_ENTRIES // n == size and len(index_classes(n).reps) == 20
     count = 512 // size + 1
     spec_chunks = list(islice(_rows(shapes, n), count))
@@ -439,14 +441,14 @@ def test_signed_table_rows_equal_the_incidence_product(monkeypatch, n):
     monkeypatch.setattr(
         mixedcirc.harness, "transfer_rows", lambda values, *_: np.zeros((4, len(values)), bool)
     )
-    shapes = _shapes(n)
+    shapes = order_shapes(n)
     start = 0
     for shape, signed in _rows(shapes, n):
         rows = np.arange(start, start + len(shape))
         assert (shapes.signed[signed] == offset_bit_sigma(shapes, shape, rows)).all()
         start += len(shape)
     assert start == count_specs(n)
-    G, H = np.split(_class_table(n)[:, index_classes(n).reps], 2)
+    G, H = np.split(_class_table(n, *_pools(n))[:, index_classes(n).reps], 2)
     start = 0
     for shape, signed, values, _ in _judged_chunks(shapes, "pst"):
         rows = np.arange(start, start + len(shape))
@@ -466,7 +468,7 @@ def test_classifier_hits_match_the_closed_form_counts():
     # sum to the positives of test_bench_size_sweep_frozen
     totals = {"pst": 0, "mst": 0}
     for n in range(4, 129, 4):
-        shapes, t = _shapes(n), two_adic_valuation(n)
+        shapes, t = order_shapes(n), two_adic_valuation(n)
         tau, signs = len(divisors(n >> t)), 1 << shapes.D.sum(axis=1)
         deep = 2 * 4 ** ((t - 3) * tau) if t >= 3 else 0
         counts = {
@@ -512,7 +514,7 @@ def test_classifiers_ignore_the_signs():
     # and search classify an order's shapes, not its specs: every sign
     # variant of a shape gets the one-row verdict of the shape's matrix row
     for n in range(4, 41, 4):
-        shapes = _shapes(n)
+        shapes = order_shapes(n)
         by_shape = list(
             zip(
                 classify_pst_rows(n, shapes.B, shapes.D).tolist(),
@@ -555,7 +557,7 @@ def test_sign_negated_partners_get_the_same_answers(mode):
     # negated must get the same answer on each leg; every row is still judged
     step = 4 if mode == "pst" else 8
     for n in range(step, 49, step):
-        shapes = _shapes(n)
+        shapes = order_shapes(n)
         parts = list(_judged_chunks(shapes, mode))
         shape, signed = (np.concatenate([p[k] for p in parts]) for k in (0, 1))
         votes = np.concatenate([p[3] for p in parts], axis=1)
@@ -579,7 +581,7 @@ def test_sweep_numeric_leg_agrees_with_the_verdicts(mode):
     }[mode]
     rows = positive = 0
     for n in range(step, 33, step):
-        shapes = _shapes(n)
+        shapes = order_shapes(n)
         for shape, signed, _, votes in _judged_chunks(shapes, mode):
             verdicts = [decide(spec) for spec in shapes.specs(shape, signed)]
             assert votes[2].tolist() == verdicts, (n, mode)
@@ -592,7 +594,8 @@ def test_sweep_numeric_leg_agrees_with_the_verdicts(mode):
 def test_crosscheck_builds_specs_only_for_mismatches(monkeypatch):
     # shapes, sign variants and class rows are array rows: a GraphSpec is
     # built for each reported mismatch, plus the one each order-range check
-    # (_pools) validates; never one per class, per shape or per spec
+    # (_pools, once per order) validates; never one per class, per shape or
+    # per spec
     orders = [8, 16]
     built, pools, judged = [], [], []
     real_post_init, real_pools = GraphSpec.__post_init__, mixedcirc.harness._pools
@@ -617,6 +620,7 @@ def test_crosscheck_builds_specs_only_for_mismatches(monkeypatch):
     assert len(report.mismatches) > 0
     # the classifier runs once per order, on all of its shapes
     assert judged == [len(list(reference_shapes(n))) for n in orders]
+    assert pools == orders
     assert len(built) == len(report.mismatches) + len(pools)
 
 
@@ -641,9 +645,9 @@ def test_search_classifies_each_order_once_and_builds_only_hits(monkeypatch):
     monkeypatch.setattr(mixedcirc.harness, "_pools", counting_pools)
     hits = search_specs(16, "pst")
     assert judged == [len(list(reference_shapes(16)))]
-    # one spec per hit and one per order-range check: the budget count and
-    # the shape matrices
-    assert len(pools) == 2
+    # one spec per hit and one for the order's one range check (_pools),
+    # whose pools serve the budget count and the shape matrices alike
+    assert pools == [16]
     assert len(built) == len(hits) + len(pools)
 
 
@@ -684,7 +688,7 @@ def test_search_rejects_unknown_mode():
 
 def test_search_budget_guard(monkeypatch):
     # an order over budget is refused before enumeration builds any spec
-    def no_enumeration(n):
+    def no_enumeration(n, *pools):
         raise AssertionError(f"order {n} enumerated")
 
     monkeypatch.setattr(mixedcirc.harness, "_shapes", no_enumeration)

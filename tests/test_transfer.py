@@ -12,6 +12,7 @@ from conftest import (
     all_specs,
     failing_verify_rows,
     mst_example_graph,
+    order_shapes,
     pst_case_i_graph,
     pst_case_ii_graph,
     pst_case_iii_graph,
@@ -44,7 +45,7 @@ from mixedcirc import (
     validate_spec,
     verify_numeric,
 )
-from mixedcirc.harness import _judged_chunks, _shapes
+from mixedcirc.harness import _judged_chunks
 from mixedcirc.numthy import divisors
 from mixedcirc.spectrum import index_classes
 from mixedcirc.transfer import (
@@ -380,7 +381,7 @@ def test_screened_quarter_equals_its_definition_on_sweep_rows():
     rows = positive = 0
     for n in range(8, 97, 8):
         of = index_classes(n).of
-        for _, _, values, votes in _judged_chunks(_shapes(n), "mst"):
+        for _, _, values, votes in _judged_chunks(order_shapes(n), "mst"):
             gammas = values[:, of]
             quarter = unscreened_quarter(gammas)
             assert (votes[1] == quarter).all(), n  # the kernel's flag, via transfer_rows
@@ -445,15 +446,35 @@ SWEEP_MODES = pytest.mark.parametrize(
 )
 
 
+def assert_screen_agrees(values, classes, targets, weights, label):
+    """_witnesses on a matrix held on classes, which judges each row on low
+    = 2**v2(g), gives what the exact gap gcd g (_gap_columns' full fold)
+    gives: the same step, so the same order and feasible rows, and the same
+    common and quarter flags; its gap column holds g on the feasible rows,
+    the only ones whose exact g it folds, and low on the others."""
+    n, (d0, g, common, quarter) = len(classes.of), _gap_columns(values, classes)
+    columns, order, feasible, _, _ = _witnesses(values, targets, classes, weights)
+    step = _step(n, d0, g)
+    assert (order == n // step).all() and (4 % order == 0).all(), label
+    exact = np.flatnonzero(math.gcd(*(t % n for t in targets)) % step == 0)
+    assert feasible.tolist() == exact.tolist(), label
+    held = np.where(np.isin(np.arange(len(g)), feasible), g, g & -g)
+    for got, want in zip(columns, (d0, held, common, quarter)):
+        assert (got == want).all(), label
+    assert (_step(n, d0, columns[1]) == step).all(), label
+
+
 def assert_widths_agree(values, classes, targets, label):
     """_gap_columns and transfer_rows on a matrix held on classes equal them
-    on its expansion to every index."""
+    on its expansion to every index, and the screen agrees with the exact
+    gap gcd (assert_screen_agrees)."""
     gammas = values[:, classes.of]
     for narrow, wide in zip(_gap_columns(values, classes), _gap_columns(gammas)):
         assert (narrow == wide).all(), label
     answers = transfer_rows(gammas, targets)
     weights = _class_weights(len(classes.of), classes, targets)
     assert (transfer_rows(values, targets, classes, weights) == answers).all(), label
+    assert_screen_agrees(values, classes, targets, weights, label)
 
 
 @SWEEP_MODES
@@ -464,14 +485,48 @@ def test_class_width_equals_full_width_on_every_sweep_row(mode, step, quarters):
     rows, valuation = 0, {"pst": 0, "mst": 1}[mode]
     for n in range(step, 97, step):
         classes, targets = index_classes(n), [k * n // 4 for k in quarters]
-        for _, _, values, votes in _judged_chunks(_shapes(n), mode):
+        weights = _class_weights(n, classes, targets)
+        for _, _, values, votes in _judged_chunks(order_shapes(n), mode):
             gammas = values[:, classes.of]
             for narrow, wide in zip(_gap_columns(values, classes), _gap_columns(gammas)):
                 assert (narrow == wide).all(), n
             answers = transfer_rows(gammas, targets)
             assert (votes[1:] == answers[[valuation, 2, 3]]).all(), n
+            assert_screen_agrees(values, classes, targets, weights, n)
             rows += len(values)
     assert rows == sum(count_specs(n) for n in range(step, 97, step))
+
+
+@SWEEP_MODES
+def test_exact_gap_gcd_is_folded_over_feasible_class_rows_only(monkeypatch, mode, step, quarters):
+    # every sweep chunk through order 48: the exact fold receives the
+    # potentials of the rows whose step divides the targets' differences,
+    # and no other row, so at order 48 it sees 2,112 of 32,768 pst rows and
+    # 192 of 32,768 mst rows
+    import mixedcirc.transfer
+
+    real, folded = mixedcirc.transfer._gap_gcds, []
+
+    def fold(d0, potential, cycle):
+        folded.append((d0, potential))
+        return real(d0, potential, cycle)
+
+    monkeypatch.setattr(mixedcirc.transfer, "_gap_gcds", fold)
+    seen = {}
+    for n in range(step, 49, step):
+        classes, targets = index_classes(n), [k * n // 4 for k in quarters]
+        weights = _class_weights(n, classes, targets)
+        seen[n] = 0
+        for _, _, values, _ in _judged_chunks(order_shapes(n), mode):
+            folded.clear()
+            _, _, feasible, _, _ = _witnesses(values, targets, classes, weights)
+            (d0, potential), = folded
+            d0_all, potential_all, _ = mixedcirc.transfer._potentials(values, classes)
+            assert (d0 == d0_all[feasible]).all(), n
+            assert (potential == potential_all[feasible]).all(), n
+            seen[n] += len(d0)
+    assert seen[48] == {"pst": 2112, "mst": 192}[mode]
+    assert 0 < sum(seen.values()) < sum(count_specs(n) for n in seen) // 10
 
 
 def test_class_width_equals_full_width_on_seeded_rows():
@@ -515,7 +570,7 @@ def test_witness_check_is_exact_near_the_gamma_bound(mode, step, quarters):
     for n in range(step, 49, step):
         classes, targets = index_classes(n), [k * n // 4 for k in quarters]
         weights = _class_weights(n, classes, targets)
-        values = next(_judged_chunks(_shapes(n), mode))[2][:256]
+        values = next(_judged_chunks(order_shapes(n), mode))[2][:256]
         big = values + rng.integers(-(2**59) + 2**10, 2**59 - 2**10, size=(len(values), 1))
         answers = transfer_rows(big, targets, classes, weights)
         assert (answers == transfer_rows(big[:, classes.of], targets)).all(), n
@@ -669,7 +724,7 @@ def test_solvability_helper_equals_witness():
     rows = feasible = 0
     for n in range(4, 33, 4):
         of = index_classes(n).of
-        for _, _, values, _ in _judged_chunks(_shapes(n), "pst"):
+        for _, _, values, _ in _judged_chunks(order_shapes(n), "pst"):
             d0, gcds, _, _ = _gap_columns(values[:, of])
             step = _step(n, d0, gcds)
             pairs = list(zip(d0.tolist(), gcds.tolist()))
@@ -772,7 +827,7 @@ def test_sufficient_condition_implies_classifier():
     # divisor-level only: every shape of every order up to 64, as matrix rows
     implied = 0
     for n in range(2, 65):
-        shapes = _shapes(n)
+        shapes = order_shapes(n)
         sufficient = mst_sufficient_rows(n, shapes.B, shapes.D)
         assert classify_mst_rows(n, shapes.B, shapes.D)[sufficient].all(), n
         implied += int(sufficient.sum())
@@ -1031,7 +1086,7 @@ def swept_checks(monkeypatch, mode, step, quarters):
     for n in range(step, 49, step):
         targets, classes = [k * n // 4 for k in quarters], index_classes(n)
         weights = _class_weights(n, classes, targets)
-        for _, _, values, _ in _judged_chunks(_shapes(n), mode):
+        for _, _, values, _ in _judged_chunks(order_shapes(n), mode):
             gammas, witnessed = values[:, classes.of], []
             d0, gcds, _, _ = _gap_columns(gammas)
             columns = values.tolist(), gammas.tolist(), d0.tolist(), gcds.tolist()
@@ -1101,6 +1156,32 @@ def test_class_weights_equal_the_brute_class_sums():
     assert entries > 160_000
 
 
+def test_class_weights_call_each_kernel_once_per_modulus_and_difference(monkeypatch):
+    # the half classes of one gcd share m = n/g, and so do the targets that
+    # agree modulo n: each kernel sees each (m, w) once, c_m at every
+    # divisor m of n and s_m where 4 | m
+    import mixedcirc.transfer
+
+    for n, diffs in ((96, [24, 48, 72, 120]), (720, [180, 360, 540]), (240, [120])):
+        classes = index_classes(n)
+        calls = {"cos": [], "sin": []}
+        for name, key in (("ramanujan_sum", "cos"), ("ramanujan_sine_sum", "sin")):
+            real = getattr(mixedcirc.transfer, name)
+
+            def counting(m, q, real=real, key=key):
+                calls[key].append((m, q))
+                return real(m, q)
+
+            monkeypatch.setattr(mixedcirc.transfer, name, counting)
+        _class_weights(n, classes, diffs)
+        monkeypatch.undo()
+        qs = {w % n for w in diffs}
+        assert sorted(calls["cos"]) == sorted((m, q) for m in divisors(n) for q in qs), n
+        assert sorted(calls["sin"]) == sorted(
+            (m, q) for m in divisors(n) if m % 4 == 0 for q in qs
+        ), n
+
+
 # --------------------------------------------------------- pair restriction
 
 def test_pair_restriction_frozen_values():
@@ -1130,7 +1211,7 @@ def test_pair_restriction_holds_on_every_sweep_row():
     rows, seen = 0, set()
     for n in range(4, 65, 4):
         of = index_classes(n).of
-        for _, _, values, _ in _judged_chunks(_shapes(n), "pst"):
+        for _, _, values, _ in _judged_chunks(order_shapes(n), "pst"):
             gammas = values[:, of]
             d0, gcds, _, _ = _gap_columns(gammas)
             ratio = n // _step(n, d0, gcds)
@@ -1263,42 +1344,54 @@ def test_failed_witness_check_is_a_consistency_error(monkeypatch, decide):
 # ------------------------------------------------- one gap profile per spectrum
 
 @pytest.fixture
-def profile_calls(monkeypatch):
-    """Count the rows profiled by the gap kernel, which only transfer calls:
-    one per spectrum, whether it comes alone or in a chunk matrix."""
+def kernel_rows(monkeypatch):
+    """Count the rows the gap kernel reads, which only transfer calls: those
+    _potentials profiles, one per spectrum whether it comes alone or in a
+    chunk matrix, and those _gap_gcds folds the exact gap gcd over."""
     import mixedcirc.transfer
 
-    real = mixedcirc.transfer._gap_columns
-    calls = []
+    real_potentials, real_fold = mixedcirc.transfer._potentials, mixedcirc.transfer._gap_gcds
+    rows = {"profiled": [], "folded": []}
 
-    def counting(gammas, *classes):
-        calls.extend(len(row) for row in gammas)
-        return real(gammas, *classes)
+    def potentials(values, *classes):
+        rows["profiled"].append(len(values))
+        return real_potentials(values, *classes)
 
-    monkeypatch.setattr(mixedcirc.transfer, "_gap_columns", counting)
-    return calls
+    def fold(d0, potential, cycle):
+        rows["folded"].append(len(d0))
+        return real_fold(d0, potential, cycle)
+
+    monkeypatch.setattr(mixedcirc.transfer, "_potentials", potentials)
+    monkeypatch.setattr(mixedcirc.transfer, "_gap_gcds", fold)
+    return rows
 
 
-def test_pair_restriction_builds_one_profile(profile_calls):
+def test_pair_restriction_builds_one_profile(kernel_rows):
     sp = eigenvalues_closed_form(mst_example_graph())
     assert pair_restriction_check(sp) == {4, 8, 12}
-    assert len(profile_calls) == 1
+    assert kernel_rows == {"profiled": [1], "folded": [1]}
 
 
-def test_verdicts_build_one_profile(profile_calls):
+def test_verdicts_build_one_profile(kernel_rows):
+    # a whole row folds its exact gap gcd, feasible or not
     for decide, spec, kind in (
         (mst_verdict, mst_example_graph(), "mst"),
         (mst_verdict, pst_case_ii_graph(), "none"),
         (antipodal_verdict, pst_case_ii_graph(), "antipodal_pst"),
         (antipodal_verdict, validate_spec(8, [1], [], {}), "none"),
     ):
-        profile_calls.clear()
+        for calls in kernel_rows.values():
+            calls.clear()
         assert decide(spec).kind == kind
-        assert len(profile_calls) == 1, (decide.__name__, spec)
+        assert kernel_rows == {"profiled": [1], "folded": [1]}, (decide.__name__, spec)
 
 
 @pytest.mark.parametrize("mode", ["pst", "mst"])
-def test_crosscheck_builds_one_profile_per_spec(profile_calls, mode):
+def test_crosscheck_builds_one_profile_per_spec(kernel_rows, mode):
+    # every spec is profiled once; the exact gap gcd is folded only over the
+    # feasible rows, which in a clean sweep are the transfer-positive specs
     report = crosscheck(16, mode)
-    assert report.specs_checked > 0
-    assert len(profile_calls) == report.specs_checked
+    positive = getattr(report, f"{mode}_positive")
+    assert report.specs_checked > 0 and report.mismatches == []
+    assert sum(kernel_rows["profiled"]) == report.specs_checked
+    assert 0 < sum(kernel_rows["folded"]) == positive < report.specs_checked
