@@ -17,11 +17,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .numthy import MAX_N, _check_kernel, _is_int, two_adic_valuation
+from .numthy import MAX_N, _check_kernel, _is_int, divisors, two_adic_valuation
 
 
 class SpecError(ValueError):
@@ -165,16 +165,66 @@ def validate_spec(
     return GraphSpec(n=n, B=B, D=D, sigma=sigma or {})
 
 
+class IndexClasses(NamedTuple):
+    """A partition of the indices 0..n-1 of order-n spectra into classes, and
+    what the gap kernel (transfer._potentials) reads of it: of[j] is the
+    class of j, reps[c] the first index of class c, and cycle = k =
+    gcd(n, 4), which divides every distance between two indices of one
+    class, so that j mod k is constant on each class; k is the gcd of n and
+    those distances (index_classes).  The gap gcd g, that of every
+    delta_j - delta_0, is then gcd(gamma_C - gamma_of[0] - (reps[C] mod k)
+    * d0 over every class C, k * d0): with P_j = gamma_j - gamma_0 - j*d0,
+    delta_j - d0 = P_{j+1} - P_j for j < n-1 and -n*d0 - P_{n-1} for j =
+    n-1, which telescope to g = gcd(every P_j, n*d0).  Two indices j, j' of
+    one class give P_j - P_j' = (j' - j) * d0, so that lattice holds k * d0,
+    and each P_j is gamma_C - gamma_0 - (reps[C] mod k) * d0 plus a multiple
+    of k * d0."""
+
+    of: np.ndarray
+    reps: np.ndarray
+    cycle: int
+
+
+def index_classes(n: int) -> IndexClasses:
+    """The index classes of order n >= 1: j and j' share one when g = gcd(j,
+    n) = gcd(j', n) and, where 4 | n/g, j/g = j'/g (mod 4).  They are the
+    orbits of the units u = 1 (mod 4) of Z_n, which map every gcd class and
+    half class of a spec onto itself, so the spectrum of any integral mixed
+    circulant of order n is constant on each; by ascending g they are G_n(g),
+    or G_n^1(g) and G_n^3(g) where 4 | n/g, and {0} last: tau(n), plus
+    tau(n/4) where 4 | n (W. So, Discrete Math. 306 (2006)).  One sieve over
+    the divisors d ascending writes of, d = gcd(j, n) last at each j, and
+    reps[c] = g * u, u the least unit of Z_{n/g} with g * u in class c (1
+    on G_n(g), 0 on {0}).  The sweep checks the constancy on its class
+    table.  cycle = k = gcd(n, 4): j' = u*j - t*n with 4 | u - 1, so k
+    divides j' - j; and the class of 1 holds a unit u with gcd(u - 1, n) =
+    k, by the CRT: u = 1 (mod k), u = 5 (mod 8) where 8 | n, and u != 0, 1
+    modulo each odd prime of n (u = 1 at n = 2 and 4, where k = n)."""
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"index classes need an order n >= 1, got {n!r}")
+    of, reps = np.empty(n, dtype=np.intp), []
+    for d in divisors(n):
+        m = n // d
+        if m % 4:
+            of[::d] = len(reps)
+            reps.append(d % n)
+        else:
+            of[d::4 * d], of[3 * d::4 * d] = len(reps), len(reps) + 1
+            reps += [d, d * next(u for u in range(3, m, 4) if math.gcd(u, m) == 1)]
+    return IndexClasses(of, np.array(reps), math.gcd(n, 4))
+
+
 def _class_rows(n: int, values: np.ndarray) -> np.ndarray:
     """Hermitian difference rows of order n from a (..., n+1) table of class
-    values by divisor: entry c of a row is its value at g = gcd(c, n), or that
-    value's conjugate unless c/g = 1 (mod 4).  So a class valued 1 is undirected,
-    and one valued sigma*i, d | n/4, is sigma*i on G_n^1(d), -sigma*i on G_n^3(d)."""
-    c = np.arange(n)
-    g = np.gcd(c, n)
+    values by divisor: each index class takes its value at g = gcd(reps, n),
+    conjugated on G_n^3(g).  So a class valued 1 is undirected, and one valued
+    sigma*i, d | n/4, is sigma*i on G_n^1(d), -sigma*i on G_n^3(d); a whole
+    class's value must be real, as every caller's is."""
+    of, reps, _ = index_classes(n)
+    g = np.gcd(reps, n)
     rows = values[..., g]
-    rows.imag[..., c // g % 4 != 1] *= -1
-    return rows
+    rows.imag[..., reps // g % 4 == 3] *= -1
+    return rows[..., of]
 
 
 def _hermitian_row(spec: GraphSpec) -> np.ndarray:

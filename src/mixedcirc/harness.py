@@ -15,9 +15,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .circulant import GraphSpec, SpecError, _class_rows, spec_to_json, validate_spec
+from .circulant import GraphSpec, SpecError, _class_rows, index_classes, spec_to_json, validate_spec
 from .numthy import divisors
-from .spectrum import _oracle_spectra, index_classes
+from .spectrum import _oracle_spectra
 from .transfer import ConsistencyError, _class_weights, classify_mst_rows, classify_pst_rows
 from .transfer import transfer_rows
 
@@ -205,7 +205,7 @@ def _class_table(n: int, proper: list[int], d_pool: list[int]) -> np.ndarray:
 def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...]]:
     """_rows at class width (each row's shape and sigma-table index), with
     the rows' int32 oracle spectra held on the order's index classes
-    (spectrum.index_classes), a row being gamma[reps], and a (4, rows) bool
+    (circulant.index_classes), a row being gamma[reps], and a (4, rows) bool
     matrix of their classifier, valuation and numeric answers and whether
     each keeps to the pair restriction.  The DFT is linear and the classes
     of a valid spec are disjoint, so a spectrum is B @ G + sigma @ H, G and

@@ -2,19 +2,19 @@
 
 Routes: a closed form summing the numthy Ramanujan kernels over the divisor
 data, a by-residue-class closed form (even n), and a floating-point inverse
-DFT of the Hermitian difference row, built from the spec's gcd classes, that
-rounds to integers.  All three must agree; tests sweep them against each
-other.  The by-class route and the reduced form under the classification
-hypotheses add the auxiliary terms lambda1, lambda2, lambda3 and delta, one
-function each, which read the spec's divisor layers (GraphSpec.b_layer,
-d_layer, b_star).
+DFT of the Hermitian difference row, read off the index classes
+(circulant.index_classes), that rounds to integers.  All three must agree;
+tests sweep them against each other.  The by-class route and the reduced
+form under the classification hypotheses add the auxiliary terms lambda1,
+lambda2, lambda3 and delta, one function each, which read the spec's
+divisor layers (GraphSpec.b_layer, d_layer, b_star).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -56,51 +56,6 @@ class Spectrum:
         # the type set first: every spectrum a route builds holds plain ints
         if not (set(map(type, self.gamma)) <= {int} or all(map(_is_int, self.gamma))):
             raise ValueError("eigenvalues must be integers (numthy._is_int)")
-
-
-class IndexClasses(NamedTuple):
-    """A partition of the indices 0..n-1 of order-n spectra into classes, and
-    what the gap kernel (transfer._potentials) reads of it: of[j] is the
-    class of j, reps[c] the first index of class c, and cycle = k =
-    gcd(n, 4), which divides every distance between two indices of one
-    class, so that j mod k is constant on each class; k is the gcd of n and
-    those distances (index_classes).  The gap gcd g, that of every
-    delta_j - delta_0, is then gcd(gamma_C - gamma_of[0] - (reps[C] mod k)
-    * d0 over every class C, k * d0): with P_j = gamma_j - gamma_0 - j*d0,
-    delta_j - d0 = P_{j+1} - P_j for j < n-1 and -n*d0 - P_{n-1} for j =
-    n-1, which telescope to g = gcd(every P_j, n*d0).  Two indices j, j' of
-    one class give P_j - P_j' = (j' - j) * d0, so that lattice holds k * d0,
-    and each P_j is gamma_C - gamma_0 - (reps[C] mod k) * d0 plus a multiple
-    of k * d0."""
-
-    of: np.ndarray
-    reps: np.ndarray
-    cycle: int
-
-
-def index_classes(n: int) -> IndexClasses:
-    """The index classes of order n >= 2: j and j' share one when g = gcd(j,
-    n) = gcd(j', n) and, where 4 | n/g, j/g = j'/g (mod 4).  They are the
-    orbits of the units u = 1 (mod 4) of Z_n, which map every gcd class and
-    half class of a spec onto itself, so the spectrum of any integral mixed
-    circulant of order n is constant on each; there are at most 2*tau(n)
-    (W. So, Discrete Math. 306 (2006)).  The sweep checks the constancy on
-    its class table.  cycle = k = gcd(n, 4): j' = u*j - t*n with 4 | u - 1,
-    so k divides j' - j; and the class of 1 holds a unit u with gcd(u - 1,
-    n) = k, by the CRT: u = 1 (mod k), u = 5 (mod 8) where 8 | n, and u != 0,
-    1 modulo each odd prime of n (u = 1 at n = 2 and 4, where k = n)."""
-    if not (_is_int(n) and n >= 2):
-        raise ValueError(f"index classes need an order n >= 2 with gaps, got {n!r}")
-    j = np.arange(n)
-    g = np.gcd(j, n)
-    key = 4 * g + ((j // g) & 3) * (n // g % 4 == 0)
-    seen = np.zeros(4 * n + 4, dtype=bool)  # the distinct keys, marked rather than sorted
-    seen[key] = True
-    keys = np.flatnonzero(seen)
-    of = np.searchsorted(keys, key)
-    reps = np.full(len(keys), n)
-    np.minimum.at(reps, of, j)
-    return IndexClasses(of, reps, math.gcd(n, 4))
 
 
 def undirected_degree(spec: GraphSpec) -> int:
@@ -229,8 +184,7 @@ def _oracle_spectra(rows: np.ndarray) -> np.ndarray:
 
 def eigenvalues_oracle(spec: GraphSpec) -> Spectrum:
     """Floating-point spectrum of the Hermitian adjacency: _oracle_spectra on
-    the spec's row (circulant._hermitian_row), built from its gcd classes by
-    brute gcd."""
+    the spec's row (circulant._hermitian_row), read off the index classes."""
     rounded = _oracle_spectra(_hermitian_row(spec)[None])[0]
     return Spectrum(n=spec.n, gamma=tuple(rounded.astype(np.int64).tolist()))
 

@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .circulant import GraphSpec
+from .circulant import GraphSpec, IndexClasses
 from .numthy import _check_ints, divisors, ramanujan_sine_sum, ramanujan_sum, two_adic_valuation
-from .spectrum import IndexClasses, Spectrum, eigenvalues_closed_form
+from .spectrum import Spectrum, eigenvalues_closed_form
 
 NUMERIC_TOL = 1e-9
 GAMMA_BOUND = 2**60  # |gamma| bound under which the gap kernel is exact in int64
@@ -93,7 +93,7 @@ def _potentials(
     values: np.ndarray, classes: Optional[IndexClasses] = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The gap kernel's inputs for each row of a (k, C) matrix of spectra held
-    as values on the index classes (spectrum.IndexClasses), a row being
+    as values on the index classes (circulant.IndexClasses), a row being
     gamma[reps], or of a (k, n) matrix of whole spectra where classes is
     None, the singleton partition: d0, the potential columns and the cycle
     k, the gap gcd g (that of every delta_j - delta_0) being that of the
@@ -380,7 +380,7 @@ def verify_rows(gammas, times, diffs, weights=None) -> tuple[np.ndarray, np.ndar
     Whole rows sum the k*T*n terms exp(2*pi*i*(gamma_r*t' - r*w/n)) / n, the
     verdicts one time each; a float matrix or row is read in place, not
     copied.  Where weights is given, the rows are (k, C) values on index
-    classes (spectrum.IndexClasses), a row being gamma[reps], and weights the
+    classes (circulant.IndexClasses), a row being gamma[reps], and weights the
     (T, C) table _class_weights(n, classes, diffs): the same sum taken
     class by class, U = sum over C of weights[j, C] * exp(2*pi*i*gamma_C*t'),
     in k*T*C terms, the table standing in for diffs."""
@@ -399,7 +399,7 @@ def verify_rows(gammas, times, diffs, weights=None) -> tuple[np.ndarray, np.ndar
 def _class_weights(n: int, classes: IndexClasses, diffs: list[int]) -> np.ndarray:
     """The (T, C) complex table of W_C(w) / n, W_C(w) the sum of
     exp(-2*pi*i*r*w/n) over the indices r of class C, for each w in diffs
-    and each index class C of order n (spectrum.index_classes), from the
+    and each index class C of order n (circulant.index_classes), from the
     Ramanujan kernels at m = n/g, g the class's gcd: c_m(w) for a whole gcd
     class, 4 not dividing m, and (c_m(w) +- i*s_m(w))/2 for the half classes
     r/g = 1 and 3 (mod 4), which share c_m's cosine terms and split s_m's
@@ -493,7 +493,7 @@ def _witnesses(
         gcds &= -gcds
     step = _step(n, d0, gcds)
     feasible = np.flatnonzero(math.gcd(*diffs) % step == 0)
-    if classes is not None:
+    if classes is not None and feasible.size:
         gcds[feasible] = _gap_gcds(d0[feasible], potential[feasible], cycle)
     rows = list(zip(d0[feasible].tolist(), gcds[feasible].tolist()))
     solved = {row: _witness_ks(n, *row, diffs) for row in set(rows)}

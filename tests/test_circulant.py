@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +36,7 @@ from mixedcirc import (
     spec_to_json,
     validate_spec,
 )
+from mixedcirc.circulant import index_classes
 from mixedcirc.numthy import MAX_N, divisors
 
 
@@ -89,6 +91,40 @@ def test_half_classes_split_the_full_class():
             three = gcd_class_mod4(n, d, 3)
             assert not (one & three)
             assert one | three == gcd_class(n, d)
+
+
+# ------------------------------------------------------------ index classes
+
+def test_index_classes_are_the_gcd_and_half_classes():
+    # in order: G_n(g) for each proper divisor g, split into G_n^1(g) and
+    # G_n^3(g) where 4 | n/g, then {0}; so tau(n) + tau(n/4) of them
+    for n in range(1, 513):
+        expected = []
+        for g in divisors(n)[:-1]:
+            if (n // g) % 4:
+                expected.append(gcd_class(n, g))
+            else:
+                expected += [gcd_class_mod4(n, g, 1), gcd_class_mod4(n, g, 3)]
+        expected.append({0})
+        of = index_classes(n).of
+        assert [set(np.flatnonzero(of == c).tolist()) for c in range(len(expected))] == expected, n
+        assert len(expected) == len(divisors(n)) + (len(divisors(n // 4)) if n % 4 == 0 else 0), n
+
+
+def test_index_classes_equal_the_per_index_gcd_build():
+    # the sieve against a build from gcd(j, n) at every index: keys 4g + rho,
+    # numbered in ascending order, each class's first index its rep
+    def per_index(n):
+        j = np.arange(n)
+        g = np.gcd(j, n)
+        key = 4 * g + (j // g % 4) * (n // g % 4 == 0)
+        _, first, of = np.unique(key, return_index=True, return_inverse=True)
+        return of, first
+
+    for n in [*range(2, 4097), 720720, 2**20]:
+        of, reps = per_index(n)
+        classes = index_classes(n)
+        assert (classes.of == of).all() and (classes.reps == reps).all(), n
 
 
 # -------------------------------------------------------------- validation

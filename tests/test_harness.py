@@ -37,11 +37,10 @@ from mixedcirc import (
     spec_to_json,
     validate_spec,
 )
-from mixedcirc.circulant import GraphSpec
+from mixedcirc.circulant import GraphSpec, index_classes
 from mixedcirc.harness import CHUNK_ENTRIES, _class_table, _judged_chunks, _pools, _rows
 from mixedcirc.harness import _subsets
 from mixedcirc.numthy import MAX_N, divisors, two_adic_valuation
-from mixedcirc.spectrum import index_classes
 from mixedcirc.transfer import (
     PST_CASES,
     ConsistencyError,

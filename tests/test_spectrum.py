@@ -35,10 +35,10 @@ from mixedcirc import (
     undirected_degree,
     validate_spec,
 )
-from mixedcirc.circulant import hermitian_adjacency
+from mixedcirc.circulant import hermitian_adjacency, index_classes
 from mixedcirc.harness import _class_table, _pools
 from mixedcirc.numthy import divisors
-from mixedcirc.spectrum import _oracle_spectra, index_classes
+from mixedcirc.spectrum import _oracle_spectra
 
 
 def scaled(s, k):
@@ -244,8 +244,19 @@ def test_class_table_is_constant_on_every_index_class():
     assert counts[256] == 16  # g = 1..64 split by j/g (mod 4), then g = 128, 256
     for n in (720720, 2**20):
         assert cycle_holds(n, index_classes(n)), n
-    with pytest.raises(ValueError):
-        index_classes(1)
+    # order 1 has no gaps, and one class {0}
+    of, reps, cycle = index_classes(1)
+    assert of.tolist() == [0] and reps.tolist() == [0] and cycle == 1
+
+
+def test_oracle_equals_closed_form_at_large_orders():
+    # the CI's spectrum specs, far above every swept order
+    for spec in (
+        validate_spec(65536, [8192], [16384], {16384: 1}),
+        validate_spec(45360, [1, 9, 27, 35, 2835], [4, 45], {4: 1, 45: -1}),
+        validate_spec(840, [3, 6, 12, 24], [105, 210], {105: 1, 210: -1}),
+    ):
+        assert eigenvalues_oracle(spec) == eigenvalues_closed_form(spec), spec.n
 
 
 def test_oracle_rejects_non_integral_graph():

@@ -45,9 +45,9 @@ from mixedcirc import (
     validate_spec,
     verify_numeric,
 )
+from mixedcirc.circulant import index_classes
 from mixedcirc.harness import _judged_chunks
 from mixedcirc.numthy import divisors
-from mixedcirc.spectrum import index_classes
 from mixedcirc.transfer import (
     PST_CASES,
     _class_weights,
@@ -502,7 +502,8 @@ def test_exact_gap_gcd_is_folded_over_feasible_class_rows_only(monkeypatch, mode
     # every sweep chunk through order 48: the exact fold receives the
     # potentials of the rows whose step divides the targets' differences,
     # and no other row, so at order 48 it sees 2,112 of 32,768 pst rows and
-    # 192 of 32,768 mst rows
+    # 192 of 32,768 mst rows; a chunk with no such row is not folded at all,
+    # 5 of the 32 pst chunks and 22 of the 32 mst chunks there
     import mixedcirc.transfer
 
     real, folded = mixedcirc.transfer._gap_gcds, []
@@ -512,20 +513,23 @@ def test_exact_gap_gcd_is_folded_over_feasible_class_rows_only(monkeypatch, mode
         return real(d0, potential, cycle)
 
     monkeypatch.setattr(mixedcirc.transfer, "_gap_gcds", fold)
-    seen = {}
+    seen, unfolded = {}, {}
     for n in range(step, 49, step):
         classes, targets = index_classes(n), [k * n // 4 for k in quarters]
         weights = _class_weights(n, classes, targets)
-        seen[n] = 0
+        seen[n] = unfolded[n] = 0
         for _, _, values, _ in _judged_chunks(order_shapes(n), mode):
             folded.clear()
             _, _, feasible, _, _ = _witnesses(values, targets, classes, weights)
-            (d0, potential), = folded
+            assert len(folded) == (feasible.size > 0), n
             d0_all, potential_all, _ = mixedcirc.transfer._potentials(values, classes)
-            assert (d0 == d0_all[feasible]).all(), n
-            assert (potential == potential_all[feasible]).all(), n
-            seen[n] += len(d0)
+            for d0, potential in folded:
+                assert (d0 == d0_all[feasible]).all(), n
+                assert (potential == potential_all[feasible]).all(), n
+                seen[n] += len(d0)
+            unfolded[n] += not folded
     assert seen[48] == {"pst": 2112, "mst": 192}[mode]
+    assert unfolded[48] == {"pst": 5, "mst": 22}[mode]
     assert 0 < sum(seen.values()) < sum(count_specs(n) for n in seen) // 10
 
 
