@@ -178,11 +178,14 @@ class IndexClasses(NamedTuple):
     n-1, which telescope to g = gcd(every P_j, n*d0).  Two indices j, j' of
     one class give P_j - P_j' = (j' - j) * d0, so that lattice holds k * d0,
     and each P_j is gamma_C - gamma_0 - (reps[C] mod k) * d0 plus a multiple
-    of k * d0."""
+    of k * d0.  g[c] is class c's gcd with n (n on {0}), and turn[c] is +1
+    on G_n^1(g), -1 on G_n^3(g) and 0 on a whole class or {0}."""
 
     of: np.ndarray
     reps: np.ndarray
     cycle: int
+    g: np.ndarray
+    turn: np.ndarray
 
 
 def index_classes(n: int) -> IndexClasses:
@@ -194,37 +197,38 @@ def index_classes(n: int) -> IndexClasses:
     or G_n^1(g) and G_n^3(g) where 4 | n/g, and {0} last: tau(n), plus
     tau(n/4) where 4 | n (W. So, Discrete Math. 306 (2006)).  One sieve over
     the divisors d ascending writes of, d = gcd(j, n) last at each j, and
-    reps[c] = g * u, u the least unit of Z_{n/g} with g * u in class c (1
-    on G_n(g), 0 on {0}).  The sweep checks the constancy on its class
-    table.  cycle = k = gcd(n, 4): j' = u*j - t*n with 4 | u - 1, so k
-    divides j' - j; and the class of 1 holds a unit u with gcd(u - 1, n) =
-    k, by the CRT: u = 1 (mod k), u = 5 (mod 8) where 8 | n, and u != 0, 1
-    modulo each odd prime of n (u = 1 at n = 2 and 4, where k = n)."""
+    each class's g = d and turn, and reps[c] = g * u, u the least unit of
+    Z_{n/g} with g * u in class c (1 on G_n(g), 0 on {0}).  The sweep checks
+    the constancy on its class table.  cycle = k = gcd(n, 4): j' = u*j - t*n
+    with 4 | u - 1, so k divides j' - j; and the class of 1 holds a unit u
+    with gcd(u - 1, n) = k, by the CRT: u = 1 (mod k), u = 5 (mod 8) where
+    8 | n, and u != 0, 1 modulo each odd prime of n (u = 1 at n = 2 and 4,
+    where k = n)."""
     if not (_is_int(n) and n >= 1):
         raise ValueError(f"index classes need an order n >= 1, got {n!r}")
-    of, reps = np.empty(n, dtype=np.intp), []
+    of, classes = np.empty(n, dtype=np.intp), []  # (reps, g, turn) of each
     for d in divisors(n):
         m = n // d
         if m % 4:
-            of[::d] = len(reps)
-            reps.append(d % n)
+            of[::d] = len(classes)
+            classes.append((d % n, d, 0))
         else:
-            of[d::4 * d], of[3 * d::4 * d] = len(reps), len(reps) + 1
-            reps += [d, d * next(u for u in range(3, m, 4) if math.gcd(u, m) == 1)]
-    return IndexClasses(of, np.array(reps), math.gcd(n, 4))
+            of[d::4 * d], of[3 * d::4 * d] = len(classes), len(classes) + 1
+            u = next(u for u in range(3, m, 4) if math.gcd(u, m) == 1)
+            classes += [(d, d, 1), (d * u, d, -1)]
+    reps, g, turn = np.array(classes).T
+    return IndexClasses(of, reps, math.gcd(n, 4), g, turn)
 
 
-def _class_rows(n: int, values: np.ndarray) -> np.ndarray:
-    """Hermitian difference rows of order n from a (..., n+1) table of class
-    values by divisor: each index class takes its value at g = gcd(reps, n),
-    conjugated on G_n^3(g).  So a class valued 1 is undirected, and one valued
-    sigma*i, d | n/4, is sigma*i on G_n^1(d), -sigma*i on G_n^3(d); a whole
-    class's value must be real, as every caller's is."""
-    of, reps, _ = index_classes(n)
-    g = np.gcd(reps, n)
-    rows = values[..., g]
-    rows.imag[..., reps // g % 4 == 3] *= -1
-    return rows[..., of]
+def _class_rows(classes: IndexClasses, values: np.ndarray) -> np.ndarray:
+    """Hermitian difference rows of the order of classes from a (..., n+1)
+    table of class values by divisor: each class takes its value at its g,
+    conjugated where its turn is -1 (G_n^3(g)).  So a class valued 1 is
+    undirected, and one valued sigma*i, d | n/4, is sigma*i on G_n^1(d) and
+    -sigma*i on G_n^3(d); a whole class's value must be real, as callers' are."""
+    rows = values[..., classes.g]
+    rows.imag[..., classes.turn < 0] *= -1
+    return rows[..., classes.of]
 
 
 def _hermitian_row(spec: GraphSpec) -> np.ndarray:
@@ -236,7 +240,7 @@ def _hermitian_row(spec: GraphSpec) -> np.ndarray:
     values = np.zeros(spec.n + 1, dtype=complex)
     values[list(spec.B)] = 1
     values[list(spec.D)] = [spec.sigma[d] * 1j for d in spec.D]
-    return _class_rows(spec.n, values)
+    return _class_rows(index_classes(spec.n), values)
 
 
 def hermitian_adjacency(spec: GraphSpec) -> tuple[complex, ...]:

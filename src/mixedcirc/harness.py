@@ -15,7 +15,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .circulant import GraphSpec, SpecError, _class_rows, index_classes, spec_to_json, validate_spec
+from .circulant import GraphSpec, IndexClasses, SpecError, _class_rows, index_classes, spec_to_json
+from .circulant import validate_spec
 from .numthy import divisors
 from .spectrum import _oracle_spectra
 from .transfer import ConsistencyError, _class_weights, classify_mst_rows, classify_pst_rows
@@ -187,50 +188,52 @@ def count_specs(n: int) -> int:
     return _count(*_pools(n))
 
 
-def _class_table(n: int, proper: list[int], d_pool: list[int]) -> np.ndarray:
-    """Oracle spectra of the single-class specs of order n, whose _pools are
-    proper and d_pool, in two blocks of rows over the proper divisors: the
-    class G_n(d) of each, then the +1 half class of each d | n/4 (zero rows
-    elsewhere), all _class_rows of one table
-    valuing each class 1 or i, as a spec's row is; one pass of _oracle_spectra
-    transforms, rounds and checks them: integer floats.  A -1 half class's row
-    is the +1 one's negated, and the FFT and rounding are odd, so its
+def _class_table(classes: IndexClasses, proper: list[int], d_pool: list[int]) -> np.ndarray:
+    """Oracle spectra of the single-class specs of the order n of classes,
+    whose _pools are proper and d_pool, in two blocks of rows over the
+    proper divisors: the class G_n(d) of each, then the +1 half class of
+    each d | n/4 (zero rows elsewhere), all _class_rows of one table valuing
+    each class 1 or i, as a spec's row is; one pass of _oracle_spectra
+    transforms, rounds and checks them: integer floats.  A -1 half class's
+    row is the +1 one's negated, and the FFT and rounding are odd, so its
     spectrum is exactly block 1's row negated: sigma weighs block 1."""
+    n = len(classes.of)
     values = np.zeros((2, len(proper), n + 1), dtype=complex)
     values[0, range(len(proper)), proper] = 1
     values[1, np.searchsorted(proper, d_pool), d_pool] = 1j  # d_pool is in proper
-    return _oracle_spectra(_class_rows(n, values).reshape(-1, n))
+    return _oracle_spectra(_class_rows(classes, values).reshape(-1, n))
 
 
 def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...]]:
     """_rows at class width (each row's shape and sigma-table index), with
-    the rows' int32 oracle spectra held on the order's index classes
-    (circulant.index_classes), a row being gamma[reps], and a (4, rows) bool
-    matrix of their classifier, valuation and numeric answers and whether
-    each keeps to the pair restriction.  The DFT is linear and the classes
-    of a valid spec are disjoint, so a spectrum is B @ G + sigma @ H, G and
-    H the class table's two blocks, whose representative columns are all it
-    needs once the table is checked constant on every class:
-    ConsistencyError where it is not.  That check is the real guard of the
-    pair restriction leg, which holds by construction on class rows
-    (transfer._witnesses).  So a row's values are its shape's B
-    part's plus its sigma row's, in int32 (sums stay below n), once per
-    order for the sigma table and per chunk for the B rows of its run of
-    shapes (no table over all 2**|cols| B-sets), then gathered and added.  The classifier reads B and D only, so it runs once
+    the rows' int32 oracle spectra held on the order's one IndexClasses, a
+    row being gamma[reps], and a (4, rows) bool matrix of their classifier,
+    valuation and numeric answers and whether each keeps to the pair
+    restriction.  The DFT is linear and the classes of a valid spec are
+    disjoint, so a spectrum is B @ G + sigma @ H, G and H the class table's
+    two blocks, whose representative columns are all it needs once the
+    table is checked constant on every class: ConsistencyError where it is
+    not.  That check is the real guard of the pair restriction leg, which
+    holds by construction on class rows (transfer._witnesses).  So a row's
+    values are its shape's B part's plus its sigma row's, in int32 (sums
+    stay below n), once per order for the sigma table and per chunk for the
+    B rows of its run of shapes (no table over all 2**|cols| B-sets), then
+    gathered and added.  The classifier reads B and D only, so it runs once
     per order; the other legs are transfer_rows on each chunk of
     CHUNK_ENTRIES // C rows, C the class count, which judges each row on
     the 2-adic part of its gap gcd, read off its C class values, folds the
     exact gcd over the rows with a witness and verifies those on them, with
-    the order's (targets, C) table of class weights built beside the table."""
+    the order's (targets, C) table of class weights built beside the table
+    from the same classes."""
     n, split = shapes.n, len(shapes.cols)  # the table's B rows, then its sigma rows
     _, quarters, classifier, valuation = _mode(mode)
     targets = [k * n // 4 for k in quarters]
-    full = _class_table(n, list(shapes.cols), list(compress(shapes.cols, shapes.key)))
-    judged, classes = classifier(n, shapes.B, shapes.D), index_classes(n)
-    table = full[:, classes.reps]
+    classes = index_classes(n)
+    full = _class_table(classes, list(shapes.cols), list(compress(shapes.cols, shapes.key)))
+    judged, table = classifier(n, shapes.B, shapes.D), full[:, classes.reps]
     if not (full == table[:, classes.of]).all():
         raise ConsistencyError(f"class table of order {n} not constant on its index classes")
-    table, weights = table.astype(np.int32), _class_weights(n, classes, targets)
+    table, weights = table.astype(np.int32), _class_weights(classes, targets)
     b_table, signed_values = table[:split], shapes.signed @ table[split:]
     for shape, signed in _rows(shapes, len(classes.reps)):
         first = shape[0]

@@ -126,11 +126,11 @@ def _potentials(
         return deltas[:, 0], deltas[:, 1:] - deltas[:, :1], 0
     # one class a row: a fold then takes a whole class into every row's
     # running value at once, faster than along each row
-    of, reps, cycle = classes
+    of, cycle = classes.of, classes.cycle
     potential = values.T.copy()
     d0 = potential[of[1]] - potential[of[0]]
     potential -= potential[of[:1]]
-    potential -= (reps % cycle).astype(values.dtype)[:, None] * d0
+    potential -= (classes.reps % cycle).astype(values.dtype)[:, None] * d0
     return d0, potential.T, cycle
 
 
@@ -381,7 +381,7 @@ def verify_rows(gammas, times, diffs, weights=None) -> tuple[np.ndarray, np.ndar
     verdicts one time each; a float matrix or row is read in place, not
     copied.  Where weights is given, the rows are (k, C) values on index
     classes (circulant.IndexClasses), a row being gamma[reps], and weights the
-    (T, C) table _class_weights(n, classes, diffs): the same sum taken
+    (T, C) table _class_weights(classes, diffs): the same sum taken
     class by class, U = sum over C of weights[j, C] * exp(2*pi*i*gamma_C*t'),
     in k*T*C terms, the table standing in for diffs."""
     gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
@@ -396,31 +396,24 @@ def verify_rows(gammas, times, diffs, weights=None) -> tuple[np.ndarray, np.ndar
     return residuals < NUMERIC_TOL, amps, residuals
 
 
-def _class_weights(n: int, classes: IndexClasses, diffs: list[int]) -> np.ndarray:
+def _class_weights(classes: IndexClasses, diffs: list[int]) -> np.ndarray:
     """The (T, C) complex table of W_C(w) / n, W_C(w) the sum of
     exp(-2*pi*i*r*w/n) over the indices r of class C, for each w in diffs
-    and each index class C of order n (circulant.index_classes), from the
-    Ramanujan kernels at m = n/g, g the class's gcd: c_m(w) for a whole gcd
-    class, 4 not dividing m, and (c_m(w) +- i*s_m(w))/2 for the half classes
-    r/g = 1 and 3 (mod 4), which share c_m's cosine terms and split s_m's
-    sine terms.  Every W_C(w) is an integer or half of one, exact in floats;
-    the kernels take Python ints, once per distinct (m, w), the half
-    classes sharing theirs."""
-    reps = classes.reps.tolist()
-    ms = [n // math.gcd(r, n) for r in reps]
+    and each index class C of classes, n = len(classes.of), from the
+    Ramanujan kernels at m = n/g, g the class's gcd: c_m(w) where its turn
+    is 0 (a whole gcd class, 4 not dividing m), and (c_m(w) + turn *
+    i*s_m(w))/2 on the half classes, which share c_m's cosine terms and
+    split s_m's sine terms.  Every W_C(w) is an integer or half of one,
+    exact in floats; the kernels take Python ints, once per distinct (m, w),
+    the half classes sharing theirs."""
+    n = len(classes.of)
+    ms, turns = (n // classes.g).tolist(), classes.turn.tolist()
     qs = [w % n or n for w in diffs]  # w = 0 (mod n): c_m(n) = phi(m), s_m(n) = 0
-    kernels = {
-        (m, q): (ramanujan_sum(m, q), 0 if m % 4 else ramanujan_sine_sum(m, q))
-        for m in set(ms)
-        for q in set(qs)
-    }
-    table = np.zeros((len(diffs), len(reps)), dtype=complex)
-    for c, (r, m) in enumerate(zip(reps, ms)):
-        sign = 1 if r * m // n % 4 == 1 else -1
-        for j, q in enumerate(qs):
-            cos, sin = kernels[m, q]
-            table[j, c] = cos if m % 4 else complex(cos, sign * sin) / 2
-    return table / n
+    cos = {(m, q): ramanujan_sum(m, q) for m in set(ms) for q in set(qs)}
+    sin = {(m, q): ramanujan_sine_sum(m, q) for m in set(ms) if m % 4 == 0 for q in set(qs)}
+    table = [[complex(cos[m, q], t * sin[m, q]) / 2 if t else cos[m, q] for m, t in zip(ms, turns)]
+             for q in qs]
+    return np.array(table, dtype=complex).reshape(len(qs), len(ms)) / n
 
 
 def verify_numeric(spectrum: Spectrum, a: int, b: int, t_prime) -> tuple[bool, complex, float]:

@@ -113,7 +113,9 @@ def test_index_classes_are_the_gcd_and_half_classes():
 
 def test_index_classes_equal_the_per_index_gcd_build():
     # the sieve against a build from gcd(j, n) at every index: keys 4g + rho,
-    # numbered in ascending order, each class's first index its rep
+    # numbered in ascending order, each class's first index its rep; each
+    # class's g is gcd(rep, n), and its turn is +1 or -1 where 4 | n/g and
+    # rep/g = +1 or -1 (mod 4), else 0
     def per_index(n):
         j = np.arange(n)
         g = np.gcd(j, n)
@@ -125,6 +127,10 @@ def test_index_classes_equal_the_per_index_gcd_build():
         of, reps = per_index(n)
         classes = index_classes(n)
         assert (classes.of == of).all() and (classes.reps == reps).all(), n
+        g = np.gcd(reps, n)
+        turn = np.where(n // g % 4 == 0, 2 - reps // g % 4, 0)
+        assert (classes.g == g).all() and (classes.turn == turn).all(), n
+        assert set(turn.tolist()) <= {-1, 0, 1}, n
 
 
 # -------------------------------------------------------------- validation

@@ -286,9 +286,9 @@ def test_sweep_refuses_a_class_table_not_constant_on_its_classes(monkeypatch):
     # and the sweep raises rather than judge rows on it
     real = mixedcirc.harness._class_table
 
-    def patched(n, *pools):
-        table = real(n, *pools)
-        if n == 8:
+    def patched(classes, *pools):
+        table = real(classes, *pools)
+        if len(classes.of) == 8:
             table[0, 5] += 1
         return table
 
@@ -357,6 +357,24 @@ def test_crosscheck_memory_stays_flat():
         tracemalloc.stop()
     assert report.mismatches == []
     assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("mode, step", [("pst", 4), ("mst", 8)])
+def test_sweep_builds_one_index_classes_per_order(monkeypatch, mode, step):
+    # the class table, the class weights, the chunk width and every
+    # transfer_rows call of an order read one IndexClasses: crosscheck(48)
+    # builds exactly one per order, in either mode
+    import mixedcirc.circulant
+
+    real, built = mixedcirc.circulant.IndexClasses, []
+
+    def counting(*fields):
+        built.append(len(fields[0]))
+        return real(*fields)
+
+    monkeypatch.setattr(mixedcirc.circulant, "IndexClasses", counting)
+    crosscheck(48, mode)
+    assert built == list(range(step, 49, step))
 
 
 # ------------------------------------------------- oracle by divisor class
@@ -447,7 +465,8 @@ def test_signed_table_rows_equal_the_incidence_product(monkeypatch, n):
         assert (shapes.signed[signed] == offset_bit_sigma(shapes, shape, rows)).all()
         start += len(shape)
     assert start == count_specs(n)
-    G, H = np.split(_class_table(n, *_pools(n))[:, index_classes(n).reps], 2)
+    classes = index_classes(n)
+    G, H = np.split(_class_table(classes, *_pools(n))[:, classes.reps], 2)
     start = 0
     for shape, signed, values, _ in _judged_chunks(shapes, "pst"):
         rows = np.arange(start, start + len(shape))

@@ -174,7 +174,7 @@ def test_closed_form_equals_class_table_on_every_single_class_spec():
     # a D term first at n = 36
     checked = 0
     for n in range(2, 257):
-        table = _class_table(n, *_pools(n)).astype(np.int64).reshape(2, -1, n)
+        table = _class_table(index_classes(n), *_pools(n)).astype(np.int64).reshape(2, -1, n)
         proper = divisors(n)[:-1]
         for c, d in enumerate(proper):
             specs = [(0, 1, validate_spec(n, [d]))]
@@ -201,7 +201,7 @@ def test_class_table_rows_are_the_single_class_specs_rows(monkeypatch):
     monkeypatch.setattr(mixedcirc.harness, "_oracle_spectra", recording)
     checked = 0
     for n in range(2, 257):
-        table = _class_table(n, *_pools(n)).reshape(2, -1, n)
+        table = _class_table(index_classes(n), *_pools(n)).reshape(2, -1, n)
         rows = seen.pop().reshape(2, -1, n)
         for c, d in enumerate(divisors(n)[:-1]):
             specs = [(0, 1, validate_spec(n, [d]))]
@@ -232,7 +232,7 @@ def test_class_table_is_constant_on_every_index_class():
     for n in range(2, 257):
         classes = index_classes(n)
         of, reps = classes.of, classes.reps
-        table = _class_table(n, *_pools(n))
+        table = _class_table(classes, *_pools(n))
         assert (table == table[:, reps][:, of]).all(), n
         assert (of[reps] == np.arange(len(reps))).all(), n
         assert all(of[j] not in of[:j] for j in reps.tolist()), n
@@ -245,8 +245,9 @@ def test_class_table_is_constant_on_every_index_class():
     for n in (720720, 2**20):
         assert cycle_holds(n, index_classes(n)), n
     # order 1 has no gaps, and one class {0}
-    of, reps, cycle = index_classes(1)
+    of, reps, cycle, g, turn = index_classes(1)
     assert of.tolist() == [0] and reps.tolist() == [0] and cycle == 1
+    assert g.tolist() == [1] and turn.tolist() == [0]
 
 
 def test_oracle_equals_closed_form_at_large_orders():

@@ -472,7 +472,7 @@ def assert_widths_agree(values, classes, targets, label):
     for narrow, wide in zip(_gap_columns(values, classes), _gap_columns(gammas)):
         assert (narrow == wide).all(), label
     answers = transfer_rows(gammas, targets)
-    weights = _class_weights(len(classes.of), classes, targets)
+    weights = _class_weights(classes, targets)
     assert (transfer_rows(values, targets, classes, weights) == answers).all(), label
     assert_screen_agrees(values, classes, targets, weights, label)
 
@@ -485,7 +485,7 @@ def test_class_width_equals_full_width_on_every_sweep_row(mode, step, quarters):
     rows, valuation = 0, {"pst": 0, "mst": 1}[mode]
     for n in range(step, 97, step):
         classes, targets = index_classes(n), [k * n // 4 for k in quarters]
-        weights = _class_weights(n, classes, targets)
+        weights = _class_weights(classes, targets)
         for _, _, values, votes in _judged_chunks(order_shapes(n), mode):
             gammas = values[:, classes.of]
             for narrow, wide in zip(_gap_columns(values, classes), _gap_columns(gammas)):
@@ -516,7 +516,7 @@ def test_exact_gap_gcd_is_folded_over_feasible_class_rows_only(monkeypatch, mode
     seen, unfolded = {}, {}
     for n in range(step, 49, step):
         classes, targets = index_classes(n), [k * n // 4 for k in quarters]
-        weights = _class_weights(n, classes, targets)
+        weights = _class_weights(classes, targets)
         seen[n] = unfolded[n] = 0
         for _, _, values, _ in _judged_chunks(order_shapes(n), mode):
             folded.clear()
@@ -573,7 +573,7 @@ def test_witness_check_is_exact_near_the_gamma_bound(mode, step, quarters):
     rng, checked = np.random.default_rng(20263), 0
     for n in range(step, 49, step):
         classes, targets = index_classes(n), [k * n // 4 for k in quarters]
-        weights = _class_weights(n, classes, targets)
+        weights = _class_weights(classes, targets)
         values = next(_judged_chunks(order_shapes(n), mode))[2][:256]
         big = values + rng.integers(-(2**59) + 2**10, 2**59 - 2**10, size=(len(values), 1))
         answers = transfer_rows(big, targets, classes, weights)
@@ -676,7 +676,7 @@ def test_transfer_rows_takes_class_weights_with_classes_only():
     classes = index_classes(8)
     values = eigenvalues_closed_form(pst_case_iii_graph()).gamma
     values = np.array([values])[:, classes.reps]
-    weights = _class_weights(8, classes, [4])
+    weights = _class_weights(classes, [4])
     with pytest.raises(ValueError, match="class weights go with classes"):
         transfer_rows(values, [4], classes)
     with pytest.raises(ValueError, match="class weights go with classes"):
@@ -1089,7 +1089,7 @@ def swept_checks(monkeypatch, mode, step, quarters):
     monkeypatch.setattr(mixedcirc.transfer, "verify_rows", recording)
     for n in range(step, 49, step):
         targets, classes = [k * n // 4 for k in quarters], index_classes(n)
-        weights = _class_weights(n, classes, targets)
+        weights = _class_weights(classes, targets)
         for _, _, values, _ in _judged_chunks(order_shapes(n), mode):
             gammas, witnessed = values[:, classes.of], []
             d0, gcds, _, _ = _gap_columns(gammas)
@@ -1154,7 +1154,7 @@ def test_class_weights_equal_the_brute_class_sums():
         r = np.arange(n)
         terms = np.exp(-2j * np.pi * (np.outer(r, r) % n) / n)
         brute = terms @ (classes.of[:, None] == np.arange(len(classes.reps)))
-        table = n * _class_weights(n, classes, list(range(n)))
+        table = n * _class_weights(classes, list(range(n)))
         assert np.abs(table - brute).max() <= 1e-9, n
         entries += table.size
     assert entries > 160_000
@@ -1177,7 +1177,7 @@ def test_class_weights_call_each_kernel_once_per_modulus_and_difference(monkeypa
                 return real(m, q)
 
             monkeypatch.setattr(mixedcirc.transfer, name, counting)
-        _class_weights(n, classes, diffs)
+        _class_weights(classes, diffs)
         monkeypatch.undo()
         qs = {w % n for w in diffs}
         assert sorted(calls["cos"]) == sorted((m, q) for m in divisors(n) for q in qs), n
