@@ -7,6 +7,7 @@ over whole families and reports any disagreement.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -19,7 +20,8 @@ from .circulant import GraphSpec, IndexClasses, SpecError, _class_rows, index_cl
 from .circulant import validate_spec
 from .numthy import divisors
 from .spectrum import _oracle_spectra
-from .transfer import ConsistencyError, _class_weights, classify_mst_rows, classify_pst_rows
+from .transfer import ConsistencyError, _class_weights, _potentials, classify_mst_rows
+from .transfer import classify_pst_rows
 from .transfer import transfer_rows
 
 DEFAULT_BUDGET = 10**6
@@ -88,7 +90,10 @@ class _Shapes(NamedTuple):
     its row ends[s] - k is row tails[D_s @ key] - k of signed, the int8 sigma
     table over cols, which holds for each k in turn the sign choices of the
     D-set whose members are k's bits (key gives n/4's divisors the bits 1, 2,
-    4, ...): sigma(d) = +1 or -1 on the D-set, 0 elsewhere."""
+    4, ...): sigma(d) = +1 or -1 on the D-set, 0 elsewhere.  sets holds every
+    B-set, the rows of _subsets over cols; index[s], ascending, is b << q | r
+    for shape s, b its B-set's row of sets and r its D-set's rank among the
+    D-sets, q the count of n/4's divisors; rank maps a D-set's key mask to r."""
 
     n: int
     cols: tuple[int, ...]
@@ -98,6 +103,9 @@ class _Shapes(NamedTuple):
     key: np.ndarray
     tails: np.ndarray
     signed: np.ndarray
+    sets: np.ndarray
+    index: np.ndarray
+    rank: np.ndarray
 
     def specs(self, shape: np.ndarray, signed: np.ndarray) -> Iterator[GraphSpec]:
         """The validated spec of each row given by its shape, which holds its B,
@@ -140,7 +148,8 @@ def _shapes(n: int, proper: list[int], d_pool: list[int]) -> _Shapes:
     pool = np.array([d in d_pool for d in proper])
     d_sets = sets[~sets[:, ~pool].any(axis=1)]
     bits = 1 << np.arange(len(d_pool), dtype=np.min_scalar_type((1 << len(d_pool)) - 1))
-    b_of, d_of = np.nonzero((sets[:, pool] @ bits)[:, None] & (d_sets[:, pool] @ bits) == 0)
+    masks = d_sets[:, pool] @ bits
+    b_of, d_of = np.nonzero((sets[:, pool] @ bits)[:, None] & masks == 0)
     D = d_sets[d_of]
     key = np.where(pool, 1 << np.cumsum(pool) - 1, 0)
     tails, signed = np.ones(1, dtype=np.int64), np.zeros((1, len(proper)), dtype=np.int8)
@@ -149,29 +158,32 @@ def _shapes(n: int, proper: list[int], d_pool: list[int]) -> _Shapes:
         grown[0::2, c], grown[1::2, c] = 1, -1
         tails, signed = np.concatenate([tails, tails[-1] + 2 * tails]), np.vstack([signed, grown])
     ends = np.cumsum((1 << d_sets.sum(axis=1))[d_of])
-    return _Shapes(n, tuple(proper), sets[b_of], D, ends, key, tails, signed)
+    rank = np.empty(len(masks), dtype=np.int64)
+    rank[masks] = np.arange(len(masks))
+    index = b_of << len(d_pool) | d_of
+    return _Shapes(n, tuple(proper), sets[b_of], D, ends, key, tails, signed, sets, index, rank)
 
 
 # rows per chunk times the entries of a row: n where rows become specs, the
-# class count for the sweep, which holds and verifies each row on the index
-# classes, so crosscheck memory stays flat
+# class count where the sweep judges its candidate rows on the index
+# classes; and in the sweep's join the residues hashed, the B-sets looked
+# up and the matched pairs expanded at a time; so memory stays flat
 CHUNK_ENTRIES = 2**14
 
 
+def _located(shapes: _Shapes, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shape index and sigma-table row of each of an order's enumeration rows."""
+    shape = shapes.ends.searchsorted(rows, side="right")
+    return shape, shapes.tails[shapes.D[shape] @ shapes.key] - (shapes.ends[shape] - rows)
+
+
 def _rows(shapes: _Shapes, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Shape index and sigma-table row of each row of an order,
-    max(1, CHUNK_ENTRIES // width) rows at a time: a chunk's rows have about
-    CHUNK_ENTRIES entries at any order, the specs of enumerate_specs and
-    search at width n, values on the index classes at the sweep's class
-    count.  A chunk's shapes are one run, so one product of their D rows
-    with key finds their blocks."""
+    """_located on every row of an order, max(1, CHUNK_ENTRIES // width) rows
+    at a time, so that a chunk of specs at width n has about CHUNK_ENTRIES
+    entries at any order (enumerate_specs and search)."""
     total, size = int(shapes.ends[-1]), max(1, CHUNK_ENTRIES // width)
     for start in range(0, total, size):
-        rows = np.arange(start, min(start + size, total))
-        shape = shapes.ends.searchsorted(rows, side="right")
-        first = shape[0]
-        tails = shapes.tails[shapes.D[first:shape[-1] + 1] @ shapes.key]
-        yield shape, tails.take(shape - first) - (shapes.ends[shape] - rows)
+        yield _located(shapes, np.arange(start, min(start + size, total)))
 
 
 def enumerate_specs(n: int) -> Iterator[GraphSpec]:
@@ -204,44 +216,134 @@ def _class_table(classes: IndexClasses, proper: list[int], d_pool: list[int]) ->
     return _oracle_spectra(_class_rows(classes, values).reshape(-1, n))
 
 
-def _judged_chunks(shapes: _Shapes, mode: str) -> Iterator[tuple[np.ndarray, ...]]:
-    """_rows at class width (each row's shape and sigma-table index), with
-    the rows' int32 oracle spectra held on the order's one IndexClasses, a
-    row being gamma[reps], and a (4, rows) bool matrix of their classifier,
-    valuation and numeric answers and whether each keeps to the pair
-    restriction.  The DFT is linear and the classes of a valid spec are
-    disjoint, so a spectrum is B @ G + sigma @ H, G and H the class table's
-    two blocks, whose representative columns are all it needs once the
-    table is checked constant on every class: ConsistencyError where it is
-    not.  That check is the real guard of the pair restriction leg, which
-    holds by construction on class rows (transfer._witnesses).  So a row's
-    values are its shape's B part's plus its sigma row's, in int32 (sums
-    stay below n), once per order for the sigma table and per chunk for the
-    B rows of its run of shapes (no table over all 2**|cols| B-sets), then
-    gathered and added.  The classifier reads B and D only, so it runs once
-    per order; the other legs are transfer_rows on each chunk of
-    CHUNK_ENTRIES // C rows, C the class count, which judges each row on
-    the 2-adic part of its gap gcd, read off its C class values, folds the
-    exact gcd over the rows with a witness and verifies those on them, with
-    the order's (targets, C) table of class weights built beside the table
-    from the same classes."""
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each i in turn."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _key(residues: np.ndarray) -> np.ndarray:
+    """A fixed hash of each residue vector of a (levels, k, rows) uint64
+    array, tagged with its level: its dot product, modulo 2**64, with the
+    powers of an odd constant, plus the level."""
+    powers = np.full(residues.shape[1], 0x9E3779B97F4A7C15, dtype=np.uint64).cumprod()
+    return powers @ residues + np.arange(len(residues), dtype=np.uint64)[:, None]
+
+
+def _level_keys(members: np.ndarray, table: np.ndarray, classes: IndexClasses, t: int, sign: int):
+    """The (levels, rows) join keys (_key) of the rows of members @ table,
+    each a B-set's (sign -1) or a sigma row's (sign +1) part of the class
+    values: at each level v < bit_length(2n), the residues of -d0 mod
+    2**(v+1) and of -P mod 2**(v+t), P the potentials (_potentials), on the
+    B side; of d0 - 2**v mod 2**(v+1), which is d0's residue with bit v
+    flipped, and of P mod 2**(v+t) on the sigma side.  The residues are
+    formed for about CHUNK_ENTRIES at a time, so memory stays flat."""
+    levels = np.arange((2 * len(classes.of)).bit_length())[:, None, None]
+    low = np.repeat((1 << levels + t) - 1, len(classes.reps) + 1, axis=1)
+    low[:, 0] = (2 << levels[:, 0]) - 1
+    flip = (sign > 0) << levels[:, 0]
+    keys, size = np.empty((len(low), len(members)), dtype=np.uint64), max(1, CHUNK_ENTRIES // low.size)
+    for start in range(0, len(members), size):
+        d0, potential, _ = _potentials(members[start:start + size] @ table, classes)
+        residues = sign * np.vstack([d0, potential.T]).astype(np.int64) & low
+        residues[:, 0] ^= flip
+        keys[:, start:start + size] = _key(residues.view(np.uint64))
+    return keys
+
+
+def _candidates(
+    shapes: _Shapes, classes: IndexClasses, table: np.ndarray, spread: int, judged: np.ndarray
+) -> np.ndarray:
+    """The ascending enumeration rows of order n = shapes.n that may have a
+    witness of transfer to targets whose gcd is n / spread, spread 2 or 4,
+    and every row of a shape judged positive; every other row reads
+    (classifier False, valuation False, numeric False, restriction True).
+    table holds the class values of the single-class specs, the B rows of
+    _class_table and then its sigma rows, at the reps.
+
+    By transfer._witnesses, a class row is feasible exactly when d0 != 0
+    and, v = v2(d0) and t = v2(spread), 2**(v+t) divides every potential and
+    cycle * d0.  Every sweep order is a multiple of 4, so cycle = 4 and
+    2**(v+2) divides cycle * d0: the potentials alone decide.  An infeasible
+    row's valuation leg is False (the common-valuation flag is feasibility
+    at t = 1, and the quarter flag implies it at t = 2), so is its numeric
+    leg, and its restriction holds.  _potentials is linear, so a row's d0
+    and potentials are its B-set's plus its sigma row's, and the test is one
+    equality of residues per level (_level_keys): d0_B + d0_S = 2**v (mod
+    2**(v+1)), which makes v = v2(d0), and P_B + P_S = 0 (mod 2**(v+t)).
+    No level is missed: |gamma| < n on every row, so |d0| < 2n.  Each part
+    is an integral spectrum with |gamma| <= n, so its potentials, under 8n,
+    are exact in _potentials' dtype, and so would their sum be, which no
+    row forms; a mask of the low bits of a two's-complement int64 is its
+    residue, and negation is exact there.  Equal residues give equal keys,
+    so no row is lost; a collision only adds a row, which transfer_rows
+    then judges exactly.  The sigma keys of every level are sorted once and
+    each block of B keys looked up in them; the matches are expanded about
+    CHUNK_ENTRIES at a time and kept where the sigma row's D-set shares no
+    bit with the B-set, the pair being a row of the order, and its shape is
+    not judged positive.  The positive shapes add all their rows; a row met
+    twice, by a collision only, is kept once."""
+    split, t, q = len(shapes.cols), spread.bit_length() - 1, len(shapes.rank).bit_length() - 1
+    s_keys = _level_keys(shapes.signed, table[split:], classes, t, 1).ravel()
+    order = s_keys.argsort()
+    s_keys = s_keys[order]
+    b_masks, s_masks = shapes.sets @ shapes.key, (shapes.signed != 0) @ shapes.key
+    sizes = np.diff(shapes.ends, prepend=0)[judged]
+    rows = [_ranges(shapes.ends[judged] - sizes, sizes)]
+    for start in range(0, len(shapes.sets), CHUNK_ENTRIES):
+        keys = _level_keys(shapes.sets[start:start + CHUNK_ENTRIES], table[:split], classes, t, -1)
+        b_order = keys.ravel().argsort()
+        needles = keys.ravel()[b_order]  # ascending, so each search starts where the last ended
+        lo = s_keys.searchsorted(needles)
+        count = s_keys.searchsorted(needles, side="right") - lo
+        total = np.cumsum(count)
+        cuts = [0, *total.searchsorted(range(CHUNK_ENTRIES, total[-1], CHUNK_ENTRIES)), len(total)]
+        for a, z in zip(cuts[:-1], cuts[1:]):
+            b = start + np.repeat(b_order[a:z] % keys.shape[1], count[a:z])
+            s = order[_ranges(lo[a:z], count[a:z])] % len(shapes.signed)
+            mask = s_masks[s]
+            fit = b_masks[b] & mask == 0
+            b, s, mask = b[fit], s[fit], mask[fit]
+            shape = shapes.index.searchsorted(b << q | shapes.rank[mask])
+            fresh = ~judged[shape]
+            rows.append((shapes.ends[shape] - shapes.tails[mask] + s)[fresh])
+    # a stable sort maps less of numpy's code, so less peak RSS, than quicksort
+    rows = np.sort(np.concatenate(rows), kind="stable")
+    return rows[np.diff(rows, prepend=-1) != 0]
+
+
+def _candidate_chunks(shapes: _Shapes, mode: str, judged: np.ndarray) -> Iterator[tuple]:
+    """The candidate rows of an order (_candidates), CHUNK_ENTRIES // C at a
+    time, C the class count, in the frozen order: each row's shape and
+    sigma-table index, its int32 oracle spectrum held on the order's one
+    IndexClasses, a row being gamma[reps], and a (4, rows) bool matrix of
+    its classifier answer (judged, per shape), valuation and numeric answers
+    and whether it keeps to the pair restriction.  The DFT is linear and the
+    classes of a valid spec are disjoint, so a spectrum is B @ G + sigma @
+    H, G and H the class table's two blocks, whose representative columns
+    are all it needs once the table is checked constant on every class:
+    ConsistencyError where it is not.  That check is the real guard of the
+    pair restriction leg, which holds by construction on class rows
+    (transfer._witnesses).  So a row's values are its B-set's part plus its
+    sigma row's, in int32 (sums stay below n); transfer_rows judges each
+    chunk on them with the order's (targets, C) table of class weights built
+    beside the table from the same classes."""
     n, split = shapes.n, len(shapes.cols)  # the table's B rows, then its sigma rows
-    _, quarters, classifier, valuation = _mode(mode)
+    _, quarters, _, valuation = _mode(mode)
     targets = [k * n // 4 for k in quarters]
     classes = index_classes(n)
     full = _class_table(classes, list(shapes.cols), list(compress(shapes.cols, shapes.key)))
-    judged, table = classifier(n, shapes.B, shapes.D), full[:, classes.reps]
+    table = full[:, classes.reps]
     if not (full == table[:, classes.of]).all():
         raise ConsistencyError(f"class table of order {n} not constant on its index classes")
     table, weights = table.astype(np.int32), _class_weights(classes, targets)
-    b_table, signed_values = table[:split], shapes.signed @ table[split:]
-    for shape, signed in _rows(shapes, len(classes.reps)):
-        first = shape[0]
-        values = shapes.B[first:shape[-1] + 1] @ b_table
-        values = values.take(shape - first, axis=0) + signed_values.take(signed, axis=0)
+    rows = _candidates(shapes, classes, table, n // math.gcd(*targets), judged)
+    size = max(1, CHUNK_ENTRIES // len(classes.reps))
+    for start in range(0, len(rows), size):
+        shape, signed = _located(shapes, rows[start:start + size])
+        values = shapes.B[shape] @ table[:split] + shapes.signed[signed] @ table[split:]
         legs = transfer_rows(values, targets, classes, weights)
-        votes = np.array([judged[shape], legs[valuation], *legs[2:]])
-        yield shape, signed, values, votes
+        yield shape, signed, values, np.array([judged[shape], legs[valuation], *legs[2:]])
 
 
 def crosscheck(n_max: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> SweepReport:
@@ -255,11 +357,13 @@ def crosscheck(n_max: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> S
     numerically at the fixed NUMERIC_TOL (transfer_rows).  Any disagreement,
     a witness failing the numeric check included, is recorded, and so is a
     spec whose feasible differences stray from the quarter points (the
-    "restriction" key).  Orders are checked as arrays (_judged_chunks): only
-    a mismatch reads its sigma row and gets a GraphSpec.  After each order
-    one progress line goes to stderr: the order, the specs and mismatches so
-    far, and specs/s."""
-    step = _mode(mode)[0]
+    "restriction" key).  Orders are checked as arrays: every row counts, the
+    positives come from the classifier's shapes, and only the candidate rows
+    (_candidate_chunks) are formed and judged, every other row reading False
+    on all three legs and keeping the restriction; only a mismatch reads its
+    sigma row and gets a GraphSpec.  After each order one progress line goes
+    to stderr: the order, the specs and mismatches so far, and specs/s."""
+    step, _, classifier, _ = _mode(mode)
     if n_max < step:  # an empty sweep would read as a clean one
         raise SpecError(f"{mode} crosscheck starts at order {step}, got n_max {n_max}")
     pools = _budgeted(range(step, n_max + 1, step), budget)
@@ -267,9 +371,10 @@ def crosscheck(n_max: int, mode: str = "pst", budget: int = DEFAULT_BUDGET) -> S
     positive, start = 0, time.perf_counter()
     for n in report.n_range:
         shapes = _shapes(n, *pools[n])
-        for shape, signed, _, votes in _judged_chunks(shapes, mode):
-            report.specs_checked += len(shape)
-            positive += int(votes[0].sum())
+        judged = classifier(n, shapes.B, shapes.D)
+        report.specs_checked += int(shapes.ends[-1])
+        positive += int(np.diff(shapes.ends, prepend=0)[judged].sum())
+        for shape, signed, _, votes in _candidate_chunks(shapes, mode, judged):
             bad = (votes[:3] != votes[0]).any(axis=0) | ~votes[3]
             if not bad.any():  # only a chunk with a mismatch builds specs
                 continue

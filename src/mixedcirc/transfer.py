@@ -461,8 +461,13 @@ def _witnesses(
     only through g/h (and g = 0); _flags read only the bits of g below 2 *
     lowbit(d0) and below 8, which are low's.  So on classes the order n/s =
     gcd(n, g/h) divides 4 and the restriction holds by construction, once
-    the class table passes its constancy check (harness._judged_chunks),
-    which stays the real guard there.
+    the class table passes its constancy check (harness._candidate_chunks),
+    which stays the real guard there.  The same reading decides which class
+    rows are feasible for targets whose gcd is n / 2**e, e >= 1 with 2**e |
+    n: s divides n / 2**e exactly when 2**e divides g/h, that is, with v =
+    v2(d0), when d0 != 0 and 2**(v+e) divides g, every potential and cycle
+    * d0; where d0 = 0, g/h = 1 or g = 0 and no row is feasible.  The sweep
+    forms and judges only the rows that test may leave (harness._candidates).
 
     Rows held on classes are checked on their class values with weights,
     the _class_weights table of the targets, which goes with classes and
@@ -513,7 +518,8 @@ def transfer_rows(
     group of order 1, 2 or 4, so that each is a quarter point.  On whole
     rows that is a real check; on rows held on classes it holds by
     construction (_witnesses proves it), and the class table's constancy
-    check (harness._judged_chunks) is the real guard."""
+    check (harness._candidate_chunks) is the real guard.  The sweep calls it
+    on the rows its join leaves only (harness._candidates)."""
     witnesses = _witnesses(values, targets, classes, weights)
     (_, _, common, quarter), order, feasible, _, checked = witnesses
     numeric = np.zeros_like(common)

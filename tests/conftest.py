@@ -6,20 +6,24 @@ the antipodal-transfer cases i/ii/iii, and the order-16 graph with transfer
 around the whole quarter orbit.  reference_shapes and reference_specs are
 the tuple generators of the frozen enumeration order, which the shape
 matrices of mixedcirc.harness must reproduce, and order_shapes builds those
-matrices from an order's pools.  failing_verify_rows stands
+matrices from an order's pools.  reference_judged_chunks judges every row
+of an order, as the sweep did before it judged only the rows its 2-adic
+join finds (mixedcirc.harness._candidates).  failing_verify_rows stands
 in for mixedcirc.transfer.verify_rows, the one numeric check, to inject a
 failed amplitude check; unit_step stands in for mixedcirc.transfer._step to
 inject rows whose feasible differences stray off the quarter points.
 """
 
-from itertools import chain, combinations, product
+from itertools import chain, combinations, compress, product
 
 import numpy as np
 
+import mixedcirc.harness as harness
 from mixedcirc import GraphSpec, validate_spec
-from mixedcirc.harness import _pools, _shapes
+from mixedcirc.circulant import index_classes
+from mixedcirc.harness import _class_table, _pools, _rows, _shapes
 from mixedcirc.numthy import divisors
-from mixedcirc.transfer import _step
+from mixedcirc.transfer import _class_weights, _step
 
 
 def two_arc_layer_graph() -> GraphSpec:
@@ -77,6 +81,29 @@ def reference_specs(n: int):
     for b_tuple, d_tuple in reference_shapes(n):
         for signs in product((1, -1), repeat=len(d_tuple)):
             yield validate_spec(n, b_tuple, d_tuple, dict(zip(d_tuple, signs)))
+
+
+def reference_judged_chunks(shapes, mode):
+    """Every row of an order, row by row in the frozen order: _rows at class
+    width, CHUNK_ENTRIES // C rows a chunk, C the class count, each row's
+    shape, sigma-table row and int32 class values (its B-set's rows of the
+    class table plus its sigma row's), and a (4, rows) bool matrix of the
+    classifier answer and transfer_rows' valuation, numeric and restriction
+    legs, judged in full on every row.  The mode's classifier and
+    transfer_rows are read off mixedcirc.harness per call, so patches count."""
+    n, split = shapes.n, len(shapes.cols)
+    _, quarters, classifier, valuation = harness._mode(mode)
+    targets = [k * n // 4 for k in quarters]
+    classes = index_classes(n)
+    full = _class_table(classes, list(shapes.cols), list(compress(shapes.cols, shapes.key)))
+    table = full[:, classes.reps]
+    assert (full == table[:, classes.of]).all(), n
+    table, weights = table.astype(np.int32), _class_weights(classes, targets)
+    judged = classifier(n, shapes.B, shapes.D)
+    for shape, signed in _rows(shapes, len(classes.reps)):
+        values = shapes.B[shape] @ table[:split] + shapes.signed[signed] @ table[split:]
+        legs = harness.transfer_rows(values, targets, classes, weights)
+        yield shape, signed, values, np.array([judged[shape], legs[valuation], *legs[2:]])
 
 
 def failing_verify_rows(gammas, times, diffs, weights=None):

@@ -15,6 +15,7 @@ from conftest import (
     order_shapes,
     pst_case_i_graph,
     pst_case_iii_graph,
+    reference_judged_chunks,
     reference_shapes,
     reference_specs,
     unit_step,
@@ -38,12 +39,14 @@ from mixedcirc import (
     validate_spec,
 )
 from mixedcirc.circulant import GraphSpec, index_classes
-from mixedcirc.harness import CHUNK_ENTRIES, _class_table, _judged_chunks, _pools, _rows
+from mixedcirc.harness import CHUNK_ENTRIES, _class_table, _pools, _rows
 from mixedcirc.harness import _subsets
 from mixedcirc.numthy import MAX_N, divisors, two_adic_valuation
 from mixedcirc.transfer import (
     PST_CASES,
     ConsistencyError,
+    _gap_columns,
+    _step,
     classify_mst_rows,
     classify_pst_rows,
     mst_sufficient_rows,
@@ -359,6 +362,124 @@ def test_crosscheck_memory_stays_flat():
     assert peak < 1_000_000, peak
 
 
+def pst_without_case_ii(n, B, D):
+    """classify_pst_rows with case ii read as no transfer: narrower than the
+    truth, so its rows show up as mismatches."""
+    cases = classify_pst_rows(n, B, D)
+    return np.where(cases == 2, 0, cases)
+
+
+# a mode's classifier in harness, and a narrower one in its place
+NARROWED = {
+    "pst": ("classify_pst_rows", pst_without_case_ii),
+    "mst": ("classify_mst_rows", mst_sufficient_rows),
+}
+
+
+def reference_sweep(n_max, mode, classifiers):
+    """For each named classifier, the (specs, positives, mismatch rows) that
+    crosscheck(n_max, mode) reports, read row by row off
+    reference_judged_chunks with the classifier's answer as the first leg;
+    and per order the rows each classifier marks positive or that have a
+    witness of the mode's transfer, by the exact gap gcd and _step."""
+    step, spread = {"pst": (4, 2), "mst": (8, 4)}[mode]
+    legs = ("classifier", "valuation", "numeric", "restriction")
+    reports = {name: [0, 0, []] for name in classifiers}
+    needed = {name: {} for name in classifiers}
+    for n in range(step, n_max + 1, step):
+        shapes, classes = order_shapes(n), index_classes(n)
+        answers = {name: f(n, shapes.B, shapes.D) != 0 for name, f in classifiers.items()}
+        feasible = []
+        chunks = list(reference_judged_chunks(shapes, mode))
+        for shape, signed, values, votes in chunks:
+            d0, g, _, _ = _gap_columns(values, classes)
+            feasible.append((n // spread) % _step(n, d0, g) == 0)
+            for name, judged in answers.items():
+                votes[0] = judged[shape]
+                report = reports[name]
+                report[0], report[1] = report[0] + len(shape), report[1] + int(votes[0].sum())
+                bad = (votes[:3] != votes[0]).any(axis=0) | ~votes[3]
+                rows = shapes.specs(shape[bad], signed[bad])
+                for spec, row in zip(rows, votes[:, bad].T.tolist()):
+                    report[2].append({"spec": spec_to_json(spec), **dict(zip(legs, row))})
+        shape = np.concatenate([c[0] for c in chunks])
+        for name, judged in answers.items():
+            needed[name][n] = np.flatnonzero(np.concatenate(feasible) | judged[shape])
+    return reports, needed
+
+
+@pytest.mark.parametrize("mode", ["pst", "mst"])
+def test_join_keeps_every_row_a_leg_can_flag(monkeypatch, mode):
+    # at every order through 96, with the paper's classifier and with one
+    # narrower than the truth: the join's candidates hold every row that
+    # has a witness or a positive classifier answer, and crosscheck's specs,
+    # positives and mismatch rows, all four legs, are the row-by-row
+    # reference's, in order
+    name, narrowed = NARROWED[mode]
+    classifiers = {"paper": getattr(mixedcirc.harness, name), "narrowed": narrowed}
+    reports, needed = reference_sweep(96, mode, classifiers)
+    assert reports["paper"][2] == [] and len(reports["narrowed"][2]) > 0
+    real, kept = mixedcirc.harness._candidates, {}
+
+    def candidates(shapes, *args):
+        kept[shapes.n] = real(shapes, *args)
+        return kept[shapes.n]
+
+    monkeypatch.setattr(mixedcirc.harness, "_candidates", candidates)
+    for label, classify in classifiers.items():
+        monkeypatch.setattr(mixedcirc.harness, name, classify)
+        report = crosscheck(96, mode)
+        got = [report.specs_checked, getattr(report, f"{mode}_positive"), report.mismatches]
+        assert got == reports[label], label
+        assert kept.keys() == needed[label].keys()
+        for n, rows in kept.items():
+            assert np.isin(needed[label][n], rows).all(), (label, n)
+            assert (np.diff(rows) > 0).all(), (label, n)
+
+
+@pytest.mark.parametrize("spread", [2, 4])
+def test_join_keeps_exactly_the_feasible_rows_at_every_level(spread):
+    # synthetic class values on order 24's shapes, every sigma part 0: the
+    # B part of divisor 1 has d0 = 2**v and its other potentials 2**(v+t),
+    # t = v2(spread), which makes each row holding divisor 1 feasible
+    # (transfer._witnesses), or 2**(v+t-1), which makes none; at every level
+    # v < bit_length(2n) the join keeps those rows exactly
+    n, t = 24, spread.bit_length() - 1
+    shapes, classes = order_shapes(n), index_classes(n)
+    holds = np.flatnonzero(np.repeat(shapes.B[:, 0], np.diff(shapes.ends, prepend=0)))
+    others = ~np.isin(np.arange(len(classes.reps)), classes.of[:2])
+    table = np.zeros((2 * len(shapes.cols), len(classes.reps)), dtype=np.int32)
+    for v in range((2 * n).bit_length()):
+        for power, expected in ((v + t, holds), (v + t - 1, [])):
+            table[0] = (classes.reps % classes.cycle << v) + (others << power)
+            judged = np.zeros(len(shapes.B), dtype=bool)
+            rows = mixedcirc.harness._candidates(shapes, classes, table, spread, judged)
+            assert rows.tolist() == list(expected), (v, power)
+
+
+@pytest.mark.parametrize("mode", ["pst", "mst"])
+def test_a_constant_join_key_loses_no_row(monkeypatch, mode):
+    # with every key equal, every (B-set, sigma row) pair matches at every
+    # level: the join then hands each row of the order to transfer_rows
+    # once, and crosscheck(48) reports what it reports with the real key
+    clean = crosscheck(48, mode)
+    real, kept = mixedcirc.harness._candidates, []
+
+    def candidates(*args):
+        rows = real(*args)
+        kept.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(mixedcirc.harness, "_candidates", candidates)
+    monkeypatch.setattr(
+        mixedcirc.harness, "_key", lambda residues: np.zeros(residues.shape[::2], np.uint64)
+    )
+    report = crosscheck(48, mode)
+    assert sum(kept) == report.specs_checked == clean.specs_checked
+    assert (report.pst_positive, report.mst_positive) == (clean.pst_positive, clean.mst_positive)
+    assert report.mismatches == clean.mismatches
+
+
 @pytest.mark.parametrize("mode, step", [("pst", 4), ("mst", 8)])
 def test_sweep_builds_one_index_classes_per_order(monkeypatch, mode, step):
     # the class table, the class weights, the chunk width and every
@@ -398,7 +519,7 @@ def test_summed_class_rows_equal_per_spec_oracle():
     for n in range(4, 33, 4):
         shapes, seen = order_shapes(n), []
         size = max(1, CHUNK_ENTRIES // len(index_classes(n).reps))
-        for shape, signed, gammas, _ in _judged_chunks(shapes, "pst"):
+        for shape, signed, gammas, _ in reference_judged_chunks(shapes, "pst"):
             _check_rows_against_oracle(shapes, shape, signed, gammas)
             reversed_arcs += int((shapes.signed[signed] < 0).any(axis=1).sum())
             seen.append([spec_to_json(spec) for spec in shapes.specs(shape, signed)])
@@ -423,7 +544,7 @@ def test_sign_block_longer_than_a_chunk_is_cut(monkeypatch):
     count = 512 // size + 1
     spec_chunks = list(islice(_rows(shapes, n), count))
     monkeypatch.setattr(mixedcirc.harness, "CHUNK_ENTRIES", size * 20)
-    sweep_chunks = [c[:3] for c in islice(_judged_chunks(shapes, "pst"), count)]
+    sweep_chunks = [c[:3] for c in islice(reference_judged_chunks(shapes, "pst"), count)]
     for chunks in (spec_chunks, sweep_chunks):
         shape = np.concatenate([c[0] for c in chunks])
         assert [len(c[0]) for c in chunks] == [size] * count
@@ -468,7 +589,7 @@ def test_signed_table_rows_equal_the_incidence_product(monkeypatch, n):
     classes = index_classes(n)
     G, H = np.split(_class_table(classes, *_pools(n))[:, classes.reps], 2)
     start = 0
-    for shape, signed, values, _ in _judged_chunks(shapes, "pst"):
+    for shape, signed, values, _ in reference_judged_chunks(shapes, "pst"):
         rows = np.arange(start, start + len(shape))
         sigma = offset_bit_sigma(shapes, shape, rows)
         assert (shapes.signed[signed] == sigma).all()
@@ -576,7 +697,7 @@ def test_sign_negated_partners_get_the_same_answers(mode):
     step = 4 if mode == "pst" else 8
     for n in range(step, 49, step):
         shapes = order_shapes(n)
-        parts = list(_judged_chunks(shapes, mode))
+        parts = list(reference_judged_chunks(shapes, mode))
         shape, signed = (np.concatenate([p[k] for p in parts]) for k in (0, 1))
         votes = np.concatenate([p[3] for p in parts], axis=1)
         assert len(shape) == count_specs(n)
@@ -600,7 +721,7 @@ def test_sweep_numeric_leg_agrees_with_the_verdicts(mode):
     rows = positive = 0
     for n in range(step, 33, step):
         shapes = order_shapes(n)
-        for shape, signed, _, votes in _judged_chunks(shapes, mode):
+        for shape, signed, _, votes in reference_judged_chunks(shapes, mode):
             verdicts = [decide(spec) for spec in shapes.specs(shape, signed)]
             assert votes[2].tolist() == verdicts, (n, mode)
             rows += len(verdicts)

@@ -16,6 +16,7 @@ from conftest import (
     pst_case_i_graph,
     pst_case_ii_graph,
     pst_case_iii_graph,
+    reference_judged_chunks,
     reference_shapes,
     two_arc_layer_graph,
 )
@@ -46,7 +47,6 @@ from mixedcirc import (
     verify_numeric,
 )
 from mixedcirc.circulant import index_classes
-from mixedcirc.harness import _judged_chunks
 from mixedcirc.numthy import divisors
 from mixedcirc.transfer import (
     PST_CASES,
@@ -381,7 +381,7 @@ def test_screened_quarter_equals_its_definition_on_sweep_rows():
     rows = positive = 0
     for n in range(8, 97, 8):
         of = index_classes(n).of
-        for _, _, values, votes in _judged_chunks(order_shapes(n), "mst"):
+        for _, _, values, votes in reference_judged_chunks(order_shapes(n), "mst"):
             gammas = values[:, of]
             quarter = unscreened_quarter(gammas)
             assert (votes[1] == quarter).all(), n  # the kernel's flag, via transfer_rows
@@ -486,7 +486,7 @@ def test_class_width_equals_full_width_on_every_sweep_row(mode, step, quarters):
     for n in range(step, 97, step):
         classes, targets = index_classes(n), [k * n // 4 for k in quarters]
         weights = _class_weights(classes, targets)
-        for _, _, values, votes in _judged_chunks(order_shapes(n), mode):
+        for _, _, values, votes in reference_judged_chunks(order_shapes(n), mode):
             gammas = values[:, classes.of]
             for narrow, wide in zip(_gap_columns(values, classes), _gap_columns(gammas)):
                 assert (narrow == wide).all(), n
@@ -518,7 +518,7 @@ def test_exact_gap_gcd_is_folded_over_feasible_class_rows_only(monkeypatch, mode
         classes, targets = index_classes(n), [k * n // 4 for k in quarters]
         weights = _class_weights(classes, targets)
         seen[n] = unfolded[n] = 0
-        for _, _, values, _ in _judged_chunks(order_shapes(n), mode):
+        for _, _, values, _ in reference_judged_chunks(order_shapes(n), mode):
             folded.clear()
             _, _, feasible, _, _ = _witnesses(values, targets, classes, weights)
             assert len(folded) == (feasible.size > 0), n
@@ -574,7 +574,7 @@ def test_witness_check_is_exact_near_the_gamma_bound(mode, step, quarters):
     for n in range(step, 49, step):
         classes, targets = index_classes(n), [k * n // 4 for k in quarters]
         weights = _class_weights(classes, targets)
-        values = next(_judged_chunks(order_shapes(n), mode))[2][:256]
+        values = next(reference_judged_chunks(order_shapes(n), mode))[2][:256]
         big = values + rng.integers(-(2**59) + 2**10, 2**59 - 2**10, size=(len(values), 1))
         answers = transfer_rows(big, targets, classes, weights)
         assert (answers == transfer_rows(big[:, classes.of], targets)).all(), n
@@ -728,7 +728,7 @@ def test_solvability_helper_equals_witness():
     rows = feasible = 0
     for n in range(4, 33, 4):
         of = index_classes(n).of
-        for _, _, values, _ in _judged_chunks(order_shapes(n), "pst"):
+        for _, _, values, _ in reference_judged_chunks(order_shapes(n), "pst"):
             d0, gcds, _, _ = _gap_columns(values[:, of])
             step = _step(n, d0, gcds)
             pairs = list(zip(d0.tolist(), gcds.tolist()))
@@ -1090,7 +1090,7 @@ def swept_checks(monkeypatch, mode, step, quarters):
     for n in range(step, 49, step):
         targets, classes = [k * n // 4 for k in quarters], index_classes(n)
         weights = _class_weights(classes, targets)
-        for _, _, values, _ in _judged_chunks(order_shapes(n), mode):
+        for _, _, values, _ in reference_judged_chunks(order_shapes(n), mode):
             gammas, witnessed = values[:, classes.of], []
             d0, gcds, _, _ = _gap_columns(gammas)
             columns = values.tolist(), gammas.tolist(), d0.tolist(), gcds.tolist()
@@ -1215,7 +1215,7 @@ def test_pair_restriction_holds_on_every_sweep_row():
     rows, seen = 0, set()
     for n in range(4, 65, 4):
         of = index_classes(n).of
-        for _, _, values, _ in _judged_chunks(order_shapes(n), "pst"):
+        for _, _, values, _ in reference_judged_chunks(order_shapes(n), "pst"):
             gammas = values[:, of]
             d0, gcds, _, _ = _gap_columns(gammas)
             ratio = n // _step(n, d0, gcds)
@@ -1391,11 +1391,23 @@ def test_verdicts_build_one_profile(kernel_rows):
 
 
 @pytest.mark.parametrize("mode", ["pst", "mst"])
-def test_crosscheck_builds_one_profile_per_spec(kernel_rows, mode):
-    # every spec is profiled once; the exact gap gcd is folded only over the
-    # feasible rows, which in a clean sweep are the transfer-positive specs
+def test_crosscheck_builds_one_profile_per_spec(kernel_rows, monkeypatch, mode):
+    # every row the sweep's join keeps (harness._candidates) is profiled
+    # once, and no other row: the rest read False on every leg without a
+    # spectrum.  The exact gap gcd is folded only over the feasible rows,
+    # which in a clean sweep are the transfer-positive specs
+    import mixedcirc.harness
+
+    real, kept = mixedcirc.harness._candidates, []
+
+    def candidates(*args):
+        rows = real(*args)
+        kept.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(mixedcirc.harness, "_candidates", candidates)
     report = crosscheck(16, mode)
     positive = getattr(report, f"{mode}_positive")
     assert report.specs_checked > 0 and report.mismatches == []
-    assert sum(kernel_rows["profiled"]) == report.specs_checked
-    assert 0 < sum(kernel_rows["folded"]) == positive < report.specs_checked
+    assert sum(kernel_rows["profiled"]) == sum(kept) < report.specs_checked
+    assert 0 < sum(kernel_rows["folded"]) == positive <= sum(kept)
