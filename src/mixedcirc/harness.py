@@ -93,7 +93,9 @@ class _Shapes(NamedTuple):
     4, ...): sigma(d) = +1 or -1 on the D-set, 0 elsewhere.  sets holds every
     B-set, the rows of _subsets over cols; index[s], ascending, is b << q | r
     for shape s, b its B-set's row of sets and r its D-set's rank among the
-    D-sets, q the count of n/4's divisors; rank maps a D-set's key mask to r."""
+    D-sets, q the count of n/4's divisors, in the narrowest unsigned dtype
+    of its largest key (4 bytes a shape at the frontier, not 8); rank maps
+    a D-set's key mask to r."""
 
     n: int
     cols: tuple[int, ...]
@@ -161,6 +163,7 @@ def _shapes(n: int, proper: list[int], d_pool: list[int]) -> _Shapes:
     rank = np.empty(len(masks), dtype=np.int64)
     rank[masks] = np.arange(len(masks))
     index = b_of << len(d_pool) | d_of
+    index = index.astype(np.min_scalar_type(index[-1]))
     return _Shapes(n, tuple(proper), sets[b_of], D, ends, key, tails, signed, sets, index, rank)
 
 
@@ -304,7 +307,9 @@ def _candidates(
             mask = s_masks[s]
             fit = b_masks[b] & mask == 0
             b, s, mask = b[fit], s[fit], mask[fit]
-            shape = shapes.index.searchsorted(b << q | shapes.rank[mask])
+            # keys of another dtype would make numpy copy the whole index per search
+            pairs = (b << q | shapes.rank[mask]).astype(shapes.index.dtype)
+            shape = shapes.index.searchsorted(pairs)
             fresh = ~judged[shape]
             rows.append((shapes.ends[shape] - shapes.tails[mask] + s)[fresh])
     # a stable sort maps less of numpy's code, so less peak RSS, than quicksort

@@ -45,7 +45,9 @@ def _witness_ks(n: int, d0: int, g: int, diffs: list[int]) -> list[int]:
     if each (delta_j - delta_0) * s/q is, so q | g; the gap congruences then
     collapse to the one at delta_0, n*d0*k = w*g (mod n*g), solvable iff
     n*h | w*g, h = gcd(d0, g); then k = (w*g/(n*h)) * (d0/h)^-1 mod g/h,
-    never 0 since w/n is not an integer."""
+    never 0 since w/n is not an integer.  The solver of whole rows (the
+    verdicts, pst_feasible_pair), where g/h may be any divisor of n; rows
+    held on classes, where g/h divides 4, take _witnesses' closed form."""
     h = math.gcd(d0, g)
     m = g // h
     inverse = pow(d0 // h, -1, m)
@@ -444,9 +446,10 @@ def _witnesses(
     differences, s its _step; the indices of the rows whose step divides
     every target's difference, that is their gcd; their numerators k as a
     (rows, targets) array, each time being k/g with g the row's gap gcd,
-    solved once per distinct (d0, g) among them (_witness_ks); and
-    verify_rows' (ok, amplitude, residual) arrays on those rows at those
-    times, None when no row has one.
+    solved once per distinct (d0, g) among them on whole rows
+    (_witness_ks) and as one array formula on rows held on classes (below);
+    and verify_rows' (ok, amplitude, residual) arrays on those rows at
+    those times, None when no row has one.
 
     Whole rows fold the exact g on every row: there g divides only n * d0,
     so the order n/s may be any divisor of n, and the pair restriction
@@ -468,6 +471,13 @@ def _witnesses(
     v2(d0), when d0 != 0 and 2**(v+e) divides g, every potential and cycle
     * d0; where d0 = 0, g/h = 1 or g = 0 and no row is feasible.  The sweep
     forms and judges only the rows that test may leave (harness._candidates).
+    On those feasible class rows _witness_ks' k = (w*g/(n*h)) * (d0/h)^-1
+    mod m, m = g/h, is solved in closed form: d0/h is prime to m, which
+    divides 4, and every unit modulo 1, 2 or 4 is its own inverse, so
+    (d0/h)^-1 = d0/h (mod m); and w*g/(n*h) = w*m/n, an integer below m
+    since w < n.  So k = (w*m // n) * (d0/h mod m) mod m, both factors
+    below 4 and their product below 16, exact in any integer dtype whatever
+    |gamma| is.
 
     Rows held on classes are checked on their class values with weights,
     the _class_weights table of the targets, which goes with classes and
@@ -493,15 +503,21 @@ def _witnesses(
     feasible = np.flatnonzero(math.gcd(*diffs) % step == 0)
     if classes is not None and feasible.size:
         gcds[feasible] = _gap_gcds(d0[feasible], potential[feasible], cycle)
-    rows = list(zip(d0[feasible].tolist(), gcds[feasible].tolist()))
-    solved = {row: _witness_ks(n, *row, diffs) for row in set(rows)}
-    ks = np.array([solved[row] for row in rows], dtype=np.int64).reshape(len(rows), len(diffs))
     spectra, g = values[feasible], gcds[feasible, None]
-    if rows and (spectra.max() >= 2**29 or spectra.min() <= -(2**29)):
+    if classes is None:
+        rows = list(zip(d0[feasible].tolist(), gcds[feasible].tolist()))
+        solved = {row: _witness_ks(n, *row, diffs) for row in set(rows)}
+        ks = np.array([solved[row] for row in rows], dtype=np.int64).reshape(len(rows), len(diffs))
+    else:  # g/h divides 4, so d0/h is its own inverse modulo g/h
+        d = d0[feasible, None]
+        h = np.gcd(d, g)
+        m = g // h
+        ks = np.array(diffs) * m // n * (d // h % m) % m
+    if feasible.size and (spectra.max() >= 2**29 or spectra.min() <= -(2**29)):
         spectra = spectra.astype(np.int64)
         large = (np.abs(spectra) >= 2**29).any(axis=1)
         spectra[large] %= g[large]
-    checked = verify_rows(spectra, ks / g, diffs, weights) if rows else None
+    checked = verify_rows(spectra, ks / g, diffs, weights) if feasible.size else None
     return (d0, gcds, *_flags(d0, gcds)), n // step, feasible, ks, checked
 
 
@@ -512,7 +528,8 @@ def transfer_rows(
     of targets, for each row of a matrix of spectra held on classes as
     _potentials reads it: the common-valuation flag, the quarter flag and
     the numeric answer, read off _witnesses (with classes, their weights
-    table, which a caller holding many chunks of one order builds once), a
+    table, which a caller holding many chunks of one order builds once, and
+    witness times solved as arrays, with no per-row Python), a
     failed check being a numeric False for the caller; and whether the row
     keeps to the pair restriction, its feasible differences and 0 forming a
     group of order 1, 2 or 4, so that each is a quarter point.  On whole

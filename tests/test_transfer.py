@@ -581,8 +581,91 @@ def test_witness_check_is_exact_near_the_gamma_bound(mode, step, quarters):
         assert (answers == transfer_rows(values, targets, classes, weights)).all(), n
         _, _, feasible, _, _ = _witnesses(big, targets, classes, weights)
         assert answers[2, feasible].all(), n
+        assert len(assert_class_ks_solve(big, targets, classes, weights, n)) == len(feasible)
         checked += len(feasible)
     assert checked > 100
+
+
+def assert_class_ks_solve(values, targets, classes, weights, label) -> list[tuple[int, int]]:
+    """_witnesses' numerators on a matrix held on classes, solved in closed
+    form, equal _witness_ks' on every feasible row, target by target;
+    returns each such row's (d0, g)."""
+    n = len(classes.of)
+    (d0, g, _, _), _, feasible, ks, _ = _witnesses(values, targets, classes, weights)
+    rows = list(zip(d0[feasible].tolist(), g[feasible].tolist()))
+    assert ks.shape == (len(rows), len(targets)), label
+    diffs = [b % n for b in targets]
+    assert ks.tolist() == [_witness_ks(n, d, h, diffs) for d, h in rows], label
+    return rows
+
+
+@SWEEP_MODES
+def test_class_witness_numerators_equal_the_modular_solve_on_every_sweep_row(
+    mode, step, quarters
+):
+    # every candidate row of every sweep order <= 96: k = (w*m/n) * (d0/h
+    # mod m) mod m, m = g/h, gives _witness_ks' numerators row by row and
+    # target by target, on every positive row and on no other
+    import mixedcirc.harness as harness
+
+    classifier, solved, positives, ms = harness._mode(mode)[2], 0, 0, set()
+    for n in range(step, 97, step):
+        shapes, classes = order_shapes(n), index_classes(n)
+        targets = [k * n // 4 for k in quarters]
+        weights, judged = _class_weights(classes, targets), classifier(n, shapes.B, shapes.D)
+        for _, _, values, _ in harness._candidate_chunks(shapes, mode, judged):
+            rows = assert_class_ks_solve(values, targets, classes, weights, n)
+            ms.update(g // math.gcd(d, g) for d, g in rows)
+            solved += len(rows)
+        positives += int(np.diff(shapes.ends, prepend=0)[judged].sum())
+    assert solved == positives > 0
+    assert ms == {"pst": {2, 4}, "mst": {4}}[mode]
+
+
+def test_class_witness_numerators_equal_the_modular_solve_on_synthetic_rows():
+    # seeded class rows at n = 8, 48 and 240 built so that 2**(v+e), v =
+    # v2(d0), divides every potential: d0 of either sign, g/h = 2 or 4,
+    # and entries small or near +-2**59, where the closed form's factors
+    # stay below 4 whatever |gamma| is
+    rng, ms, signs = np.random.default_rng(20264), set(), set()
+    for n in (8, 48, 240):
+        classes = index_classes(n)
+        shift = (classes.reps % classes.cycle).astype(np.int64)
+        for e, base in ((1, 0), (2, 0), (1, 2**59 - 2**14), (2, -(2**59) + 2**14)):
+            v = rng.integers(0, 6, size=(64, 1))
+            d0 = rng.choice([-1, 1], size=(64, 1)) * (2 * rng.integers(0, 40, size=(64, 1)) + 1) << v
+            potential = rng.integers(-40, 41, size=(64, len(shift))) << v + e
+            potential[:, classes.of[:2]] = 0  # index 0's class, and index 1's, hold none
+            values = base + potential + shift * d0
+            assert (_gap_columns(values, classes)[0] == d0[:, 0]).all(), n
+            for targets in ([n // 2], [n // 4, n // 2, 3 * n // 4]):
+                weights = _class_weights(classes, targets)
+                rows = assert_class_ks_solve(values, targets, classes, weights, (n, e))
+                assert len(rows) == 64 or (e, len(targets)) == (1, 3), (n, e)
+                ms.update(g // math.gcd(d, g) for d, g in rows)
+                signs.update(d > 0 for d, _ in rows)
+    assert ms == {2, 4} and signs == {False, True}
+
+
+def test_class_rows_never_call_the_modular_solve(monkeypatch):
+    # with _witness_ks refusing every call, the sweep through order 48 runs
+    # clean in both modes with its usual positives, so no class row reaches
+    # it, while the whole-row verdict on README's quick-start spec still
+    # solves its witness there
+    import mixedcirc.transfer
+
+    class Solved(Exception):
+        pass
+
+    def refuse(*args):
+        raise Solved(args)
+
+    monkeypatch.setattr(mixedcirc.transfer, "_witness_ks", refuse)
+    for mode, positives in (("pst", 2806), ("mst", 342)):
+        report = crosscheck(48, mode)
+        assert report.mismatches == [] and getattr(report, f"{mode}_positive") == positives
+    with pytest.raises(Solved):
+        antipodal_verdict(pst_case_i_graph())
 
 
 def lowest_bit_common(gammas: np.ndarray) -> np.ndarray:
